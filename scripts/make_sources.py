@@ -10,36 +10,12 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from qfl.checks import bell_states, parity_truth_table  # noqa: E402
 from qfl.simulator import save_matrix  # noqa: E402
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
-
-
-def bell_states() -> tuple[np.ndarray, np.ndarray]:
-    plus = np.zeros(4, dtype=complex)
-    plus[0] = plus[3] = 2**-0.5
-    minus = np.zeros(4, dtype=complex)
-    minus[0], minus[3] = -(2**-0.5), 2**-0.5
-    rho0 = 0.5 * np.outer(plus, plus.conj())
-    rho1 = 0.5 * np.outer(minus, minus.conj())
-    for rho in (rho0, rho1):
-        rho[1, 1] += 0.25
-        rho[2, 2] += 0.25
-    return rho0, rho1
-
-
-def parity_bits(d: int, coords: tuple[int, ...]) -> str:
-    bits = []
-    for x in range(1 << d):
-        b = 0
-        for c in coords:
-            b ^= (x >> (d - 1 - c)) & 1
-        bits.append(str(b))
-    return "".join(bits)
 
 
 def main() -> None:
@@ -60,14 +36,14 @@ def main() -> None:
         "# labels = parity of coordinates 1 and 2 (0-based)\n"
         "kind = classical\n"
         "d = 4\n"
-        f"truth_table = {parity_bits(4, (1, 2))}\n",
+        f"truth_table = {parity_truth_table(4, (1, 2))}\n",
         encoding="utf-8",
     )
     (CONFIG_DIR / "junta_d5.src").write_text(
         "# planted two-coordinate junta: parity of coordinates 1 and 3 (0-based)\n"
         "kind = classical\n"
         "d = 5\n"
-        f"truth_table = {parity_bits(5, (1, 3))}\n",
+        f"truth_table = {parity_truth_table(5, (1, 3))}\n",
         encoding="utf-8",
     )
     (CONFIG_DIR / "weight1_d2.degreeset").write_text(

@@ -53,10 +53,8 @@ from .compatibility import (
     singleton_cover,
 )
 from .simulator import (
-    LabeledSample,
     RandomStreams,
     SampleSource,
-    draw_sample,
     draw_samples,
     estimation_observable,
     labeling_operator,
@@ -66,7 +64,7 @@ from .simulator import (
     make_noisy_source,
     make_realizable_source,
     measure,
-    measure_batch,
+    measure_batch_groups,
 )
 from .learner import (
     LearnReport,

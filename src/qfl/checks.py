@@ -44,7 +44,8 @@ def _random_string(rng, d) -> PauliString:
     return PauliString(tuple(int(v) for v in rng.integers(0, 4, size=d)))
 
 
-def _bell_source() -> simulator.SampleSource:
+def bell_states() -> tuple[np.ndarray, np.ndarray]:
+    """The two-qubit discrimination instance with optimal loss 1/4."""
     plus = np.zeros(4, dtype=complex)
     plus[0] = plus[3] = 2**-0.5
     minus = np.zeros(4, dtype=complex)
@@ -54,17 +55,23 @@ def _bell_source() -> simulator.SampleSource:
     for rho in (rho0, rho1):
         rho[1, 1] += 0.25
         rho[2, 2] += 0.25
-    return simulator.make_custom_source(0.5, rho0, rho1)
+    return rho0, rho1
 
 
-def _parity_source(d: int, coords: tuple[int, ...]) -> simulator.SampleSource:
-    bits = []
-    for x in range(1 << d):
-        b = 0
-        for c in coords:
-            b ^= (x >> (d - 1 - c)) & 1
-        bits.append(b)
-    return simulator.make_classical_source(np.array(bits, dtype=np.int8))
+def make_bell_source() -> simulator.SampleSource:
+    return simulator.make_custom_source(0.5, *bell_states())
+
+
+def parity_truth_table(d: int, coords: tuple[int, ...]) -> str:
+    """0/1 truth table of the parity of ``coords`` (qubit 0 is the most
+    significant index bit)."""
+    return "".join(
+        str(sum((x >> (d - 1 - c)) & 1 for c in coords) & 1) for x in range(1 << d)
+    )
+
+
+def make_parity_source(d: int, coords: tuple[int, ...]) -> simulator.SampleSource:
+    return simulator.make_classical_source(parity_truth_table(d, coords))
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +269,7 @@ def check_batch_allocation():
 
 
 def check_bell_example():
-    source = _bell_source()
+    source = make_bell_source()
     value, coords = learner.opt_k(source, 2)
     _ensure(abs(value - 0.25) <= 1e-9, f"optimal junta loss {value} != 1/4")
     _ensure(coords == (0, 1), f"unexpected maximizer {coords}")
@@ -365,9 +372,9 @@ def check_estimation_concentration():
     hits = 0
     for seed in range(20):
         streams = simulator.RandomStreams(seed)
-        samples = simulator.draw_samples(source, n, streams.generator(simulator.STREAM_DRAW))
+        bases, labels = simulator.draw_samples(source, n, streams.generator(simulator.STREAM_DRAW))
         table = learner.fourier_estimation(
-            samples, cover, plan, streams.generator(simulator.STREAM_MEASURE)
+            source, bases, labels, cover, plan, streams.generator(simulator.STREAM_MEASURE)
         )
         if abs(table[s] - source.exact_coefficient(s)) <= band:
             hits += 1
@@ -377,18 +384,17 @@ def check_estimation_concentration():
 def check_sequential_batch_law():
     from scipy import stats
 
-    source = _bell_source()
+    source = make_bell_source()
     cases = [
-        (simulator.LabeledSample(0, source.rho0),
-         pauli.DegreeSet.of(2, [PauliString((3, 0)), PauliString((0, 3))])),
-        (simulator.LabeledSample(1, source.rho1),
+        (0, source.rho0, pauli.DegreeSet.of(2, [PauliString((3, 0)), PauliString((0, 3))])),
+        (1, source.rho1,
          pauli.DegreeSet.of(2, [PauliString((3, 0)), PauliString((0, 3)), PauliString((3, 3))])),
     ]
     n = 100_000
-    for case_index, (sample, batch) in enumerate(cases):
+    for case_index, (label, state, batch) in enumerate(cases):
         e_label = np.zeros((2, 2), dtype=complex)
-        e_label[sample.label, sample.label] = 1.0
-        joint = np.kron(sample.state, e_label)
+        e_label[label, label] = 1.0
+        joint = np.kron(state, e_label)
         expected = {}
         for w in itertools.product((1, -1), repeat=len(batch)):
             g = np.eye(8, dtype=complex)
@@ -398,8 +404,8 @@ def check_sequential_batch_law():
             expected[w] = float(np.trace(g @ joint).real)
         streams = simulator.RandomStreams(2024 + case_index)
         uniforms = streams.generator(0).random((n, len(batch)))
-        sign = 1.0 if sample.label == 1 else -1.0
-        groups = [(sample.state, sign, np.arange(n))]
+        sign = 1.0 if label == 1 else -1.0
+        groups = [(state, sign, np.arange(n))]
         outcomes = simulator.measure_batch_groups(groups, batch, uniforms)
         stat = 0.0
         dof = 0
@@ -421,15 +427,15 @@ def check_sequential_batch_law():
 
 
 def check_marginal_means():
-    source = _bell_source()
+    source = make_bell_source()
     batch = pauli.DegreeSet.of(2, [PauliString((1, 1)), PauliString((2, 2))])
     n = 200_000
     streams = simulator.RandomStreams(7)
-    samples = simulator.draw_samples(source, n, streams.generator(simulator.STREAM_DRAW))
+    bases, labels = simulator.draw_samples(source, n, streams.generator(simulator.STREAM_DRAW))
     cover = compat.Cover((batch,))
     plan = compat.BatchPlan((n,))
     table = learner.fourier_estimation(
-        samples, cover, plan, streams.generator(simulator.STREAM_MEASURE)
+        source, bases, labels, cover, plan, streams.generator(simulator.STREAM_MEASURE)
     )
     band = 4.0 / math.sqrt(n)
     for s in batch:
@@ -438,7 +444,7 @@ def check_marginal_means():
 
 
 def check_qld_parity():
-    source = _parity_source(4, (1, 2))
+    source = make_parity_source(4, (1, 2))
     degree_set = pauli.degree_set_classical_upto(4, 2)
     good = 0
     for seed in range(5):
@@ -453,7 +459,7 @@ def check_qld_parity():
 
 
 def check_junta_recovery():
-    source = _parity_source(5, (1, 3))
+    source = make_parity_source(5, (1, 3))
     good = 0
     for seed in range(5):
         _, report = learner.junta_learn(source, 2, 100_000, 0.05, seed)
@@ -477,10 +483,11 @@ def check_noisy_shrinkage():
     )
     n = 1_000_000
     streams = simulator.RandomStreams(5)
-    samples = simulator.draw_samples(source, n, streams.generator(simulator.STREAM_DRAW))
+    bases, labels = simulator.draw_samples(source, n, streams.generator(simulator.STREAM_DRAW))
     cover = compat.Cover((pauli.DegreeSet.of(1, [s]),))
     table = learner.fourier_estimation(
-        samples, cover, compat.BatchPlan((n,)), streams.generator(simulator.STREAM_MEASURE)
+        source, bases, labels, cover, compat.BatchPlan((n,)),
+        streams.generator(simulator.STREAM_MEASURE),
     )
     band = learner.chernoff_band(n, 0.01, 1)
     _ensure(
@@ -495,7 +502,7 @@ def check_noisy_shrinkage():
 
 
 def check_loss_consistency():
-    source = _bell_source()
+    source = make_bell_source()
     table = source.exact_table(pauli.full_degree_set(2))
     predictor = learner.build_predictor(table, pauli.full_degree_set(2))
     exact = learner.exact_loss(predictor, source)
@@ -510,7 +517,7 @@ def check_loss_consistency():
 
 
 def check_determinism():
-    source = _parity_source(4, (0, 3))
+    source = make_parity_source(4, (0, 3))
     degree_set = pauli.degree_set_classical_upto(4, 2)
     runs = [
         learner.qld_learn(source, degree_set, 2_000, 0.05, 42, opt_value=0.0)[1]

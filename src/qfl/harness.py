@@ -5,6 +5,11 @@ lists turn a key into a sweep axis; the run executes the cartesian product of
 all swept axes, once per seed, and writes a CSV of per-run rows plus a JSON
 summary with per-point aggregates.  Identical config and seeds produce a
 byte-identical CSV; wall-clock timings live only in the JSON summary.
+
+Each point's source (with its eta override) and degree set are resolved once,
+before any run, and reused by every seed.  Bad input, including a non-integer
+``QFL_THREADS``, raises :class:`ConfigError` then; the output directory is
+created only after every run has returned, so a failed run leaves no output.
 """
 
 from __future__ import annotations
@@ -240,10 +245,8 @@ def _known_opt(source: SampleSource) -> float | None:
     return None
 
 
-def _run_one(config: ExperimentConfig, params: dict, seed: int) -> dict:
-    source = load_source(config.base_dir / params["source"])
-    if params["eta"] is not None:
-        source = source.with_flip_rate(params["eta"])
+def _run_one(config: ExperimentConfig, params: dict, source: SampleSource,
+             degree_set: DegreeSet | None, seed: int) -> dict:
     if config.algorithm == "junta":
         _, report = junta_learn(
             source,
@@ -255,7 +258,6 @@ def _run_one(config: ExperimentConfig, params: dict, seed: int) -> dict:
             n_test=config.n_test,
         )
     else:
-        degree_set = _degree_set_for(config, source, params["k"])
         _, report = qld_learn(
             source,
             degree_set,
@@ -326,29 +328,39 @@ def run_config(
 ) -> tuple[Path, Path]:
     """Execute a config and write ``results.csv`` and ``summary.json``.
 
-    Raises ConfigError on bad input before any output file is created.  The
-    worker pool width is capped by the ``QFL_THREADS`` environment variable
-    (default 1); scheduling never affects the output bytes because every run
-    derives all randomness from its own seed.
+    Raises ConfigError on bad input before any run starts, and creates the
+    output directory only after every run has returned, so a failure leaves
+    no output.  The worker pool width is capped by the ``QFL_THREADS``
+    environment variable (default 1); scheduling never affects the output
+    bytes because every run derives all randomness from its own seed.
     """
     config = ExperimentConfig.from_file(config_path)
     seeds = tuple(seed_override) if seed_override else config.seeds
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seed override contains duplicates")
     points = config.points()
-    # Fail fast on unloadable sources or inconsistent degree-set requests.
+    # Resolve each point once: its source, loaded once per file, with the eta
+    # override, and its degree set (None for junta, whose learner builds it).
+    loaded: dict[str, SampleSource] = {}
+    resolved = []
     for params in points:
-        source = load_source(config.base_dir / params["source"])
-        if params["eta"] is not None and source.kind == "custom" and not source.maximally_mixed:
-            raise ConfigError("eta override on a non-maximally-mixed custom source")
-        if config.algorithm == "junta" and not 1 <= params["k"] <= source.d:
+        if params["source"] not in loaded:
+            loaded[params["source"]] = load_source(config.base_dir / params["source"])
+        source = loaded[params["source"]]
+        if params["eta"] is not None:
+            if source.kind == "custom" and not source.maximally_mixed:
+                raise ConfigError("eta override on a non-maximally-mixed custom source")
+            source = source.with_flip_rate(params["eta"])
+        if config.algorithm == "qld":
+            resolved.append((source, _degree_set_for(config, source, params["k"])))
+        elif not 1 <= params["k"] <= source.d:
             raise ConfigError(f"junta k={params['k']} out of range for d={source.d}")
-        if config.strings is None and params["k"] is not None and params["k"] > source.d:
-            raise ConfigError(f"k={params['k']} exceeds d={source.d}")
-
-    base_out = Path(out_dir) if out_dir is not None else config.base_dir
-    target = base_out / config.out
-    target.mkdir(parents=True, exist_ok=True)
+        else:
+            resolved.append((source, None))
+    try:
+        threads = max(1, int(os.environ.get("QFL_THREADS", "1")))
+    except ValueError as exc:
+        raise ConfigError(f"QFL_THREADS must be an integer: {exc}") from exc
 
     tasks = [(pi, si) for pi in range(len(points)) for si in range(len(seeds))]
     rows: dict[tuple[int, int], dict] = {}
@@ -357,12 +369,11 @@ def run_config(
     def work(task):
         pi, si = task
         t0 = time.perf_counter()
-        row = _run_one(config, points[pi], seeds[si])
+        row = _run_one(config, points[pi], *resolved[pi], seeds[si])
         wall = (time.perf_counter() - t0) * 1000.0
         row["point"] = pi
         return task, row, wall
 
-    threads = max(1, int(os.environ.get("QFL_THREADS", "1")))
     if threads == 1:
         outcomes = map(work, tasks)
         for task, row, wall in outcomes:
@@ -374,6 +385,8 @@ def run_config(
                 rows[task] = row
                 timings[task] = wall
 
+    target = (Path(out_dir) if out_dir is not None else config.base_dir) / config.out
+    target.mkdir(parents=True, exist_ok=True)
     csv_path = target / "results.csv"
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")

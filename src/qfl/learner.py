@@ -19,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -32,13 +31,12 @@ from .compatibility import (
     cover_score,
 )
 from .operators import maximally_mixed, rho_norm, sign_operator
-from .pauli import DegreeSet, FourierTable, PauliString, degree_set_upto, degree_set_within, fourier_transform, synthesize
+from .pauli import DegreeSet, FourierTable, PauliString, degree_set_upto, synthesize
 from .simulator import (
     STREAM_DRAW,
     STREAM_MEASURE,
     STREAM_SHUFFLE,
     STREAM_TEST,
-    LabeledSample,
     RandomStreams,
     SampleSource,
     coerce_streams,
@@ -160,13 +158,23 @@ def empirical_loss(
             float(np.einsum("ij,ji->", pi1, source.rho1).real),
         ]
     ).clip(0.0, 1.0)
-    bases = (rng.random(n_test) >= source.p0).astype(np.int8)
-    labels = bases.copy()
-    if source.flip_rate > 0.0:
-        flips = rng.random(n_test) < source.flip_rate
-        labels = np.where(flips, 1 - bases, bases).astype(np.int8)
+    bases, labels = draw_samples(source, n_test, rng)
     predicted = (rng.random(n_test) < p1_given_base[bases]).astype(np.int8)
     return float(np.mean(predicted != labels))
+
+
+def best_coords(table: FourierTable, k: int) -> tuple[float, tuple[int, ...]]:
+    """Largest maximally-mixed trace norm of ``table`` restricted to k
+    coordinates, and the lexicographically first subset attaining it."""
+    mm = maximally_mixed(table.d)
+    best_norm = -1.0
+    chosen: tuple[int, ...] = ()
+    for coords in itertools.combinations(range(table.d), k):
+        norm = rho_norm(synthesize(table.restricted_to_coords(coords)), 1, mm)
+        if norm > best_norm:
+            best_norm = norm
+            chosen = coords
+    return best_norm, chosen
 
 
 def opt_k(source: SampleSource, k: int) -> tuple[float, tuple[int, ...]]:
@@ -179,19 +187,8 @@ def opt_k(source: SampleSource, k: int) -> tuple[float, tuple[int, ...]]:
         raise ValueError("optimal junta loss requires a maximally mixed feature marginal")
     if not 0 <= k <= source.d:
         raise ValueError(f"need 0 <= k <= d, got k={k}")
-    g_truth = source.labeling_xop
-    mm = maximally_mixed(source.d)
-    best_norm = -1.0
-    best_coords: tuple[int, ...] = ()
-    for coords in itertools.combinations(range(source.d), k):
-        strings = degree_set_within(source.d, coords)
-        restricted = synthesize(fourier_transform(g_truth, strings, d=source.d))
-        norm = rho_norm(restricted, 1, mm)
-        if norm > best_norm:
-            best_norm = norm
-            best_coords = coords
-    value = 0.5 - 0.5 * best_norm
-    return min(max(value, 0.0), 0.5), best_coords
+    norm, coords = best_coords(source.exact_table(degree_set_upto(source.d, k)), k)
+    return min(max(0.5 - 0.5 * norm, 0.0), 0.5), coords
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +197,25 @@ def opt_k(source: SampleSource, k: int) -> tuple[float, tuple[int, ...]]:
 
 
 def fourier_estimation(
-    samples: Sequence[LabeledSample],
+    source: SampleSource,
+    bases: np.ndarray,
+    labels: np.ndarray,
     cover: Cover,
     plan: BatchPlan,
     rng: np.random.Generator,
 ) -> FourierTable:
     """Estimate one coefficient per covered string from batched measurements.
 
-    The samples are consumed in order, ``plan.sizes[j]`` of them for subset
-    ``j`` (shuffle beforehand if draw order matters).  Each batch draws its
-    block of uniforms in one call, one row per sample, so outcomes are
-    reproducible and independent of any grouping of identical samples.
+    The samples ``(bases, labels)`` are consumed in order, ``plan.sizes[j]``
+    of them for subset ``j`` (shuffle beforehand if draw order matters).  Each
+    batch draws its block of uniforms in one call, one row per sample, so
+    outcomes are reproducible and independent of any grouping of samples.
     """
     if len(plan.sizes) != cover.m:
         raise ValueError("plan does not align with the cover")
-    if plan.total != len(samples):
-        raise ValueError(f"sample count mismatch: plan needs {plan.total}, got {len(samples)}")
-    if len(samples) == 0:
+    if plan.total != len(bases):
+        raise ValueError(f"sample count mismatch: plan needs {plan.total}, got {len(bases)}")
+    if len(bases) == 0:
         raise ValueError("cannot estimate from zero samples")
     if any(size < 1 for size in plan.sizes):
         raise ValueError("every batch needs at least one sample")
@@ -224,10 +223,11 @@ def fourier_estimation(
     estimates: dict[PauliString, float] = {}
     pos = 0
     for subset, size in zip(cover.subsets, plan.sizes):
-        chunk = samples[pos : pos + size]
+        chunk = slice(pos, pos + size)
         pos += size
         uniforms = rng.random((size, len(subset)))
-        outcomes = measure_batch_groups(group_samples(chunk), subset, uniforms)
+        groups = group_samples(source, bases[chunk], labels[chunk])
+        outcomes = measure_batch_groups(groups, subset, uniforms)
         means = outcomes.mean(axis=0)
         for col, s in enumerate(subset):
             estimates[s] = float(means[col])
@@ -286,10 +286,10 @@ class LearnReport:
         }
 
 
-def _measured_beta(estimates: FourierTable, source: SampleSource, degree_set: DegreeSet) -> float:
+def _measured_beta(estimates: FourierTable, truth: FourierTable, degree_set: DegreeSet) -> float:
     sq = 0.0
     for s in degree_set:
-        err = estimates.get(s) - source.exact_coefficient(s)
+        err = estimates.get(s) - truth[s]
         sq += err * err
     return math.sqrt(sq)
 
@@ -311,10 +311,11 @@ def _estimation_pipeline(
     if n < cover.m:
         raise ValueError(f"need n >= number of cover subsets: n={n} < m={cover.m}")
     plan = allocate_batches(n, cover, delta)
-    samples = draw_samples(source, n, streams.generator(STREAM_DRAW))
+    bases, labels = draw_samples(source, n, streams.generator(STREAM_DRAW))
     perm = streams.generator(STREAM_SHUFFLE).permutation(n)
-    samples = [samples[i] for i in perm]
-    estimates = fourier_estimation(samples, cover, plan, streams.generator(STREAM_MEASURE))
+    estimates = fourier_estimation(
+        source, bases[perm], labels[perm], cover, plan, streams.generator(STREAM_MEASURE)
+    )
     return estimates, cover, plan, cover_score(cover, n, delta)
 
 
@@ -343,7 +344,8 @@ def qld_learn(
     )
     predictor = build_predictor(estimates, degree_set)
     beta_bound = math.sqrt(8.0 * score)
-    beta_measured = _measured_beta(estimates, source, degree_set)
+    truth = source.exact_table(degree_set)
+    beta_measured = _measured_beta(estimates, truth, degree_set)
     report = LearnReport(
         estimates=estimates,
         cover=cover,
@@ -362,7 +364,7 @@ def qld_learn(
     if opt_value is not None:
         report.bound_value = qld_error_bound(opt_value, epsilon, beta_bound)
         report.bound_measured = qld_error_bound(opt_value, epsilon, beta_measured)
-    optimal = build_predictor(source.exact_table(degree_set), degree_set)
+    optimal = build_predictor(truth, degree_set)
     report.optimal_exact_loss = exact_loss(optimal, source)
     if n_test > 0:
         report.empirical_loss = empirical_loss(
@@ -396,21 +398,10 @@ def junta_learn(
     estimates, cover, plan, score = _estimation_pipeline(
         source, degree_set, n, delta, streams, cover_strategy
     )
-    mm = maximally_mixed(source.d)
-    best_norm = -1.0
-    chosen: tuple[int, ...] = ()
-    for coords in itertools.combinations(range(source.d), k):
-        restricted = estimates.restricted_to_coords(coords)
-        if len(restricted) == 0:
-            norm = 0.0
-        else:
-            norm = rho_norm(synthesize(restricted), 1, mm)
-        if norm > best_norm:
-            best_norm = norm
-            chosen = coords
-    final_table = estimates.restricted_to_coords(chosen)
-    predictor = build_predictor(final_table, degree_set)
-    beta_measured = _measured_beta(estimates, source, degree_set)
+    _, chosen = best_coords(estimates, k)
+    predictor = build_predictor(estimates.restricted_to_coords(chosen), degree_set)
+    truth = source.exact_table(degree_set)
+    beta_measured = _measured_beta(estimates, truth, degree_set)
     report = LearnReport(
         estimates=estimates,
         cover=cover,
@@ -432,8 +423,7 @@ def junta_learn(
         report.bound_value = junta_error_bound(opt_value, score)
         report.bound_measured = junta_error_bound(opt_value, beta_measured**2)
         report.extra["opt_coords"] = opt_coords
-        truth = source.exact_table(degree_set_within(source.d, opt_coords))
-        optimal = build_predictor(truth, degree_set_within(source.d, opt_coords))
+        optimal = build_predictor(truth.restricted_to_coords(opt_coords), degree_set)
         report.optimal_exact_loss = exact_loss(optimal, source)
     if n_test > 0:
         report.empirical_loss = empirical_loss(

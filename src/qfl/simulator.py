@@ -7,11 +7,15 @@ learner may later be scored against (exact coefficients, the optimal loss) is
 derived from the effective signed mixture ``p1' rho1' - p0' rho0'``, which the
 source exposes as a dense operator.
 
+Samples are two int8 arrays, ``(bases, labels)``: the base picks ``rho0`` or
+``rho1`` and the label differs from it only under label flips.
+
 Measurements are simulated exactly.  A batch of mutually commuting strings is
 measured sequentially with post-measurement collapse, which reproduces the
 joint fine-grained outcome law without ever materializing the ``2^m`` joint
-effects.  Samples with identical states and labels share collapse work through
-:func:`measure_batch_groups`, so large sample budgets stay cheap.
+effects.  The at most four groups of identical ``(base, label)`` pairs share
+collapse work through :func:`measure_batch_groups`, so large sample budgets
+stay cheap; :func:`measure` is the dense single-state oracle.
 
 Randomness: one master seed, with independent Philox substreams derived
 through `numpy.random.SeedSequence` spawn keys.  Identical seeds give
@@ -99,19 +103,6 @@ def labeling_operator(d: int) -> np.ndarray:
     if d < 1:
         raise ValueError("d must be >= 1")
     return np.kron(np.eye(1 << d, dtype=np.complex128), np.diag([-1.0 + 0j, 1.0 + 0j]))
-
-
-def _label_sign(label: int) -> float:
-    # -(-1)^y: label 1 -> +1, label 0 -> -1
-    return 1.0 if label == 1 else -1.0
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """One training sample: a classical label and the feature-system state."""
-
-    label: int
-    state: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -262,17 +253,14 @@ def make_custom_source(p0: float, rho0, rho1) -> SampleSource:
     )
 
 
-def draw_sample(source: SampleSource, rng: np.random.Generator) -> LabeledSample:
-    """Draw one labeled sample; the state always matches the pre-flip label."""
-    base = 0 if rng.random() < source.p0 else 1
-    label = base
-    if source.flip_rate > 0.0 and rng.random() < source.flip_rate:
-        label = 1 - base
-    return LabeledSample(label, source.rho0 if base == 0 else source.rho1)
+def draw_samples(
+    source: SampleSource, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw n samples as int8 ``(bases, labels)`` arrays.
 
-
-def draw_samples(source: SampleSource, n: int, rng: np.random.Generator) -> list[LabeledSample]:
-    """Draw n samples in bulk: n label uniforms first, then n flip uniforms."""
+    Consumes n base uniforms first, then n flip uniforms when the source has
+    label noise; the base always records the pre-flip label.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     bases = (rng.random(n) >= source.p0).astype(np.int8)
@@ -280,8 +268,20 @@ def draw_samples(source: SampleSource, n: int, rng: np.random.Generator) -> list
     if source.flip_rate > 0.0:
         flips = rng.random(n) < source.flip_rate
         labels = np.where(flips, 1 - bases, bases).astype(np.int8)
-    states = (source.rho0, source.rho1)
-    return [LabeledSample(int(y), states[b]) for y, b in zip(labels, bases)]
+    return bases, labels
+
+
+def group_samples(source: SampleSource, bases: np.ndarray, labels: np.ndarray) -> list[tuple]:
+    """``(state, label_sign, sample_indices)`` for each ``(base, label)`` pair
+    that occurs, in pair order; the label sign ``-(-1)^label`` is +1 for label 1."""
+    key = 2 * bases + labels
+    groups = []
+    for base, state in enumerate((source.rho0, source.rho1)):
+        for label, sign in ((0, -1.0), (1, 1.0)):
+            idx = np.flatnonzero(key == 2 * base + label)
+            if idx.size:
+                groups.append((state, sign, idx))
+    return groups
 
 
 def estimation_observable(s: PauliString) -> tuple[np.ndarray, np.ndarray]:
@@ -333,13 +333,6 @@ def measure(
     return outcome, post / tr
 
 
-def _require_batch(batch: DegreeSet):
-    if len(batch) == 0:
-        raise ValueError("batch must contain at least one string")
-    if not is_clique(batch):
-        raise ValueError("batch strings do not mutually commute; not jointly measurable")
-
-
 def measure_batch_groups(
     groups: Sequence[tuple[np.ndarray, float, np.ndarray]],
     batch: DegreeSet,
@@ -354,7 +347,10 @@ def measure_batch_groups(
     group's current collapsed state, so results do not depend on how samples
     are grouped or scheduled.  Returns the +-1 outcome matrix.
     """
-    _require_batch(batch)
+    if len(batch) == 0:
+        raise ValueError("batch must contain at least one string")
+    if not is_clique(batch):
+        raise ValueError("batch strings do not mutually commute; not jointly measurable")
     n_total, m = uniforms.shape
     if m != len(batch):
         raise ValueError("uniforms must have one column per batch string")
@@ -377,13 +373,21 @@ def measure_batch_groups(
             minus_sets.append(idx[~took_plus])
         if col == m - 1:
             break
-        # collapse: (I + w c sigma)/2 applied on both sides, renormalized
-        left = pauli_apply_left(s, states)
+        # collapse: (I +- c sigma)/2 applied on both sides, in place, with the
+        # float operations of 0.25 * (rho +- c (sigma rho + rho sigma) + sigma rho sigma)
         right = pauli_apply_right(s, states)
         both = pauli_apply_left(s, right)
-        coef = signs[:, None, None]
-        plus_states = 0.25 * (states + coef * (left + right) + both)
-        minus_states = 0.25 * (states - coef * (left + right) + both)
+        cross = pauli_apply_left(s, states)
+        cross += right
+        del right
+        cross *= signs[:, None, None]
+        plus_states = states + cross
+        plus_states += both
+        plus_states *= 0.25
+        minus_states = np.subtract(states, cross, out=cross)
+        minus_states += both
+        minus_states *= 0.25
+        del both
         next_states = []
         next_signs = []
         next_indices = []
@@ -395,39 +399,14 @@ def measure_batch_groups(
                 tr = float(np.trace(st).real)
                 if tr <= 0.0:
                     raise ValueError("collapsed onto a zero-probability branch")
-                next_states.append(st / tr)
+                st /= tr
+                next_states.append(st)
                 next_signs.append(signs[g])
                 next_indices.append(idx)
         states = np.stack(next_states)
         signs = np.array(next_signs, dtype=float)
         index_sets = next_indices
     return outcomes
-
-
-def measure_batch(sample: LabeledSample, batch: DegreeSet, rng: np.random.Generator) -> np.ndarray:
-    """Joint +-1 outcomes of a commuting batch on one sample.
-
-    Equivalent in law to measuring the fine-grained product effects; realized
-    as sequential measurement with collapse, consuming one uniform per string.
-    """
-    _require_batch(batch)
-    uniforms = rng.random(len(batch))[None, :]
-    group = (sample.state, _label_sign(sample.label), np.array([0], dtype=np.intp))
-    return measure_batch_groups([group], batch, uniforms)[0]
-
-
-def group_samples(samples: Sequence[LabeledSample]) -> list[tuple[np.ndarray, float, np.ndarray]]:
-    """Group samples sharing the same state object and label for bulk measurement."""
-    buckets: dict[tuple[int, int], list[int]] = {}
-    states: dict[tuple[int, int], np.ndarray] = {}
-    for i, sample in enumerate(samples):
-        key = (id(sample.state), sample.label)
-        buckets.setdefault(key, []).append(i)
-        states[key] = sample.state
-    return [
-        (states[key], _label_sign(key[1]), np.array(idx, dtype=np.intp))
-        for key, idx in buckets.items()
-    ]
 
 
 # ---------------------------------------------------------------------------

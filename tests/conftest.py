@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from qfl.checks import bell_states, make_bell_source, make_parity_source  # noqa: F401
 from qfl.pauli import PauliString
-from qfl.simulator import SampleSource, make_classical_source, make_custom_source
+from qfl.simulator import SampleSource
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -22,39 +23,6 @@ def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_string(rng: np.random.Generator, d: int) -> PauliString:
     return PauliString(tuple(int(v) for v in rng.integers(0, 4, size=d)))
-
-
-def bell_states() -> tuple[np.ndarray, np.ndarray]:
-    """The two-qubit discrimination instance with optimal loss 1/4."""
-    plus = np.zeros(4, dtype=complex)
-    plus[0] = plus[3] = 2**-0.5
-    minus = np.zeros(4, dtype=complex)
-    minus[0], minus[3] = -(2**-0.5), 2**-0.5
-    rho0 = 0.5 * np.outer(plus, plus.conj())
-    rho1 = 0.5 * np.outer(minus, minus.conj())
-    for rho in (rho0, rho1):
-        rho[1, 1] += 0.25
-        rho[2, 2] += 0.25
-    return rho0, rho1
-
-
-def make_bell_source() -> SampleSource:
-    rho0, rho1 = bell_states()
-    return make_custom_source(0.5, rho0, rho1)
-
-
-def parity_bits(d: int, coords: tuple[int, ...]) -> np.ndarray:
-    bits = []
-    for x in range(1 << d):
-        b = 0
-        for c in coords:
-            b ^= (x >> (d - 1 - c)) & 1
-        bits.append(b)
-    return np.array(bits, dtype=np.int8)
-
-
-def make_parity_source(d: int, coords: tuple[int, ...]) -> SampleSource:
-    return make_classical_source(parity_bits(d, coords))
 
 
 def joint_state(source: SampleSource) -> np.ndarray:

@@ -45,7 +45,6 @@ from qfl.pauli import (
     synthesize,
 )
 from qfl.simulator import (
-    LabeledSample,
     RandomStreams,
     draw_samples,
     estimation_observable,
@@ -146,8 +145,8 @@ def test_criterion_04_estimation_concentration():
     hits = 0
     for seed in range(20):
         streams = RandomStreams(seed)
-        samples = draw_samples(source, n, streams.generator(0))
-        table = fourier_estimation(samples, cover, BatchPlan((n,)), streams.generator(2))
+        bases, labels = draw_samples(source, n, streams.generator(0))
+        table = fourier_estimation(source, bases, labels, cover, BatchPlan((n,)), streams.generator(2))
         hits += int(abs(table[s] - truth) <= band)
     report(4, "single-coefficient band holds in >= 19/20 seeded runs", hits >= 19,
            f"{hits}/20 within {band:.4f}")
@@ -155,12 +154,11 @@ def test_criterion_04_estimation_concentration():
 
 def test_criterion_05_sequential_batch_equivalence():
     source = make_bell_source()
-    sample = LabeledSample(0, source.rho0)
     batch = DegreeSet.of(2, [P("30"), P("03")])
     n = 100_000
     # oracle: enumerate the fine-grained product effects on the joint state
     e0 = np.diag([1.0, 0.0]).astype(complex)
-    joint = np.kron(sample.state, e0)
+    joint = np.kron(source.rho0, e0)
     expected = {}
     for w in itertools.product((1, -1), repeat=2):
         g = np.eye(8, dtype=complex)
@@ -169,7 +167,7 @@ def test_criterion_05_sequential_batch_equivalence():
             g = g @ (plus if choice == 1 else minus)
         expected[w] = float(np.trace(g @ joint).real)
     uniforms = RandomStreams(515).generator(0).random((n, 2))
-    outcomes = measure_batch_groups([(sample.state, -1.0, np.arange(n))], batch, uniforms)
+    outcomes = measure_batch_groups([(source.rho0, -1.0, np.arange(n))], batch, uniforms)
     stat = 0.0
     for w, p in expected.items():
         observed = int(np.sum((outcomes[:, 0] == w[0]) & (outcomes[:, 1] == w[1])))
@@ -222,8 +220,8 @@ def test_criterion_08_label_noise_behavior():
     streams = RandomStreams(99)
     cover = best_cover(degree_set, n, delta)
     plan = allocate_batches(n, cover, delta)
-    samples = draw_samples(source, n, streams.generator(0))
-    table = fourier_estimation(samples, cover, plan, streams.generator(2))
+    bases, labels = draw_samples(source, n, streams.generator(0))
+    table = fourier_estimation(source, bases, labels, cover, plan, streams.generator(2))
     shrink_ok = True
     for subset, size in zip(cover.subsets, plan.sizes):
         band = chernoff_band(size, delta, len(subset))

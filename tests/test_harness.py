@@ -155,6 +155,24 @@ class TestRunConfig:
         assert etas == ["0.0", "0.1"]
 
 
+class TestGoldenBytes:
+    """``results.csv`` bytes of the bundled configs, as recorded in ``tests/golden``.
+
+    A change that alters these bytes regenerates the files (``run_config``
+    with the seeds below, copying each ``results.csv`` to
+    ``tests/golden/<config stem>.csv``) and says why in CHANGES.md.
+    """
+
+    @pytest.mark.parametrize(
+        "config, seeds",
+        [("bell.cfg", None), ("parity_qld.cfg", (1, 2)), ("junta_d5.cfg", (1,))],
+    )
+    def test_results_match_golden(self, tmp_path, config, seeds):
+        csv_path, _ = run_config(CONFIGS / config, out_dir=tmp_path, seed_override=seeds)
+        golden = REPO / "tests" / "golden" / f"{Path(config).stem}.csv"
+        assert csv_path.read_bytes() == golden.read_bytes()
+
+
 class TestCli:
     def test_run_bundled_bell(self, tmp_path):
         code = main(
@@ -196,6 +214,24 @@ class TestCli:
         out_dir = tmp_path / "results"
         code = main(["run", str(bad), "--out-dir", str(out_dir)])
         assert code == 2
+        assert not out_dir.exists()
+
+    def test_runtime_failure_leaves_no_output(self, tmp_path):
+        shutil.copy(CONFIGS / "parity_d4.src", tmp_path)
+        config = tmp_path / "tiny.cfg"
+        config.write_text(
+            "source = parity_d4.src\nalgorithm = qld\nk = 2\nn = 3\ndelta = 0.05\n"
+            "seeds = 1\nout = out\n"
+        )
+        out_dir = tmp_path / "results"
+        assert main(["run", str(config), "--out-dir", str(out_dir)]) == 3
+        assert not out_dir.exists()
+
+    def test_bad_thread_count_exits_2_without_output(self, tmp_path, monkeypatch):
+        config = write_parity_setup(tmp_path)
+        monkeypatch.setenv("QFL_THREADS", "abc")
+        out_dir = tmp_path / "results"
+        assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
         assert not out_dir.exists()
 
     def test_missing_config_exits_2(self, tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qfl.compatibility import BatchPlan, Cover
+from qfl.compatibility import BatchPlan, Cover, allocate_batches, best_cover
 from qfl.learner import (
     Predictor,
     build_predictor,
@@ -43,6 +43,7 @@ from qfl.simulator import (
     make_custom_source,
     make_noisy_source,
     make_realizable_source,
+    measure_batch_groups,
 )
 
 from conftest import (
@@ -101,8 +102,10 @@ class TestFourierEstimation:
         band = chernoff_band(n, 0.05, 1)
         for seed in range(5):
             streams = RandomStreams(seed)
-            samples = draw_samples(source, n, streams.generator(0))
-            table = fourier_estimation(samples, cover, BatchPlan((n,)), streams.generator(2))
+            bases, labels = draw_samples(source, n, streams.generator(0))
+            table = fourier_estimation(
+                source, bases, labels, cover, BatchPlan((n,)), streams.generator(2)
+            )
             assert abs(table[s] - 1.0) <= band
             assert abs(table[s]) <= 1.0
 
@@ -112,8 +115,10 @@ class TestFourierEstimation:
         cover = Cover((DegreeSet.of(2, [s]),))
         n = 20_000
         streams = RandomStreams(7)
-        samples = draw_samples(source, n, streams.generator(0))
-        table = fourier_estimation(samples, cover, BatchPlan((n,)), streams.generator(2))
+        bases, labels = draw_samples(source, n, streams.generator(0))
+        table = fourier_estimation(
+            source, bases, labels, cover, BatchPlan((n,)), streams.generator(2)
+        )
         # oracle: the mean outcome is the label bias p1 - p0 = 0
         assert abs(table[s]) <= chernoff_band(n, 0.05, 1)
 
@@ -121,25 +126,57 @@ class TestFourierEstimation:
         source = make_classical_source("01")
         cover = Cover((DegreeSet.of(1, [P("3")]),))
         streams = RandomStreams(0)
-        samples = draw_samples(source, 5, streams.generator(0))
+        bases, labels = draw_samples(source, 5, streams.generator(0))
         with pytest.raises(ValueError, match="mismatch"):
-            fourier_estimation(samples, cover, BatchPlan((6,)), streams.generator(2))
+            fourier_estimation(source, bases, labels, cover, BatchPlan((6,)), streams.generator(2))
 
     def test_rejects_empty(self):
         cover = Cover((DegreeSet.of(1, [P("3")]),))
         with pytest.raises(ValueError):
-            fourier_estimation([], cover, BatchPlan((0,)), RandomStreams(0).generator(2))
+            fourier_estimation(
+                make_classical_source("01"), np.zeros(0, np.int8), np.zeros(0, np.int8),
+                cover, BatchPlan((0,)), RandomStreams(0).generator(2),
+            )
 
     def test_partitions_across_batches(self):
         source = make_parity_source(2, (0, 1))
         cover = Cover((DegreeSet.of(2, [P("33"), P("30")]), DegreeSet.of(2, [P("11")])))
         plan = BatchPlan((600, 400))
         streams = RandomStreams(9)
-        samples = draw_samples(source, 1000, streams.generator(0))
-        table = fourier_estimation(samples, cover, plan, streams.generator(2))
+        bases, labels = draw_samples(source, 1000, streams.generator(0))
+        table = fourier_estimation(source, bases, labels, cover, plan, streams.generator(2))
         assert set(table.support()) == {P("33"), P("30"), P("11")}
         band = chernoff_band(400, 0.01, 2)
         assert abs(table[P("33")] - source.exact_coefficient(P("33"))) <= band
+
+    def test_equals_per_sample_measurement(self):
+        # differential: grouped estimation against measuring every sample as
+        # its own one-row group, on a noisy source where all four
+        # (base, label) pairs occur
+        rng = np.random.default_rng(31)
+        source = make_noisy_source(sign_operator(random_hermitian(rng, 4)), 0.25)
+        cover = best_cover(degree_set_upto(2, 2), 240, 0.05)
+        plan = allocate_batches(240, cover, 0.05)
+        streams = RandomStreams(32)
+        bases, labels = draw_samples(source, 240, streams.generator(0))
+        assert len(set(zip(bases.tolist(), labels.tolist()))) == 4
+        table = fourier_estimation(source, bases, labels, cover, plan, streams.generator(2))
+        gen = streams.generator(2)
+        pos = 0
+        for subset, size in zip(cover.subsets, plan.sizes):
+            uniforms = gen.random((size, len(subset)))
+            rows = [
+                measure_batch_groups(
+                    [((source.rho0, source.rho1)[bases[i]], 1.0 if labels[i] else -1.0, np.array([0]))],
+                    subset,
+                    uniforms[i - pos : i - pos + 1],
+                )[0]
+                for i in range(pos, pos + size)
+            ]
+            pos += size
+            means = np.mean(rows, axis=0)
+            for col, s in enumerate(subset):
+                assert table[s] == float(means[col])
 
 
 class TestBuildPredictor:

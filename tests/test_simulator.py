@@ -17,9 +17,7 @@ from qfl.pauli import (
     synthesize,
 )
 from qfl.simulator import (
-    LabeledSample,
     RandomStreams,
-    draw_sample,
     draw_samples,
     estimation_observable,
     group_samples,
@@ -32,7 +30,6 @@ from qfl.simulator import (
     matrix_from_text,
     matrix_to_text,
     measure,
-    measure_batch,
     measure_batch_groups,
     save_matrix,
 )
@@ -55,6 +52,13 @@ def joint_probabilities(sample_state, label, batch):
             g = g @ (plus if choice == 1 else minus)
         probs[w] = float(np.trace(g @ joint).real)
     return probs
+
+
+def measure_one(state, label, batch, rng):
+    """Outcomes of one sample measured as its own one-row group."""
+    uniforms = rng.random(len(batch))[None, :]
+    sign = 1.0 if label == 1 else -1.0
+    return measure_batch_groups([(state, sign, np.array([0]))], batch, uniforms)[0]
 
 
 class TestLabelingOperator:
@@ -173,40 +177,37 @@ class TestClassicalAndCustom:
 
 class TestDrawing:
     def test_reproducible(self):
-        source = make_classical_source("0110")
+        source = make_noisy_source(pauli_matrix(P("3")), 0.3)
         streams = RandomStreams(99)
-        gen_a = streams.generator(5)
-        gen_b = streams.generator(5)
-        a = [draw_sample(source, gen_a).label for _ in range(20)]
-        b = [draw_sample(source, gen_b).label for _ in range(20)]
-        assert a == b
-        bulk1 = [s.label for s in draw_samples(source, 50, streams.generator(6))]
-        bulk2 = [s.label for s in draw_samples(source, 50, streams.generator(6))]
-        assert bulk1 == bulk2
+        bases1, labels1 = draw_samples(source, 50, streams.generator(6))
+        bases2, labels2 = draw_samples(source, 50, streams.generator(6))
+        assert np.array_equal(bases1, bases2)
+        assert np.array_equal(labels1, labels2)
+        assert bases1.dtype == labels1.dtype == np.int8
+        # n base uniforms first, then n flip uniforms
+        u = streams.generator(6).random(100)
+        assert np.array_equal(bases1, u[:50] >= source.p0)
+        assert np.array_equal(labels1 != bases1, u[50:] < 0.3)
 
     def test_label_frequency(self):
         source = make_classical_source("0001")  # p1 = 1/4
         streams = RandomStreams(3)
-        labels = np.array([s.label for s in draw_samples(source, 100_000, streams.generator(0))])
+        _, labels = draw_samples(source, 100_000, streams.generator(0))
         sigma = np.sqrt(0.25 * 0.75 / 100_000)
         assert abs(labels.mean() - 0.25) <= 3 * sigma
 
     def test_degenerate_labels(self):
         source = make_custom_source(1.0, maximally_mixed(1), maximally_mixed(1))
         streams = RandomStreams(4)
-        labels = {draw_sample(source, streams.generator(0)).label for _ in range(20)}
-        assert labels == {0}
+        bases, labels = draw_samples(source, 20, streams.generator(0))
+        assert set(bases) == set(labels) == {0}
 
     def test_noisy_flip_statistics(self):
         source = make_noisy_source(pauli_matrix(P("3")), 0.2)
         streams = RandomStreams(8)
-        samples = draw_samples(source, 100_000, streams.generator(0))
-        # states record the pre-flip label; recover it via the diagonal
-        flips = 0
-        for s in samples:
-            pre = 1 if s.state[0, 0].real > 0.5 else 0
-            flips += int(pre != s.label)
-        rate = flips / len(samples)
+        bases, labels = draw_samples(source, 100_000, streams.generator(0))
+        # the base records the pre-flip label
+        rate = np.mean(bases != labels)
         assert abs(rate - 0.2) <= 3 * np.sqrt(0.2 * 0.8 / 100_000)
 
 
@@ -271,30 +272,29 @@ class TestMeasure:
 class TestMeasureBatch:
     def test_single_string_matches_measure(self):
         source = make_bell_source()
-        sample = LabeledSample(0, source.rho0)
         batch = DegreeSet.of(2, [P("30")])
         plus, minus = estimation_observable(P("30"))
-        joint = np.kron(sample.state, np.diag([1.0, 0.0]).astype(complex))
+        joint = np.kron(source.rho0, np.diag([1.0, 0.0]).astype(complex))
         # identical uniform stream drives identical outcomes
         for seed in range(5):
-            w = measure_batch(sample, batch, RandomStreams(seed).generator(0))[0]
+            w = measure_one(source.rho0, 0, batch, RandomStreams(seed).generator(0))[0]
             outcome, _ = measure(joint, [plus, minus], RandomStreams(seed).generator(0))
             assert (w == 1) == (outcome == 0)
 
     def test_rejects_non_commuting_batch(self):
-        sample = LabeledSample(0, maximally_mixed(1))
         with pytest.raises(ValueError, match="commute"):
-            measure_batch(sample, DegreeSet.of(1, [P("1"), P("2")]), RandomStreams(0).generator(0))
+            measure_one(
+                maximally_mixed(1), 0, DegreeSet.of(1, [P("1"), P("2")]), RandomStreams(0).generator(0)
+            )
 
     def test_joint_law_matches_enumeration(self):
         source = make_bell_source()
-        sample = LabeledSample(1, source.rho1)
         batch = DegreeSet.of(2, [P("03"), P("30")])
-        expected = joint_probabilities(sample.state, 1, batch)
+        expected = joint_probabilities(source.rho1, 1, batch)
         n = 40_000
         uniforms = RandomStreams(12).generator(0).random((n, 2))
         outcomes = measure_batch_groups(
-            [(sample.state, 1.0, np.arange(n))], batch, uniforms
+            [(source.rho1, 1.0, np.arange(n))], batch, uniforms
         )
         for w, p in expected.items():
             freq = np.mean((outcomes[:, 0] == w[0]) & (outcomes[:, 1] == w[1]))
@@ -303,7 +303,6 @@ class TestMeasureBatch:
     def test_three_string_joint_law(self):
         rng = np.random.default_rng(13)
         state = random_density(rng, 4)
-        sample = LabeledSample(0, state)
         batch = DegreeSet.of(2, [P("30"), P("03"), P("33")])
         expected = joint_probabilities(state, 0, batch)
         n = 60_000
@@ -332,19 +331,25 @@ class TestMeasureBatch:
 
     def test_transcript_determinism(self):
         source = make_parity_source(3, (0, 2))
-        sample = LabeledSample(1, source.rho1)
         batch = DegreeSet.of(3, [P("300"), P("003"), P("303")])
-        a = measure_batch(sample, batch, RandomStreams(16).generator(2))
-        b = measure_batch(sample, batch, RandomStreams(16).generator(2))
+        a = measure_one(source.rho1, 1, batch, RandomStreams(16).generator(2))
+        b = measure_one(source.rho1, 1, batch, RandomStreams(16).generator(2))
         assert np.array_equal(a, b)
 
-    def test_group_samples_by_identity_and_label(self):
-        source = make_bell_source()
-        streams = RandomStreams(17)
-        samples = draw_samples(source, 40, streams.generator(0))
-        groups = group_samples(samples)
-        assert sum(len(g[2]) for g in groups) == 40
-        assert len(groups) <= 2
+    def test_group_samples_by_base_and_label(self):
+        source = make_noisy_source(pauli_matrix(P("3")), 0.3)
+        bases, labels = draw_samples(source, 400, RandomStreams(17).generator(0))
+        groups = group_samples(source, bases, labels)
+        # all four (base, label) pairs occur, each exactly once, in pair order
+        assert len(groups) == 4
+        for (state, sign, idx), (base, label) in zip(groups, [(0, 0), (0, 1), (1, 0), (1, 1)]):
+            assert state is (source.rho0, source.rho1)[base]
+            assert sign == (1.0 if label == 1 else -1.0)
+            assert np.all(bases[idx] == base) and np.all(labels[idx] == label)
+        assert np.array_equal(np.sort(np.concatenate([g[2] for g in groups])), np.arange(400))
+        noiseless = make_bell_source()
+        bases, labels = draw_samples(noiseless, 40, RandomStreams(17).generator(0))
+        assert len(group_samples(noiseless, bases, labels)) == 2
 
 
 class TestSourceFiles:
