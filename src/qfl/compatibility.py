@@ -13,7 +13,6 @@ Natural logarithms are used throughout the score and allocation formulas.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -21,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import DegreeSet, PauliString
+from .pauli import DegreeSet, PauliString, _parity
 
 EXHAUSTIVE_MAX_SIZE = 12
 GREEDY_RESTARTS = 32
@@ -55,15 +54,16 @@ class CommutationGraph:
             raise ValueError("adjacency shape does not match node count")
 
 
+def commutation_matrix(strings: Sequence[PauliString]) -> np.ndarray:
+    """Boolean matrix of pairwise commutation, from the symplectic rule applied
+    to all pairs of masks at once."""
+    x = np.array([s.x_mask for s in strings], dtype=np.int64)
+    z = np.array([s.z_mask for s in strings], dtype=np.int64)
+    return _parity(x[:, None] & z[None, :]) == _parity(z[:, None] & x[None, :])
+
+
 def build_commutation_graph(nodes: DegreeSet) -> CommutationGraph:
-    strings = nodes.strings
-    n = len(strings)
-    adj = np.ones((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = pauli_commute(strings[i], strings[j])
-            adj[i, j] = adj[j, i] = c
-    return CommutationGraph(nodes, adj)
+    return CommutationGraph(nodes, commutation_matrix(nodes.strings))
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,7 @@ class Cover:
 
 
 def is_clique(subset: Iterable[PauliString]) -> bool:
-    strings = list(subset)
-    return all(
-        pauli_commute(s, t) for s, t in itertools.combinations(strings, 2)
-    )
+    return bool(commutation_matrix(list(subset)).all())
 
 
 def check_cover(cover: Cover, nodes: DegreeSet) -> None:
@@ -303,11 +300,14 @@ class BatchPlan:
 def allocate_batches(n: int, cover: Cover, delta: float) -> BatchPlan:
     """Split ``n`` samples across the cover subsets to minimize ``sum_j w_j / n_j``.
 
-    The real-valued optimum is ``n_j* = n sqrt(w_j) / sum_k sqrt(w_k)``; the
-    integer plan is built greedily, starting from one sample per subset and
-    repeatedly giving the next sample to the subset with the largest marginal
-    decrease ``w_j / (n_j (n_j + 1))``.  The marginals are decreasing, so the
-    greedy plan is an exact integer optimum.
+    The real-valued optimum is ``n_j* = n sqrt(w_j) / sum_k sqrt(w_k)``
+    (the square-root rule).  The integer plan starts from
+    ``max(1, floor((n - m) sqrt(w_j) / sum_k sqrt(w_k)))``, which never
+    exceeds the integer optimum in any subset, and then repeatedly gives the
+    next sample to the subset with the largest marginal decrease
+    ``w_j / (n_j (n_j + 1))``, ties to the lower index.  The marginals are
+    decreasing, so the plan is the exact integer optimum that greedy
+    allocation from one sample per subset reaches.
     """
     m = cover.m
     if n < m:
@@ -315,12 +315,13 @@ def allocate_batches(n: int, cover: Cover, delta: float) -> BatchPlan:
     w = batch_weights(cover, delta)
     if m == 1:
         return BatchPlan((n,))
-    sizes = [1] * m
+    root = np.sqrt(w)
+    sizes = np.maximum(1, np.floor((n - m) * root / root.sum())).astype(int).tolist()
     # heap of (-marginal decrease, subset index); index breaks exact ties
-    heap = [(-w[j] / 2.0, j) for j in range(m)]
+    heap = [(-w[j] / (x * (x + 1)), j) for j, x in enumerate(sizes)]
     heapq.heapify(heap)
-    for _ in range(n - m):
-        neg, j = heapq.heappop(heap)
+    for _ in range(n - sum(sizes)):
+        _, j = heapq.heappop(heap)
         sizes[j] += 1
         x = sizes[j]
         heapq.heappush(heap, (-w[j] / (x * (x + 1)), j))

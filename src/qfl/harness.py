@@ -344,19 +344,22 @@ def run_config(
     loaded: dict[str, SampleSource] = {}
     resolved = []
     for params in points:
-        if params["source"] not in loaded:
-            loaded[params["source"]] = load_source(config.base_dir / params["source"])
-        source = loaded[params["source"]]
-        if params["eta"] is not None:
-            if source.kind == "custom" and not source.maximally_mixed:
-                raise ConfigError("eta override on a non-maximally-mixed custom source")
-            source = source.with_flip_rate(params["eta"])
-        if config.algorithm == "qld":
-            resolved.append((source, _degree_set_for(config, source, params["k"])))
-        elif not 1 <= params["k"] <= source.d:
-            raise ConfigError(f"junta k={params['k']} out of range for d={source.d}")
-        else:
-            resolved.append((source, None))
+        try:
+            if params["source"] not in loaded:
+                loaded[params["source"]] = load_source(config.base_dir / params["source"])
+            source = loaded[params["source"]]
+            if params["eta"] is not None:
+                if source.kind == "custom" and not source.maximally_mixed:
+                    raise ConfigError("eta override on a non-maximally-mixed custom source")
+                source = source.with_flip_rate(params["eta"])
+            if config.algorithm == "qld":
+                resolved.append((source, _degree_set_for(config, source, params["k"])))
+            elif not 1 <= params["k"] <= source.d:
+                raise ConfigError(f"junta k={params['k']} out of range for d={source.d}")
+            else:
+                resolved.append((source, None))
+        except (ValueError, OSError) as exc:
+            raise ConfigError(str(exc)) from exc
     try:
         threads = max(1, int(os.environ.get("QFL_THREADS", "1")))
     except ValueError as exc:

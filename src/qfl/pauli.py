@@ -146,23 +146,6 @@ def apply_pauli(s: PauliString, v) -> np.ndarray:
     return (ph * v)[idx ^ s.x_mask]
 
 
-def pauli_apply_left(s: PauliString, m: np.ndarray) -> np.ndarray:
-    """``sigma^s @ m`` for a matrix or a stack of matrices (..., 2^d, 2^d)."""
-    n = 1 << s.d
-    rows = np.arange(n) ^ s.x_mask
-    ph = phase_vector(s)[rows]
-    return np.take(m, rows, axis=-2) * ph[:, None]
-
-
-def pauli_apply_right(s: PauliString, m: np.ndarray) -> np.ndarray:
-    """``m @ sigma^s`` for a matrix or a stack of matrices."""
-    n = 1 << s.d
-    idx = np.arange(n)
-    cols = idx ^ s.x_mask
-    ph = phase_vector(s)
-    return np.take(m, cols, axis=-1) * ph[None, :]
-
-
 def pauli_expectation(s: PauliString, m: np.ndarray) -> np.ndarray:
     """``tr(sigma^s m)`` in O(2^d); works on stacks, returning one trace each."""
     n = 1 << s.d

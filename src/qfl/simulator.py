@@ -10,12 +10,16 @@ source exposes as a dense operator.
 Samples are two int8 arrays, ``(bases, labels)``: the base picks ``rho0`` or
 ``rho1`` and the label differs from it only under label flips.
 
-Measurements are simulated exactly.  A batch of mutually commuting strings is
-measured sequentially with post-measurement collapse, which reproduces the
-joint fine-grained outcome law without ever materializing the ``2^m`` joint
-effects.  The at most four groups of identical ``(base, label)`` pairs share
-collapse work through :func:`measure_batch_groups`, so large sample budgets
-stay cheap; :func:`measure` is the dense single-state oracle.
+Measurements are simulated exactly.  A batch of mutually commuting strings
+reduces over GF(2), in its symplectic ``(x|z)`` form, to r <= d independent
+generators; every other string is a signed product of earlier generators.
+The joint outcome law of the batch on a state is the Walsh-Hadamard transform
+of the ``2^r`` expectations of generator products, each one O(2^d) gather
+over the state, so no ``2^m`` joint effects and no collapsed states are ever
+formed.  :func:`measure_batch_groups` computes that law once per distinct
+state and draws every sample's outcomes from its conditionals with the rule of
+sequential measurement with collapse; :func:`measure` is the dense
+single-state oracle.
 
 Randomness: one master seed, with independent Philox substreams derived
 through `numpy.random.SeedSequence` spawn keys.  Identical seeds give
@@ -43,10 +47,8 @@ from .pauli import (
     PauliString,
     classical_embedding,
     fourier_coefficient,
+    _parity,
     parse_truth_table,
-    pauli_apply_left,
-    pauli_apply_right,
-    pauli_expectation,
     pauli_matrix,
     synthesize,
 )
@@ -64,6 +66,10 @@ SIGN_OPERATOR_TOL = 1e-8
 MARGINAL_TOL = 1e-8
 PROB_CLAMP_WINDOW = 1e-9
 PROB_HARD_FLOOR = -1e-6
+# Most entries gathered at once when computing a batch's joint law.
+LAW_BLOCK = 1 << 18
+
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
@@ -148,8 +154,19 @@ class SampleSource:
         """Ground-truth coefficient ``tr(sigma^s (p1' rho1' - p0' rho0'))``."""
         return fourier_coefficient(self.labeling_xop, s)
 
+    @cached_property
+    def _exact_tables(self) -> dict:
+        return {}
+
     def exact_table(self, strings) -> FourierTable:
-        return FourierTable(self.d, {s: self.exact_coefficient(s) for s in strings})
+        """Exact coefficients at the given strings, computed once per source and
+        string tuple (a learner and its optimum ask for the same table)."""
+        key = tuple(strings)
+        table = self._exact_tables.get(key)
+        if table is None:
+            table = FourierTable(self.d, {s: self.exact_coefficient(s) for s in key})
+            self._exact_tables[key] = table
+        return table
 
     def with_flip_rate(self, eta: float) -> "SampleSource":
         """Same draw distribution with the label-flip rate replaced by ``eta``."""
@@ -297,10 +314,13 @@ def estimation_observable(s: PauliString) -> tuple[np.ndarray, np.ndarray]:
     return (eye - e) / 2.0, (eye + e) / 2.0
 
 
-def _checked_probability(p: float) -> float:
-    if p < PROB_HARD_FLOOR:
-        raise ValueError(f"outcome probability {p:.3e} below {PROB_HARD_FLOOR:.1e}; broken POVM upstream")
-    return min(max(p, 0.0), 1.0)
+def _checked_probability(p):
+    """Clamp probabilities (a float or an array) into [0, 1]; anything below
+    the hard floor is an error rather than a sample."""
+    low = np.min(p, initial=0.0)
+    if low < PROB_HARD_FLOOR:
+        raise ValueError(f"outcome probability {low:.3e} below {PROB_HARD_FLOOR:.1e}; broken POVM upstream")
+    return np.clip(p, 0.0, 1.0)
 
 
 def measure(
@@ -333,19 +353,132 @@ def measure(
     return outcome, post / tr
 
 
+def _reduce_batch(batch: DegreeSet) -> tuple[list[PauliString], list[tuple[int, int, int]]]:
+    """GF(2) reduction of the batch's symplectic vectors ``(x|z)``, in batch order.
+
+    Returns the generators (the strings independent of all earlier ones) and,
+    per string, ``(g, combo, sign)``: a generator has its index ``g``; any
+    other string has ``g = -1`` and equals ``sign`` (+-1) times the product of
+    the generators in the bitmask ``combo``.  The identity string is such a
+    string with ``combo = 0``.
+    """
+    d = batch.d
+    basis: dict[int, tuple[int, int]] = {}  # pivot bit -> (vector, generator bitmask)
+    generators: list[PauliString] = []
+    columns: list[tuple[int, int]] = []
+    for s in batch:
+        v = (s.x_mask << d) | s.z_mask
+        combo = 0
+        while v and (v.bit_length() - 1) in basis:
+            vec, cmb = basis[v.bit_length() - 1]
+            v ^= vec
+            combo ^= cmb
+        if v:
+            basis[v.bit_length() - 1] = (v, combo | (1 << len(generators)))
+            columns.append((len(generators), 0))
+            generators.append(s)
+        else:
+            columns.append((-1, combo))
+    # sigma^s = sign * P_combo: both send |0> to a power of i times |x>, and
+    # for commuting strings the exponents differ by 0 (sign +1) or 2 (sign -1)
+    k = _product_masks(generators)[2]
+    return generators, [
+        (g, combo, 1 - (s.y_count - int(k[combo])) % 4 if g < 0 else 1)
+        for s, (g, combo) in zip(batch, columns)
+    ]
+
+
+def _product_masks(generators: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks ``x_T``, ``z_T`` and phase exponents ``k_T`` of every generator
+    product ``P_T``, indexed by the subset bitmask T (bit g is generator g).
+
+    ``P_T |j> = i^{k_T} (-1)^{parity(j & z_T)} |j ^ x_T>``, built one generator
+    at a time from ``P_{T+g} = sigma^g P_T`` and
+    ``sigma^g |x> = i^{n_Y} (-1)^{parity(x & z_g)} |x ^ x_g>``.
+    """
+    x = np.zeros(1, dtype=np.int64)
+    z = np.zeros(1, dtype=np.int64)
+    k = np.zeros(1, dtype=np.int64)
+    for s in generators:
+        k = np.concatenate((k, k + s.y_count + 2 * _parity(x & s.z_mask)))
+        x = np.concatenate((x, x ^ s.x_mask))
+        z = np.concatenate((z, z ^ s.z_mask))
+    return x, z, k % 4
+
+
+def _expectations(state: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """``tr(state P_T)`` for every product ``P_T``, one O(2^d) gather each,
+    taken in blocks of at most ``LAW_BLOCK`` entries to bound memory."""
+    n = state.shape[0]
+    j = np.arange(n)
+    odd = _parity(j).astype(bool)
+    flat = state.ravel()
+    out = np.empty(len(x))
+    rows = max(1, LAW_BLOCK // n)
+    for lo in range(0, len(x), rows):
+        block = slice(lo, lo + rows)
+        vals = flat[j * n + (j ^ x[block, None])]
+        sums = np.where(odd[j & z[block, None]], -vals, vals).sum(axis=1)
+        out[block] = (_I_POWERS[k[block]] * sums).real
+    return out
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """In-place butterfly transform ``a[b] <- sum_T (-1)^{|b & T|} a[T]``."""
+    h = 1
+    while h < len(a):
+        v = a.reshape(-1, 2, h)
+        top = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        np.subtract(top, v[:, 1], out=v[:, 1])
+        h *= 2
+    return a
+
+
+def joint_law(state, generators: Sequence[PauliString]) -> np.ndarray:
+    """Joint outcome law of mutually commuting, independent strings on a state.
+
+    Entry ``b`` is the probability that generator ``g`` shows eigenvalue
+    ``(-1)^{bit g of b}``, namely ``2^-r sum_T (-1)^{|b & T|} tr(state P_T)``
+    over the ``2^r`` generator products ``P_T``.
+    """
+    state = np.asarray(state, dtype=np.complex128)
+    law = _walsh_hadamard(_expectations(state, *_product_masks(generators)))
+    law /= len(law)
+    return law
+
+
+def _prefix_tree(law: np.ndarray) -> np.ndarray:
+    """Prefix marginals of a law over r bits, level g at offset ``2^g``:
+    ``tree[2^g + p]`` is the mass whose low g bits equal p."""
+    size = len(law)
+    tree = np.empty(2 * size)
+    tree[size:] = law
+    for g in range(size.bit_length() - 2, -1, -1):
+        level = tree[2 << g: 4 << g]
+        tree[1 << g: 2 << g] = level[: 1 << g] + level[1 << g:]
+    return tree
+
+
 def measure_batch_groups(
     groups: Sequence[tuple[np.ndarray, float, np.ndarray]],
     batch: DegreeSet,
     uniforms: np.ndarray,
 ) -> np.ndarray:
-    """Sequentially measure a commuting batch over groups of identical samples.
+    """Measure a commuting batch on groups of identical samples by sampling
+    its exact joint outcome law.
 
     ``groups`` lists ``(state, label_sign, sample_indices)`` triples whose
     indices partition the rows of ``uniforms`` (one row per sample, one column
-    per batch string).  Sample ``i`` gets outcome +1 on string ``l`` exactly
-    when ``uniforms[i, l]`` falls below the +1 branch probability of its
-    group's current collapsed state, so results do not depend on how samples
-    are grouped or scheduled.  Returns the +-1 outcome matrix.
+    per batch string).  The batch reduces to r <= d independent generators,
+    and every other string is a fixed signed product of earlier generators, so
+    its outcome follows from theirs.  For each distinct state the law of the
+    generator eigenvalues and its prefix marginals are computed once.  Sample
+    ``i`` gets outcome +1 on a generator column ``l`` exactly when
+    ``uniforms[i, l]`` falls below ``(1 + c t) / 2``, with ``c`` the label sign
+    and ``t`` the generator's mean given the sample's earlier outcomes; this is
+    the rule of sequential measurement with collapse.  Outcomes do not depend
+    on how samples are grouped or ordered.  Returns the +-1 outcome matrix.
     """
     if len(batch) == 0:
         raise ValueError("batch must contain at least one string")
@@ -354,58 +487,42 @@ def measure_batch_groups(
     n_total, m = uniforms.shape
     if m != len(batch):
         raise ValueError("uniforms must have one column per batch string")
+    generators, columns = _reduce_batch(batch)
+
+    # one prefix tree per distinct state object, laid end to end
+    tree_index: dict[int, int] = {}
+    trees = []
+    for state, _, _ in groups:
+        if id(state) not in tree_index:
+            tree_index[id(state)] = len(trees)
+            trees.append(_prefix_tree(joint_law(state, generators)))
+    trees = np.concatenate(trees)
+
+    index_sets = [np.asarray(idx, dtype=np.intp) for _, _, idx in groups]
+    sizes = [len(idx) for idx in index_sets]
+    rows = np.concatenate(index_sets)
+    tree_size = 2 << len(generators)
+    offset = np.repeat([tree_index[id(state)] * tree_size for state, _, _ in groups], sizes)
+    signs = np.repeat(np.array([c for _, c, _ in groups], dtype=float), sizes)
+    positive = signs > 0
+    u = uniforms[rows]
+    res = np.empty((len(rows), m), dtype=np.int8)
+    # bit g of a sample's prefix is set when generator g showed eigenvalue -1
+    prefix = np.zeros(len(rows), dtype=np.int64)
+    for col, (g, combo, sign) in enumerate(columns):
+        if g < 0:
+            flipped = _parity(prefix & combo).astype(bool)
+            res[:, col] = np.where(positive ^ (sign < 0) ^ flipped, 1, -1)
+            continue
+        denom = trees[offset + (1 << g) + prefix]
+        if not (denom > 0.0).all():
+            raise ValueError("a sample reached an outcome prefix of zero probability")
+        t = (2.0 * trees[offset + (2 << g) + prefix] - denom) / denom
+        took = u[:, col] < _checked_probability(0.5 * (1.0 + signs * t))
+        res[:, col] = np.where(took, 1, -1)
+        prefix |= (took ^ positive).astype(np.int64) << g
     outcomes = np.empty((n_total, m), dtype=np.int8)
-
-    states = np.stack([g[0] for g in groups]).astype(np.complex128)
-    signs = np.array([g[1] for g in groups], dtype=float)
-    index_sets = [np.asarray(g[2], dtype=np.intp) for g in groups]
-
-    for col, s in enumerate(batch):
-        expect = pauli_expectation(s, states).real
-        p_plus = np.array([_checked_probability(0.5 * (1.0 + c * t))
-                           for c, t in zip(signs, expect)])
-        plus_sets: list[np.ndarray] = []
-        minus_sets: list[np.ndarray] = []
-        for g, idx in enumerate(index_sets):
-            took_plus = uniforms[idx, col] < p_plus[g]
-            outcomes[idx, col] = np.where(took_plus, 1, -1)
-            plus_sets.append(idx[took_plus])
-            minus_sets.append(idx[~took_plus])
-        if col == m - 1:
-            break
-        # collapse: (I +- c sigma)/2 applied on both sides, in place, with the
-        # float operations of 0.25 * (rho +- c (sigma rho + rho sigma) + sigma rho sigma)
-        right = pauli_apply_right(s, states)
-        both = pauli_apply_left(s, right)
-        cross = pauli_apply_left(s, states)
-        cross += right
-        del right
-        cross *= signs[:, None, None]
-        plus_states = states + cross
-        plus_states += both
-        plus_states *= 0.25
-        minus_states = np.subtract(states, cross, out=cross)
-        minus_states += both
-        minus_states *= 0.25
-        del both
-        next_states = []
-        next_signs = []
-        next_indices = []
-        for g in range(len(index_sets)):
-            for branch_states, idx in ((plus_states, plus_sets[g]), (minus_states, minus_sets[g])):
-                if idx.size == 0:
-                    continue
-                st = branch_states[g]
-                tr = float(np.trace(st).real)
-                if tr <= 0.0:
-                    raise ValueError("collapsed onto a zero-probability branch")
-                st /= tr
-                next_states.append(st)
-                next_signs.append(signs[g])
-                next_indices.append(idx)
-        states = np.stack(next_states)
-        signs = np.array(next_signs, dtype=float)
-        index_sets = next_indices
+    outcomes[rows] = res
     return outcomes
 
 

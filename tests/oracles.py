@@ -1,0 +1,144 @@
+"""Dense oracles that fast paths in ``qfl`` are tested against.
+
+Each oracle is the straightforward implementation a fast path replaced:
+sequential measurement with dense post-measurement collapse, left and right
+Pauli application on dense matrices, pairwise commutation, and integer batch
+allocation by a heap started from one sample per subset.
+"""
+
+from __future__ import annotations
+
+import heapq
+from typing import Sequence
+
+import numpy as np
+
+from qfl.compatibility import BatchPlan, Cover, batch_weights, is_clique, pauli_commute
+from qfl.pauli import DegreeSet, PauliString, pauli_expectation, phase_vector
+from qfl.simulator import _checked_probability
+
+
+def pauli_apply_left(s: PauliString, m: np.ndarray) -> np.ndarray:
+    """``sigma^s @ m`` for a matrix or a stack of matrices (..., 2^d, 2^d)."""
+    n = 1 << s.d
+    rows = np.arange(n) ^ s.x_mask
+    ph = phase_vector(s)[rows]
+    return np.take(m, rows, axis=-2) * ph[:, None]
+
+
+def pauli_apply_right(s: PauliString, m: np.ndarray) -> np.ndarray:
+    """``m @ sigma^s`` for a matrix or a stack of matrices."""
+    n = 1 << s.d
+    idx = np.arange(n)
+    cols = idx ^ s.x_mask
+    ph = phase_vector(s)
+    return np.take(m, cols, axis=-1) * ph[None, :]
+
+
+def collapse_measure_batch_groups(
+    groups: Sequence[tuple[np.ndarray, float, np.ndarray]],
+    batch: DegreeSet,
+    uniforms: np.ndarray,
+) -> np.ndarray:
+    """Sequentially measure a commuting batch over groups of identical samples,
+    collapsing dense states string by string (the engine the joint-law sampler
+    replaced).
+
+    ``groups`` lists ``(state, label_sign, sample_indices)`` triples whose
+    indices partition the rows of ``uniforms`` (one row per sample, one column
+    per batch string).  Sample ``i`` gets outcome +1 on string ``l`` exactly
+    when ``uniforms[i, l]`` falls below the +1 branch probability of its
+    group's current collapsed state, so results do not depend on how samples
+    are grouped or scheduled.  Returns the +-1 outcome matrix.
+    """
+    if len(batch) == 0:
+        raise ValueError("batch must contain at least one string")
+    if not is_clique(batch):
+        raise ValueError("batch strings do not mutually commute; not jointly measurable")
+    n_total, m = uniforms.shape
+    if m != len(batch):
+        raise ValueError("uniforms must have one column per batch string")
+    outcomes = np.empty((n_total, m), dtype=np.int8)
+
+    states = np.stack([g[0] for g in groups]).astype(np.complex128)
+    signs = np.array([g[1] for g in groups], dtype=float)
+    index_sets = [np.asarray(g[2], dtype=np.intp) for g in groups]
+
+    for col, s in enumerate(batch):
+        expect = pauli_expectation(s, states).real
+        p_plus = np.array([_checked_probability(0.5 * (1.0 + c * t))
+                           for c, t in zip(signs, expect)])
+        plus_sets: list[np.ndarray] = []
+        minus_sets: list[np.ndarray] = []
+        for g, idx in enumerate(index_sets):
+            took_plus = uniforms[idx, col] < p_plus[g]
+            outcomes[idx, col] = np.where(took_plus, 1, -1)
+            plus_sets.append(idx[took_plus])
+            minus_sets.append(idx[~took_plus])
+        if col == m - 1:
+            break
+        # collapse: (I +- c sigma)/2 applied on both sides, in place, with the
+        # float operations of 0.25 * (rho +- c (sigma rho + rho sigma) + sigma rho sigma)
+        right = pauli_apply_right(s, states)
+        both = pauli_apply_left(s, right)
+        cross = pauli_apply_left(s, states)
+        cross += right
+        del right
+        cross *= signs[:, None, None]
+        plus_states = states + cross
+        plus_states += both
+        plus_states *= 0.25
+        minus_states = np.subtract(states, cross, out=cross)
+        minus_states += both
+        minus_states *= 0.25
+        del both
+        next_states = []
+        next_signs = []
+        next_indices = []
+        for g in range(len(index_sets)):
+            for branch_states, idx in ((plus_states, plus_sets[g]), (minus_states, minus_sets[g])):
+                if idx.size == 0:
+                    continue
+                st = branch_states[g]
+                tr = float(np.trace(st).real)
+                if tr <= 0.0:
+                    raise ValueError("collapsed onto a zero-probability branch")
+                st /= tr
+                next_states.append(st)
+                next_signs.append(signs[g])
+                next_indices.append(idx)
+        states = np.stack(next_states)
+        signs = np.array(next_signs, dtype=float)
+        index_sets = next_indices
+    return outcomes
+
+
+def pairwise_commutation(strings: Sequence[PauliString]) -> np.ndarray:
+    """Commutation matrix from one ``pauli_commute`` call per pair."""
+    n = len(strings)
+    adj = np.ones((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(i + 1, n):
+            adj[i, j] = adj[j, i] = pauli_commute(strings[i], strings[j])
+    return adj
+
+
+def heap_allocate_batches(n: int, cover: Cover, delta: float) -> BatchPlan:
+    """Integer allocation minimizing ``sum_j w_j / n_j``: start from one sample
+    per subset and give each further sample to the largest marginal decrease
+    ``w_j / (n_j (n_j + 1))``, ties to the lower index."""
+    m = cover.m
+    if n < m:
+        raise ValueError(f"need at least one sample per subset: n={n} < m={m}")
+    w = batch_weights(cover, delta)
+    if m == 1:
+        return BatchPlan((n,))
+    sizes = [1] * m
+    heap = [(-w[j] / 2.0, j) for j in range(m)]
+    heapq.heapify(heap)
+    for _ in range(n - m):
+        _, j = heapq.heappop(heap)
+        sizes[j] += 1
+        x = sizes[j]
+        heapq.heappush(heap, (-w[j] / (x * (x + 1)), j))
+    return BatchPlan(tuple(sizes))

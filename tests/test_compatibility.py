@@ -23,9 +23,17 @@ from qfl.compatibility import (
     pauli_commute,
     singleton_cover,
 )
-from qfl.pauli import DegreeSet, PauliString, degree_set_classical_upto, full_degree_set, pauli_matrix
+from qfl.pauli import (
+    DegreeSet,
+    PauliString,
+    degree_set_classical_upto,
+    degree_set_upto,
+    full_degree_set,
+    pauli_matrix,
+)
 
 from conftest import random_string
+from oracles import heap_allocate_batches, pairwise_commutation
 
 
 def dense_commute(s: PauliString, t: PauliString) -> bool:
@@ -82,6 +90,12 @@ class TestGraph:
     def test_diagonal_strings_fully_commute(self):
         graph = build_commutation_graph(DegreeSet.of(2, [P("30"), P("03"), P("33")]))
         assert graph.adjacency.all()
+
+    def test_matches_pairwise_commute(self):
+        for d in range(1, 8):
+            nodes = degree_set_upto(d, min(2, d))
+            adjacency = build_commutation_graph(nodes).adjacency
+            assert np.array_equal(adjacency, pairwise_commutation(nodes.strings))
 
 
 class TestGreedyCover:
@@ -177,6 +191,16 @@ class TestBestCover:
         assert a.to_text() == b.to_text()
 
 
+def sized_cover(sizes):
+    """A cover with the given subset sizes, filled with distinct 8-qubit strings
+    (allocation depends only on the sizes)."""
+    strings = iter(itertools.product(range(4), repeat=8))
+    next(strings)
+    return Cover(tuple(
+        DegreeSet.of(8, [PauliString(next(strings)) for _ in range(size)]) for size in sizes
+    ))
+
+
 class TestAllocation:
     def test_symmetric_split(self):
         cover = Cover((DegreeSet.of(2, [P("30")]), DegreeSet.of(2, [P("03")])))
@@ -237,6 +261,22 @@ class TestAllocation:
 
     def test_plan_total(self):
         assert BatchPlan((3, 4)).total == 7
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(1, 40), min_size=1, max_size=40),
+        st.booleans(),
+        st.floats(0.001, 0.9),
+        st.integers(0, 60_000),
+    )
+    def test_square_root_start_matches_heap_from_ones(self, sizes, one_big, delta, extra):
+        if one_big:
+            # one large clique among singletons, the case most prone to overshoot
+            sizes = [sizes[0] * 20] + [1] * (len(sizes) - 1)
+        cover = sized_cover(sizes)
+        n = cover.m + (extra if extra % 3 else extra % 50)
+        for budget in (cover.m, n):
+            assert allocate_batches(budget, cover, delta) == heap_allocate_batches(budget, cover, delta)
 
 
 class TestCliqueWitness:

@@ -237,6 +237,35 @@ class TestCli:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 2
 
+    def test_short_truth_table_exits_2_without_output(self, tmp_path):
+        config = write_parity_setup(tmp_path)
+        (tmp_path / "parity.src").write_text(
+            "kind = classical\nd = 2\ntruth_table = 01\n", encoding="utf-8"
+        )
+        out_dir = tmp_path / "results"
+        assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+
+    def test_missing_referenced_table_exits_2_without_output(self, tmp_path):
+        config = write_parity_setup(tmp_path)
+        (tmp_path / "parity.src").write_text(
+            "kind = realizable\nd = 2\nftab = nope.ftab\n", encoding="utf-8"
+        )
+        out_dir = tmp_path / "results"
+        assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+
+    def test_wrong_length_string_exits_2_without_output(self, tmp_path):
+        write_parity_setup(tmp_path)
+        config = tmp_path / "strings.cfg"
+        config.write_text(
+            "source = parity.src\nalgorithm = qld\nstrings = 33, 333\nn = 100\n"
+            "delta = 0.05\nseeds = 1\nout = out\n"
+        )
+        out_dir = tmp_path / "results"
+        assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+
     def test_cover_command(self, capsys):
         code = main(
             ["cover", str(CONFIGS / "weight1_d2.degreeset"), "--n", "600", "--delta", "0.1"]

@@ -37,6 +37,7 @@ from qfl.pauli import (
 )
 from qfl.simulator import (
     RandomStreams,
+    SampleSource,
     draw_samples,
     labeling_operator,
     make_classical_source,
@@ -456,3 +457,14 @@ class TestJuntaLearn:
         source = make_parity_source(2, (0, 1))
         with pytest.raises(ValueError, match="1 <= k <= d"):
             junta_learn(source, 3, 100, 0.05, 0)
+
+    def test_exact_table_built_once_per_call(self, monkeypatch):
+        source = make_parity_source(3, (0, 2))
+        calls = []
+        real = SampleSource.exact_coefficient
+        monkeypatch.setattr(
+            SampleSource, "exact_coefficient", lambda self, s: calls.append(s) or real(self, s)
+        )
+        _, report = junta_learn(source, 2, 2000, 0.05, 4)
+        assert report.opt_value == pytest.approx(0.0, abs=1e-12)
+        assert sorted(calls) == sorted(degree_set_upto(3, 2))

@@ -20,8 +20,6 @@ from qfl.pauli import (
     fourier_coefficient,
     fourier_transform,
     full_degree_set,
-    pauli_apply_left,
-    pauli_apply_right,
     pauli_expectation,
     pauli_matrix,
     restrict_to_coords,
@@ -29,6 +27,7 @@ from qfl.pauli import (
 )
 
 from conftest import random_hermitian, random_string
+from oracles import pauli_apply_left, pauli_apply_right
 
 SIGMA = {
     0: np.eye(2, dtype=complex),

@@ -4,23 +4,28 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qfl.compatibility import Cover
+from qfl.compatibility import Cover, best_cover
 from qfl.operators import maximally_mixed, partial_trace_label, validate_povm
 from qfl.pauli import (
     DegreeSet,
     FourierTable,
     PauliString,
     classical_embedding,
+    degree_set_upto,
     fourier_coefficient,
     pauli_matrix,
     synthesize,
 )
 from qfl.simulator import (
     RandomStreams,
+    _reduce_batch,
     draw_samples,
     estimation_observable,
     group_samples,
+    joint_law,
     labeling_operator,
     load_source,
     make_classical_source,
@@ -35,6 +40,7 @@ from qfl.simulator import (
 )
 
 from conftest import joint_state, make_bell_source, make_parity_source, random_density
+from oracles import collapse_measure_batch_groups
 
 P = PauliString.from_digits
 
@@ -350,6 +356,119 @@ class TestMeasureBatch:
         noiseless = make_bell_source()
         bases, labels = draw_samples(noiseless, 40, RandomStreams(17).generator(0))
         assert len(group_samples(noiseless, bases, labels)) == 2
+
+
+def k2_cliques(d):
+    """Every subset of the greedy k=2 cover on d qubits."""
+    return best_cover(degree_set_upto(d, min(2, d)), 1000, 0.05).subsets
+
+
+def four_groups(rng, d, n):
+    """Two random states and a random split of n rows into the four
+    ``(state, label_sign)`` pairs, all nonempty."""
+    rho0, rho1 = random_density(rng, 1 << d), random_density(rng, 1 << d)
+    parts = np.array_split(rng.permutation(n), 4)
+    return [(rho0, -1.0, parts[0]), (rho0, 1.0, parts[1]), (rho1, -1.0, parts[2]), (rho1, 1.0, parts[3])]
+
+
+class TestJointLawSampler:
+    def test_matches_collapse_oracle(self):
+        rng = np.random.default_rng(40)
+        for d in range(2, 6):
+            for batch in k2_cliques(d):
+                for diagonal in (False, True):
+                    groups = four_groups(rng, d, 120)
+                    if diagonal:
+                        groups = [(np.diag(np.diag(state)), c, idx) for state, c, idx in groups]
+                    uniforms = rng.random((120, len(batch)))
+                    assert np.array_equal(
+                        measure_batch_groups(groups, batch, uniforms),
+                        collapse_measure_batch_groups(groups, batch, uniforms),
+                    )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 4), st.integers(0, 10_000))
+    def test_law_is_a_distribution(self, d, seed):
+        rng = np.random.default_rng(seed)
+        cliques = k2_cliques(d)
+        batch = cliques[int(rng.integers(len(cliques)))]
+        generators, _ = _reduce_batch(batch)
+        state = random_density(rng, 1 << d)
+        law = joint_law(state, generators)
+        assert law.shape == (1 << len(generators),)
+        assert law.min() >= -1e-12
+        assert abs(law.sum() - 1.0) <= 1e-12
+        # each entry is the trace against the product of eigenprojections
+        for b in range(len(law)):
+            proj = np.eye(1 << d, dtype=complex)
+            for g, s in enumerate(generators):
+                proj = proj @ (np.eye(1 << d) + (-1) ** (b >> g & 1) * pauli_matrix(s)) / 2
+            assert abs(law[b] - np.trace(proj @ state).real) <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.integers(2, 4), st.integers(0, 10_000))
+    def test_outcomes_ignore_group_split_and_order(self, d, seed):
+        rng = np.random.default_rng(seed)
+        cliques = k2_cliques(d)
+        batch = cliques[int(rng.integers(len(cliques)))]
+        n = 60
+        groups = four_groups(rng, d, n)
+        uniforms = rng.random((n, len(batch)))
+        whole = measure_batch_groups(groups, batch, uniforms)
+        # split every group in two, copy its state, and shuffle the pieces
+        pieces = []
+        for state, sign, idx in groups:
+            cut = int(rng.integers(1, len(idx)))
+            pieces += [(state.copy(), sign, idx[:cut]), (state, sign, idx[cut:])]
+        order = rng.permutation(len(pieces))
+        split = measure_batch_groups([pieces[i] for i in order], batch, uniforms)
+        assert np.array_equal(whole, split)
+
+    def test_reduction_matches_dense_products(self):
+        for d in range(1, 5):
+            for batch in k2_cliques(d) + (degree_set_upto(d, 0),):
+                generators, columns = _reduce_batch(batch)
+                assert len(generators) <= d
+                for s, (g, combo, sign) in zip(batch, columns):
+                    if g >= 0:
+                        assert generators[g] == s
+                        continue
+                    product = np.eye(1 << d, dtype=complex)
+                    for i, gen in enumerate(generators):
+                        if combo >> i & 1:
+                            product = pauli_matrix(gen) @ product
+                    assert np.array_equal(pauli_matrix(s), sign * product)
+
+    def test_identity_and_product_are_determined(self):
+        # 00 is the identity; ZZ = -(XX)(YY) is dependent on the generators XX, YY
+        batch = DegreeSet.of(2, [P("00"), P("11"), P("22"), P("33")])
+        generators, columns = _reduce_batch(batch)
+        assert generators == [P("11"), P("22")]
+        assert columns == [(-1, 0, 1), (0, 0, 1), (1, 0, 1), (-1, 3, -1)]
+        rng = np.random.default_rng(41)
+        state = random_density(rng, 4)
+        n = 2000
+        uniforms = rng.random((n, 4))
+        groups = [(state, 1.0, np.arange(n // 2)), (state, -1.0, np.arange(n // 2, n))]
+        outcomes = measure_batch_groups(groups, batch, uniforms)
+        c = np.where(np.arange(n) < n // 2, 1, -1)
+        assert np.array_equal(outcomes[:, 0], c)
+        assert np.array_equal(outcomes[:, 3], -c * outcomes[:, 1] * outcomes[:, 2])
+        # the generators are still random
+        assert 0 < np.mean(outcomes[:, 1] == 1) < 1
+        assert np.array_equal(outcomes, collapse_measure_batch_groups(groups, batch, uniforms))
+
+    def test_zero_mass_prefix_raises(self):
+        batch = DegreeSet.of(1, [P("3")])
+        with pytest.raises(ValueError, match="zero probability"):
+            measure_batch_groups([(np.zeros((2, 2)), 1.0, np.arange(3))], batch, np.zeros((3, 1)))
+
+    def test_probability_below_floor_raises(self):
+        # a "state" with a negative eigenvalue gives a negative branch probability
+        state = np.diag([1.5, -0.5]).astype(complex)
+        batch = DegreeSet.of(1, [P("3")])
+        with pytest.raises(ValueError, match="below"):
+            measure_batch_groups([(state, -1.0, np.arange(2))], batch, np.zeros((2, 1)))
 
 
 class TestSourceFiles:
