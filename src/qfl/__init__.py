@@ -37,18 +37,14 @@ from .pauli import (
     fourier_transform,
     full_degree_set,
     pauli_matrix,
-    restrict_to_coords,
     synthesize,
 )
 from .compatibility import (
     BatchPlan,
-    CommutationGraph,
     Cover,
     allocate_batches,
     best_cover,
-    build_commutation_graph,
     cover_score,
-    greedy_cover,
     pauli_commute,
     singleton_cover,
 )

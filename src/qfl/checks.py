@@ -210,12 +210,9 @@ def check_estimation_observables():
 
 def check_clique_witness():
     # the product effects of a commuting batch form a sharp resolution of identity
-    rng = np.random.default_rng(CHECK_SEED + 7)
     for d in (2, 3):
         nodes = pauli.degree_set_upto(d, d)
-        graph = compat.build_commutation_graph(nodes)
-        cover = compat.greedy_cover(graph, list(rng.permutation(len(nodes))))
-        clique = max(cover.subsets, key=len)
+        clique = max(compat.best_cover(nodes, 1000, 0.1).subsets, key=len)
         effects = []
         for w in itertools.product((0, 1), repeat=len(clique)):
             g = np.eye(1 << (d + 1), dtype=complex)

@@ -3,9 +3,10 @@
 Two single-coefficient estimation observables can share a sample exactly when
 their Pauli strings commute, so the planning problem is: partition a degree
 set into commuting cliques and split the sample budget across the cliques.
-This module provides the symplectic commutation test, the commutation graph,
-greedy and exhaustive clique-partition search scored by the estimation-error
-functional, and the optimal integer batch allocation.
+This module provides the symplectic commutation test, a cover search that
+scores clique partitions of string indices by the estimation-error functional
+(greedy first-fit over fixed orderings, or exhaustive enumeration), and the
+optimal integer batch allocation.
 
 Natural logarithms are used throughout the score and allocation formulas.
 """
@@ -41,29 +42,12 @@ def pauli_commute(s: PauliString, t: PauliString) -> bool:
     return a == b
 
 
-@dataclass(frozen=True)
-class CommutationGraph:
-    """Commutation adjacency over a degree set; self-loops are always true."""
-
-    nodes: DegreeSet
-    adjacency: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.nodes)
-        if self.adjacency.shape != (n, n):
-            raise ValueError("adjacency shape does not match node count")
-
-
 def commutation_matrix(strings: Sequence[PauliString]) -> np.ndarray:
     """Boolean matrix of pairwise commutation, from the symplectic rule applied
     to all pairs of masks at once."""
     x = np.array([s.x_mask for s in strings], dtype=np.int64)
     z = np.array([s.z_mask for s in strings], dtype=np.int64)
     return _parity(x[:, None] & z[None, :]) == _parity(z[:, None] & x[None, :])
-
-
-def build_commutation_graph(nodes: DegreeSet) -> CommutationGraph:
-    return CommutationGraph(nodes, commutation_matrix(nodes.strings))
 
 
 @dataclass(frozen=True)
@@ -99,13 +83,6 @@ class Cover:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.subsets)
 
-    def canonical(self) -> "Cover":
-        """Subsets reordered lexicographically by content; used for tie-breaks."""
-        return Cover(tuple(sorted(self.subsets, key=lambda b: b.strings)))
-
-    def _sort_key(self):
-        return tuple(b.strings for b in self.canonical().subsets)
-
     def to_text(self) -> str:
         return "\n".join(",".join(str(s) for s in b) for b in self.subsets) + "\n"
 
@@ -134,36 +111,22 @@ def check_cover(cover: Cover, nodes: DegreeSet) -> None:
             raise ValueError(f"subset {{{','.join(map(str, b))}}} is not mutually commuting")
 
 
-def greedy_cover(graph: CommutationGraph, ordering: Sequence[int]) -> Cover:
-    """First-fit clique partition: scan nodes in the given order, each node
-    joining the first subset it commutes with entirely, else opening a new one."""
-    n = len(graph.nodes)
-    if sorted(ordering) != list(range(n)):
-        raise ValueError("ordering must be a permutation of the node indices")
-    adj = graph.adjacency
-    members: list[list[int]] = []
-    # compat[k] marks the nodes commuting with every current member of subset k
-    compat: list[np.ndarray] = []
-    for v in ordering:
-        for k, mask in enumerate(compat):
-            if mask[v]:
-                members[k].append(v)
-                compat[k] = mask & adj[v]
-                break
-        else:
-            members.append([v])
-            compat.append(adj[v].copy())
-    strings = graph.nodes.strings
-    subsets = tuple(DegreeSet.of(graph.nodes.d, [strings[i] for i in blk]) for blk in members)
-    return Cover(subsets)
+def _size_weights(sizes: Sequence[int], delta: float) -> np.ndarray:
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta}")
+    sizes = np.array(sizes, dtype=float)
+    return sizes * np.log(2.0 * sizes / delta)
+
+
+def _size_score(sizes: Sequence[int], n: int, delta: float) -> float:
+    if n < 1:
+        raise ValueError("n must be positive")
+    return float(np.sqrt(_size_weights(sizes, delta) / n).sum() ** 2)
 
 
 def batch_weights(cover: Cover, delta: float) -> np.ndarray:
     """Per-subset weights ``|B_j| * ln(2 |B_j| / delta)`` used by score and allocation."""
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    sizes = np.array(cover.sizes(), dtype=float)
-    return sizes * np.log(2.0 * sizes / delta)
+    return _size_weights(cover.sizes(), delta)
 
 
 def cover_score(cover: Cover, n: int, delta: float) -> float:
@@ -173,10 +136,7 @@ def cover_score(cover: Cover, n: int, delta: float) -> float:
     is ``8 *`` this value once batches are allocated optimally; the factor 8
     is carried separately by callers that report error bounds.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    w = batch_weights(cover, delta)
-    return float(np.sqrt(w / n).sum() ** 2)
+    return _size_score(cover.sizes(), n, delta)
 
 
 def singleton_cover(nodes: DegreeSet) -> Cover:
@@ -184,19 +144,44 @@ def singleton_cover(nodes: DegreeSet) -> Cover:
     return Cover(tuple(DegreeSet.of(nodes.d, [s]) for s in nodes))
 
 
-def _ordering_candidates(n: int, restarts: int, master_seed: int):
-    yield list(range(n))
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(master_seed)))
-    for _ in range(restarts):
-        yield list(rng.permutation(n))
+def _adjacency_masks(strings: Sequence[PauliString]) -> list[int]:
+    """Commutation rows as integers: bit ``j`` of entry ``i`` is set when
+    strings ``i`` and ``j`` commute."""
+    packed = np.packbits(commutation_matrix(strings), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _iter_clique_partitions(adj_masks: list[int], n: int):
-    """Yield every partition of ``range(n)`` into cliques, as lists of index lists.
+def _first_fit_partitions(adj: list[int]):
+    """First-fit clique partitions for the lexicographic ordering and the
+    ``GREEDY_RESTARTS`` seeded orderings: each index joins the first block it
+    commutes with entirely, else opens a new one."""
+    n = len(adj)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(GREEDY_MASTER_SEED)))
+    orderings = [range(n)] + [rng.permutation(n).tolist() for _ in range(GREEDY_RESTARTS)]
+    for ordering in orderings:
+        blocks: list[list[int]] = []
+        compat: list[int] = []  # bitmask of indices commuting with all block members
+        for v in ordering:
+            bit = 1 << v
+            for k, mask in enumerate(compat):
+                if mask & bit:
+                    blocks[k].append(v)
+                    compat[k] = mask & adj[v]
+                    break
+            else:
+                blocks.append([v])
+                compat.append(adj[v])
+        yield blocks
+
+
+def _iter_clique_partitions(adj_masks: list[int]):
+    """Yield every partition of the indices of ``adj_masks`` into cliques, as
+    lists of index lists.
 
     Nodes are assigned in index order to an existing compatible block or to a
     fresh block, so each clique partition is produced exactly once.
     """
+    n = len(adj_masks)
     blocks: list[list[int]] = []
     compat: list[int] = []  # bitmask of nodes compatible with all block members
 
@@ -222,64 +207,47 @@ def _iter_clique_partitions(adj_masks: list[int], n: int):
     yield from rec(0)
 
 
-def exhaustive_best_cover(nodes: DegreeSet, n: int, delta: float) -> Cover:
-    """True minimizer of the score over all clique partitions; small sets only."""
-    if len(nodes) > EXHAUSTIVE_MAX_SIZE:
-        raise ValueError(
-            f"exhaustive cover search is capped at {EXHAUSTIVE_MAX_SIZE} strings; "
-            f"got {len(nodes)}"
-        )
-    graph = build_commutation_graph(nodes)
-    size = len(nodes)
-    masks = [
-        int(sum(1 << j for j in range(size) if graph.adjacency[i, j]))
-        for i in range(size)
-    ]
-    strings = nodes.strings
-    best: tuple[float, tuple, Cover] | None = None
-    for blocks in _iter_clique_partitions(masks, size):
-        cover = Cover(
-            tuple(DegreeSet.of(nodes.d, [strings[i] for i in blk]) for blk in blocks)
-        ).canonical()
-        key = (cover_score(cover, n, delta), cover._sort_key())
-        if best is None or key < (best[0], best[1]):
-            best = (key[0], key[1], cover)
-    assert best is not None
-    return best[2]
+def check_strategy(size: int, strategy: str) -> None:
+    """Raise unless ``strategy`` can search a degree set of ``size`` strings."""
+    if strategy == "exhaustive":
+        if size > EXHAUSTIVE_MAX_SIZE:
+            raise ValueError(
+                f"exhaustive cover search is capped at {EXHAUSTIVE_MAX_SIZE} strings; "
+                f"got {size}"
+            )
+    elif strategy != "greedy":
+        raise ValueError(f"unknown cover strategy {strategy!r}")
 
 
-def best_cover(
-    nodes: DegreeSet,
-    n: int,
-    delta: float,
-    strategy: str = "greedy",
-    *,
-    restarts: int = GREEDY_RESTARTS,
-    master_seed: int = GREEDY_MASTER_SEED,
-) -> Cover:
+def best_cover(nodes: DegreeSet, n: int, delta: float, strategy: str = "greedy") -> Cover:
     """Search for a low-score commuting-clique partition of ``nodes``.
 
-    ``greedy`` runs the first-fit heuristic over the lexicographic ordering
-    plus ``restarts`` seeded random orderings and keeps the best score (ties
-    broken by canonical subset content, so the result is deterministic).
-    ``exhaustive`` enumerates all clique partitions and is capped at
-    ``EXHAUSTIVE_MAX_SIZE`` strings.
+    Candidates are partitions of the string indices into commuting blocks.
+    ``greedy`` takes the first-fit partitions of the lexicographic ordering
+    and ``GREEDY_RESTARTS`` seeded random orderings; ``exhaustive`` enumerates
+    all clique partitions and is capped at ``EXHAUSTIVE_MAX_SIZE`` strings.
+    The lowest score wins, ties broken by content: the sorted tuple of sorted
+    index blocks, which orders candidates as their strings do because
+    ``nodes.strings`` is sorted.  Subsets come out in that canonical order.
     """
     if len(nodes) == 0:
         raise ValueError("cannot cover an empty degree set")
+    check_strategy(len(nodes), strategy)
+    adj = _adjacency_masks(nodes.strings)
     if strategy == "exhaustive":
-        return exhaustive_best_cover(nodes, n, delta)
-    if strategy != "greedy":
-        raise ValueError(f"unknown cover strategy {strategy!r}")
-    graph = build_commutation_graph(nodes)
-    best: tuple[float, tuple, Cover] | None = None
-    for ordering in _ordering_candidates(len(nodes), restarts, master_seed):
-        cover = greedy_cover(graph, ordering).canonical()
-        key = (cover_score(cover, n, delta), cover._sort_key())
-        if best is None or key < (best[0], best[1]):
-            best = (key[0], key[1], cover)
-    assert best is not None
-    return best[2]
+        candidates = _iter_clique_partitions(adj)
+    else:
+        candidates = _first_fit_partitions(adj)
+    best = None
+    for blocks in candidates:
+        # sizes are scored in canonical block order, the order cover_score sums
+        # a Cover's subsets in, so float ties come out as they do for Covers
+        key = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        scored = (_size_score([len(b) for b in key], n, delta), key)
+        if best is None or scored < best:
+            best = scored
+    strings = nodes.strings
+    return Cover(tuple(DegreeSet.of(nodes.d, [strings[i] for i in blk]) for blk in best[1]))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ byte-identical CSV; wall-clock timings live only in the JSON summary.
 
 Each point's source (with its eta override) and degree set are resolved once,
 before any run, and reused by every seed.  Bad input, including a non-integer
-``QFL_THREADS``, raises :class:`ConfigError` then; the output directory is
-created only after every run has returned, so a failed run leaves no output.
+``QFL_THREADS``, a cover strategy that cannot search the degree set, or a
+budget ``n`` below the number of cover subsets, raises :class:`ConfigError`
+then; the output directory is created only after every run has returned, so a
+failed run leaves no output.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .compatibility import best_cover, check_strategy
 from .learner import LearnReport, junta_learn, qld_learn
 from .pauli import DegreeSet, PauliString, degree_set_classical_upto, degree_set_upto
 from .simulator import SampleSource, load_source, parse_key_values
@@ -74,6 +77,13 @@ def _parse_list(value: str, conv):
         return [conv(tok) for tok in items]
     except ValueError as exc:
         raise ConfigError(f"bad value in list {value!r}: {exc}") from exc
+
+
+def _parse_number(key: str, value: str, conv):
+    try:
+        return conv(value.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
 
 def _parse_bool(value: str) -> bool:
@@ -167,8 +177,8 @@ class ExperimentConfig:
             eta_values=tuple(_parse_list(fields["eta"], float)) if "eta" in fields else None,
             cover_strategy=cover_strategy,
             seeds=seeds,
-            n_test=int(fields.get("n_test", "0")),
-            epsilon=float(fields.get("epsilon", "0")),
+            n_test=_parse_number("n_test", fields.get("n_test", "0"), int),
+            epsilon=_parse_number("epsilon", fields.get("epsilon", "0"), float),
             out=fields["out"].strip(),
         )
         config.validate()
@@ -183,6 +193,8 @@ class ExperimentConfig:
             raise ConfigError("eta values must lie in [0, 0.5)")
         if self.n_test < 0:
             raise ConfigError("n_test must be nonnegative")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ConfigError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
         for rel in self.sources:
             if not (self.base_dir / rel).is_file():
                 raise ConfigError(f"source file not found: {self.base_dir / rel}")
@@ -235,6 +247,18 @@ def _degree_set_for(config: ExperimentConfig, source: SampleSource, k: int | Non
     if config.classical_only:
         return degree_set_classical_upto(source.d, k)
     return degree_set_upto(source.d, k)
+
+
+def _check_cover_budget(config: ExperimentConfig, params: dict, degree_set: DegreeSet) -> None:
+    """Reject a point whose cover search cannot run or whose budget is below
+    the cover's subset count m.  m never exceeds the degree set's size, so the
+    search runs here only when n is smaller than that size."""
+    check_strategy(len(degree_set), config.cover_strategy)
+    n = params["n"]
+    if n < len(degree_set):
+        m = best_cover(degree_set, n, params["delta"], config.cover_strategy).m
+        if n < m:
+            raise ConfigError(f"need n >= number of cover subsets: n={n} < m={m}")
 
 
 def _known_opt(source: SampleSource) -> float | None:
@@ -353,11 +377,14 @@ def run_config(
                     raise ConfigError("eta override on a non-maximally-mixed custom source")
                 source = source.with_flip_rate(params["eta"])
             if config.algorithm == "qld":
-                resolved.append((source, _degree_set_for(config, source, params["k"])))
+                degree_set = _degree_set_for(config, source, params["k"])
+                resolved.append((source, degree_set))
             elif not 1 <= params["k"] <= source.d:
                 raise ConfigError(f"junta k={params['k']} out of range for d={source.d}")
             else:
+                degree_set = degree_set_upto(source.d, params["k"])
                 resolved.append((source, None))
+            _check_cover_budget(config, params, degree_set)
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
     try:

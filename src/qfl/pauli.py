@@ -299,6 +299,7 @@ class FourierTable:
         return FourierTable(self.d, {s: c for s, c in self.coefficients.items() if s in keep})
 
     def restricted_to_coords(self, coords: Iterable[int]) -> "FourierTable":
+        """Keep exactly the entries whose support lies inside ``coords``."""
         keep = set(coords)
         return FourierTable(
             self.d,
@@ -329,11 +330,6 @@ class FourierTable:
     @classmethod
     def load(cls, path) -> "FourierTable":
         return cls.from_text(Path(path).read_text(encoding="utf-8"))
-
-
-def restrict_to_coords(table: FourierTable, coords: Iterable[int]) -> FourierTable:
-    """Keep exactly the entries whose support lies inside ``coords``."""
-    return table.restricted_to_coords(coords)
 
 
 def fourier_transform(a: np.ndarray, strings: Iterable[PauliString], *, d: int | None = None) -> FourierTable:

@@ -2,7 +2,8 @@
 
 Each oracle is the straightforward implementation a fast path replaced:
 sequential measurement with dense post-measurement collapse, left and right
-Pauli application on dense matrices, pairwise commutation, and integer batch
+Pauli application on dense matrices, pairwise commutation, cover search that
+builds and canonicalizes a ``Cover`` per candidate, and integer batch
 allocation by a heap started from one sample per subset.
 """
 
@@ -13,7 +14,19 @@ from typing import Sequence
 
 import numpy as np
 
-from qfl.compatibility import BatchPlan, Cover, batch_weights, is_clique, pauli_commute
+from qfl.compatibility import (
+    EXHAUSTIVE_MAX_SIZE,
+    GREEDY_MASTER_SEED,
+    GREEDY_RESTARTS,
+    BatchPlan,
+    Cover,
+    _iter_clique_partitions,
+    batch_weights,
+    commutation_matrix,
+    cover_score,
+    is_clique,
+    pauli_commute,
+)
 from qfl.pauli import DegreeSet, PauliString, pauli_expectation, phase_vector
 from qfl.simulator import _checked_probability
 
@@ -142,3 +155,56 @@ def heap_allocate_batches(n: int, cover: Cover, delta: float) -> BatchPlan:
         x = sizes[j]
         heapq.heappush(heap, (-w[j] / (x * (x + 1)), j))
     return BatchPlan(tuple(sizes))
+
+
+def greedy_cover(nodes: DegreeSet, adjacency: np.ndarray, ordering: Sequence[int]) -> Cover:
+    """First-fit clique partition on boolean adjacency rows: scan nodes in the
+    given order, each node joining the first subset it commutes with entirely,
+    else opening a new one."""
+    members: list[list[int]] = []
+    # compat[k] marks the nodes commuting with every current member of subset k
+    compat: list[np.ndarray] = []
+    for v in ordering:
+        for k, mask in enumerate(compat):
+            if mask[v]:
+                members[k].append(v)
+                compat[k] = mask & adjacency[v]
+                break
+        else:
+            members.append([v])
+            compat.append(adjacency[v].copy())
+    strings = nodes.strings
+    return Cover(tuple(DegreeSet.of(nodes.d, [strings[i] for i in blk]) for blk in members))
+
+
+def canonical(cover: Cover) -> Cover:
+    """Subsets reordered lexicographically by content."""
+    return Cover(tuple(sorted(cover.subsets, key=lambda b: b.strings)))
+
+
+def object_best_cover(nodes: DegreeSet, n: int, delta: float, strategy: str = "greedy") -> Cover:
+    """Cover search that builds a canonical ``Cover`` for every candidate and
+    keeps the least ``(score, subset contents)``."""
+    adjacency = commutation_matrix(nodes.strings)
+    size = len(nodes)
+    strings = nodes.strings
+    if strategy == "exhaustive":
+        if size > EXHAUSTIVE_MAX_SIZE:
+            raise ValueError(f"exhaustive cover search is capped at {EXHAUSTIVE_MAX_SIZE} strings")
+        masks = [sum(1 << j for j in range(size) if adjacency[i, j]) for i in range(size)]
+        candidates = (
+            Cover(tuple(DegreeSet.of(nodes.d, [strings[i] for i in blk]) for blk in blocks))
+            for blocks in _iter_clique_partitions(masks)
+        )
+    else:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(GREEDY_MASTER_SEED)))
+        orderings = [list(range(size))]
+        orderings += [list(rng.permutation(size)) for _ in range(GREEDY_RESTARTS)]
+        candidates = (greedy_cover(nodes, adjacency, ordering) for ordering in orderings)
+    best = None
+    for cover in candidates:
+        cover = canonical(cover)
+        key = (cover_score(cover, n, delta), tuple(b.strings for b in cover.subsets))
+        if best is None or key < best[0]:
+            best = (key, cover)
+    return best[1]

@@ -13,13 +13,12 @@ from qfl.compatibility import (
     Cover,
     allocate_batches,
     allocation_objective,
+    _adjacency_masks,
     batch_weights,
     best_cover,
-    build_commutation_graph,
     check_cover,
+    commutation_matrix,
     cover_score,
-    exhaustive_best_cover,
-    greedy_cover,
     pauli_commute,
     singleton_cover,
 )
@@ -33,7 +32,7 @@ from qfl.pauli import (
 )
 
 from conftest import random_string
-from oracles import heap_allocate_batches, pairwise_commutation
+from oracles import heap_allocate_batches, object_best_cover, pairwise_commutation
 
 
 def dense_commute(s: PauliString, t: PauliString) -> bool:
@@ -78,47 +77,47 @@ class TestCommutation:
 
 class TestGraph:
     def test_single_node(self):
-        graph = build_commutation_graph(DegreeSet.of(1, [P("0")]))
-        assert graph.adjacency.shape == (1, 1)
-        assert graph.adjacency[0, 0]
+        adjacency = commutation_matrix([P("0")])
+        assert adjacency.shape == (1, 1)
+        assert adjacency[0, 0]
 
     def test_single_qubit_paulis_all_anticommute(self):
-        graph = build_commutation_graph(DegreeSet.of(1, [P("1"), P("2"), P("3")]))
-        off = graph.adjacency[~np.eye(3, dtype=bool)]
+        adjacency = commutation_matrix([P("1"), P("2"), P("3")])
+        off = adjacency[~np.eye(3, dtype=bool)]
         assert not off.any()
 
     def test_diagonal_strings_fully_commute(self):
-        graph = build_commutation_graph(DegreeSet.of(2, [P("30"), P("03"), P("33")]))
-        assert graph.adjacency.all()
+        assert commutation_matrix([P("30"), P("03"), P("33")]).all()
 
     def test_matches_pairwise_commute(self):
         for d in range(1, 8):
             nodes = degree_set_upto(d, min(2, d))
-            adjacency = build_commutation_graph(nodes).adjacency
+            adjacency = commutation_matrix(nodes.strings)
             assert np.array_equal(adjacency, pairwise_commutation(nodes.strings))
+
+    def test_masks_match_matrix(self):
+        # 190 strings: rows span several 64-bit words
+        nodes = degree_set_upto(7, 2)
+        adjacency = commutation_matrix(nodes.strings)
+        masks = _adjacency_masks(nodes.strings)
+        for i, mask in enumerate(masks):
+            assert [bool(mask >> j & 1) for j in range(len(nodes))] == adjacency[i].tolist()
+            assert mask >> len(nodes) == 0
 
 
 class TestGreedyCover:
     def test_fully_compatible_single_subset(self):
         nodes = degree_set_classical_upto(3, 3)
-        graph = build_commutation_graph(nodes)
-        cover = greedy_cover(graph, list(range(len(nodes))))
+        cover = best_cover(nodes, 100, 0.1)
         assert cover.m == 1
         check_cover(cover, nodes)
 
     def test_pairwise_incompatible_singletons(self):
         nodes = DegreeSet.of(1, [P("1"), P("2"), P("3")])
-        graph = build_commutation_graph(nodes)
-        for ordering in itertools.permutations(range(3)):
-            cover = greedy_cover(graph, list(ordering))
+        for strategy in ("greedy", "exhaustive"):
+            cover = best_cover(nodes, 100, 0.1, strategy)
             assert cover.m == 3
             check_cover(cover, nodes)
-
-    def test_bad_ordering(self):
-        nodes = DegreeSet.of(1, [P("1"), P("3")])
-        graph = build_commutation_graph(nodes)
-        with pytest.raises(ValueError, match="permutation"):
-            greedy_cover(graph, [0, 0])
 
     def test_cover_rejects_duplicates(self):
         with pytest.raises(ValueError, match="more than one"):
@@ -181,7 +180,16 @@ class TestBestCover:
         assert len(nodes) == 11
         big = DegreeSet.of(4, list(full_degree_set(4))[:13])
         with pytest.raises(ValueError, match="capped"):
-            exhaustive_best_cover(big, 100, 0.1)
+            best_cover(big, 100, 0.1, "exhaustive")
+
+    def test_builds_one_cover(self, monkeypatch):
+        built = []
+        check = Cover.__post_init__
+        monkeypatch.setattr(Cover, "__post_init__", lambda self: built.append(check(self)))
+        for strategy in ("greedy", "exhaustive"):
+            built.clear()
+            best_cover(DegreeSet.of(2, [P("11"), P("22"), P("33"), P("30"), P("12")]), 100, 0.1, strategy)
+            assert len(built) == 1
 
     def test_deterministic(self):
         rng = np.random.default_rng(22)
@@ -189,6 +197,49 @@ class TestBestCover:
         a = best_cover(nodes, 500, 0.05)
         b = best_cover(nodes, 500, 0.05)
         assert a.to_text() == b.to_text()
+
+
+def random_degree_set(rng, d, size):
+    return DegreeSet.of(d, {random_string(rng, d) for _ in range(size)})
+
+
+class TestCoverOracle:
+    """The index-block search returns the cover of the object-based search,
+    which canonicalizes a ``Cover`` per candidate (``oracles.object_best_cover``)."""
+
+    PARAMS = ((100, 0.1), (20_000, 0.05), (600, 0.3))
+
+    def assert_same(self, nodes, strategy="greedy"):
+        for n, delta in self.PARAMS:
+            got = best_cover(nodes, n, delta, strategy)
+            assert got.to_text() == object_best_cover(nodes, n, delta, strategy).to_text()
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_bounded_degree_sets(self, d):
+        for k in range(min(2, d) + 1):
+            self.assert_same(degree_set_upto(d, k))
+            self.assert_same(degree_set_classical_upto(d, k))
+
+    def test_random_sets(self):
+        rng = np.random.default_rng(40)
+        for _ in range(20):
+            d = int(rng.integers(2, 7))
+            self.assert_same(random_degree_set(rng, d, int(rng.integers(1, 60))))
+
+    def test_random_sets_beyond_64_strings(self):
+        rng = np.random.default_rng(41)
+        sizes = []
+        for _ in range(6):
+            nodes = random_degree_set(rng, 5, int(rng.integers(70, 200)))
+            sizes.append(len(nodes))
+            self.assert_same(nodes)
+        assert min(sizes) > 64
+
+    def test_exhaustive_random_sets(self):
+        rng = np.random.default_rng(42)
+        for _ in range(15):
+            d = int(rng.integers(2, 5))
+            self.assert_same(random_degree_set(rng, d, int(rng.integers(1, 11))), "exhaustive")
 
 
 def sized_cover(sizes):

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfl import checks
+from qfl import checks, harness
 from qfl.cli import main
 from qfl.harness import CSV_COLUMNS, ConfigError, ExperimentConfig, run_config
 
@@ -216,15 +216,39 @@ class TestCli:
         assert code == 2
         assert not out_dir.exists()
 
-    def test_runtime_failure_leaves_no_output(self, tmp_path):
-        shutil.copy(CONFIGS / "parity_d4.src", tmp_path)
-        config = tmp_path / "tiny.cfg"
-        config.write_text(
-            "source = parity_d4.src\nalgorithm = qld\nk = 2\nn = 3\ndelta = 0.05\n"
-            "seeds = 1\nout = out\n"
-        )
+    def test_runtime_failure_leaves_no_output(self, tmp_path, monkeypatch):
+        config = write_parity_setup(tmp_path)
+
+        def failing_learner(*args, **kwargs):
+            raise RuntimeError("learner failed")
+
+        monkeypatch.setattr(harness, "qld_learn", failing_learner)
         out_dir = tmp_path / "results"
         assert main(["run", str(config), "--out-dir", str(out_dir)]) == 3
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            "algorithm = qld\nk = 2\nn = 3\n",  # fewer samples than cover subsets
+            "algorithm = junta\nk = 2\nn = 3\n",
+            "algorithm = qld\nk = 2\nn = 2000\ncover_strategy = exhaustive\n",  # 67 strings
+            "algorithm = qld\nk = 1\nn = 2000\nn_test = abc\n",
+            "algorithm = qld\nk = 1\nn = 2000\nepsilon = x\n",
+            "algorithm = qld\nk = 1\nn = 2000\nepsilon = -0.1\n",
+            "algorithm = qld\nk = 1\nn = 2000\nepsilon = nan\n",
+        ],
+        ids=["n-below-cover", "junta-n-below-cover", "exhaustive-over-cap", "n_test-text",
+             "epsilon-text", "epsilon-negative", "epsilon-nan"],
+    )
+    def test_config_mistake_exits_2_without_output(self, tmp_path, settings):
+        shutil.copy(CONFIGS / "parity_d4.src", tmp_path)
+        config = tmp_path / "bad.cfg"
+        config.write_text(
+            "source = parity_d4.src\ndelta = 0.05\nseeds = 1\nout = out\n" + settings
+        )
+        out_dir = tmp_path / "results"
+        assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
         assert not out_dir.exists()
 
     def test_bad_thread_count_exits_2_without_output(self, tmp_path, monkeypatch):
@@ -280,13 +304,16 @@ class TestCli:
         assert main(["cover", str(empty), "--n", "10", "--delta", "0.1"]) == 2
 
     def test_console_script_entry(self):
+        # the installed console script when there is one, else the module's
+        # __main__ guard run from the source tree
         exe = shutil.which("qfl")
-        if exe is None:
-            pytest.skip("console script not installed")
+        command = [exe] if exe else [sys.executable, "-m", "qfl.cli"]
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
         proc = subprocess.run(
-            [exe, "cover", str(CONFIGS / "weight1_d2.degreeset"), "--n", "100", "--delta", "0.2"],
+            command + ["cover", str(CONFIGS / "weight1_d2.degreeset"), "--n", "100", "--delta", "0.2"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "score:" in proc.stdout

@@ -22,7 +22,6 @@ from qfl.pauli import (
     full_degree_set,
     pauli_expectation,
     pauli_matrix,
-    restrict_to_coords,
     synthesize,
 )
 
@@ -250,15 +249,15 @@ class TestRestriction:
         return fourier_transform(random_hermitian(rng, 8), full_degree_set(3))
 
     def test_empty_coords(self):
-        kept = restrict_to_coords(self._table(), ())
+        kept = self._table().restricted_to_coords(())
         assert [str(s) for s, _ in kept.items()] == ["000"]
 
     def test_all_coords(self):
         table = self._table()
-        assert restrict_to_coords(table, range(3)).items() == table.items()
+        assert table.restricted_to_coords(range(3)).items() == table.items()
 
     def test_single_coordinate(self):
-        kept = restrict_to_coords(self._table(), (1,))
+        kept = self._table().restricted_to_coords((1,))
         for s, _ in kept.items():
             assert set(s.support) <= {1}
         assert len(kept) == 4
