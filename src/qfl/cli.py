@@ -19,12 +19,8 @@ import sys
 from pathlib import Path
 
 from .compatibility import best_cover, cover_score
-from .harness import ConfigError, run_config
+from .harness import ConfigError, parse_seeds, run_config
 from .pauli import DegreeSet, PauliString
-
-
-def _parse_seed_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
 def load_degree_set_file(path) -> DegreeSet:
@@ -62,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    seeds = _parse_seed_list(args.seed_override) if args.seed_override else None
     try:
+        seeds = parse_seeds(args.seed_override) if args.seed_override else None
         csv_path, json_path = run_config(args.config, out_dir=args.out_dir, seed_override=seeds)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

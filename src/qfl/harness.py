@@ -86,6 +86,20 @@ def _parse_number(key: str, value: str, conv):
         raise ConfigError(f"{key} must be a number, got {value!r}") from exc
 
 
+def _checked_seeds(seeds) -> tuple[int, ...]:
+    seeds = tuple(seeds)
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds must be distinct, got {seeds}")
+    if any(s < 0 for s in seeds):
+        raise ConfigError(f"seeds must be nonnegative, got {seeds}")
+    return seeds
+
+
+def parse_seeds(value: str) -> tuple[int, ...]:
+    """Parse a comma list of seeds: distinct nonnegative integers."""
+    return _checked_seeds(_parse_list(value, int))
+
+
 def _parse_bool(value: str) -> bool:
     lowered = value.strip().lower()
     if lowered in ("true", "yes", "1"):
@@ -157,11 +171,7 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: one of 'k' or 'strings' is required")
         if algorithm == "junta" and k_values is None:
             raise ConfigError(f"{path}: the junta algorithm needs 'k'")
-        seeds = tuple(_parse_list(fields["seeds"], int))
-        if len(set(seeds)) != len(seeds):
-            raise ConfigError(f"{path}: seeds must be distinct")
-        if any(s < 0 for s in seeds):
-            raise ConfigError(f"{path}: seeds must be nonnegative")
+        seeds = parse_seeds(fields["seeds"])
         cover_strategy = fields.get("cover_strategy", "greedy").strip()
         if cover_strategy not in ("greedy", "exhaustive"):
             raise ConfigError(f"{path}: cover_strategy must be greedy or exhaustive")
@@ -359,9 +369,7 @@ def run_config(
     bytes because every run derives all randomness from its own seed.
     """
     config = ExperimentConfig.from_file(config_path)
-    seeds = tuple(seed_override) if seed_override else config.seeds
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seed override contains duplicates")
+    seeds = _checked_seeds(seed_override) if seed_override else config.seeds
     points = config.points()
     # Resolve each point once: its source, loaded once per file, with the eta
     # override, and its degree set (None for junta, whose learner builds it).

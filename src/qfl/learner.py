@@ -165,12 +165,19 @@ def empirical_loss(
 
 def best_coords(table: FourierTable, k: int) -> tuple[float, tuple[int, ...]]:
     """Largest maximally-mixed trace norm of ``table`` restricted to k
-    coordinates, and the lexicographically first subset attaining it."""
-    mm = maximally_mixed(table.d)
+    coordinates, and the lexicographically first subset attaining it.
+
+    The restriction to C acts as ``I (x) A_C``, and under the maximally mixed
+    state its trace norm is the mean |eigenvalue| of the 2^k x 2^k block
+    ``A_C``, so each subset costs one k-qubit spectrum, never a 2^d one.
+    """
+    if k == 0:
+        return abs(table.get(PauliString.identity(table.d))), ()
+    mm = maximally_mixed(k)
     best_norm = -1.0
     chosen: tuple[int, ...] = ()
     for coords in itertools.combinations(range(table.d), k):
-        norm = rho_norm(synthesize(table.restricted_to_coords(coords)), 1, mm)
+        norm = rho_norm(synthesize(table.block(coords)), 1, mm)
         if norm > best_norm:
             best_norm = norm
             chosen = coords

@@ -138,7 +138,8 @@ def rho_norm(a, q: int, rho) -> float:
     if q == 1:
         spec = hermitian_eig(a)
         v = spec.eigenvectors
-        weights = np.einsum("ij,jk,ki->i", v.conj().T, rho, v).real
+        # weights[i] = <v_i| rho |v_i>, through one matrix product
+        weights = (v.conj() * (rho @ v)).sum(axis=0).real
         return float(np.abs(spec.eigenvalues) @ weights)
     raise ValueError(f"q must be 1 or 2, got {q!r}")
 

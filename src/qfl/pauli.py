@@ -306,6 +306,27 @@ class FourierTable:
             {s: c for s, c in self.coefficients.items() if set(s.support) <= keep},
         )
 
+    def block(self, coords: Iterable[int]) -> "FourierTable":
+        """The entries supported inside ``coords``, re-indexed onto
+        ``len(coords)`` qubits: qubit j of the block is coordinate
+        ``coords[j]``.  ``synthesize(self.restricted_to_coords(coords))`` acts
+        as the block's operator on those coordinates and as the identity on
+        the rest."""
+        coords = tuple(coords)
+        keep = set(coords)
+        if not coords or len(keep) != len(coords) or not keep <= set(range(self.d)):
+            raise ValueError(f"need one or more distinct coordinates in [0, {self.d}), got {coords}")
+        # bits outside the coordinates, in the x_mask/z_mask layout
+        outside = ((1 << self.d) - 1) ^ sum(1 << (self.d - 1 - c) for c in coords)
+        return FourierTable(
+            len(coords),
+            {
+                PauliString(tuple(s.symbols[c] for c in coords)): v
+                for s, v in self.coefficients.items()
+                if not (s.x_mask | s.z_mask) & outside
+            },
+        )
+
     def to_text(self) -> str:
         lines = [f"d={self.d}"]
         lines.extend(f'"{s}" {c!r}' for s, c in self.items())

@@ -3,13 +3,15 @@
 Each oracle is the straightforward implementation a fast path replaced:
 sequential measurement with dense post-measurement collapse, left and right
 Pauli application on dense matrices, pairwise commutation, cover search that
-builds and canonicalizes a ``Cover`` per candidate, and integer batch
-allocation by a heap started from one sample per subset.
+builds and canonicalizes a ``Cover`` per candidate, integer batch
+allocation by a heap started from one sample per subset, and junta subset
+selection on dense 2^d operators.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -27,7 +29,15 @@ from qfl.compatibility import (
     is_clique,
     pauli_commute,
 )
-from qfl.pauli import DegreeSet, PauliString, pauli_expectation, phase_vector
+from qfl.operators import maximally_mixed, rho_norm
+from qfl.pauli import (
+    DegreeSet,
+    FourierTable,
+    PauliString,
+    pauli_expectation,
+    phase_vector,
+    synthesize,
+)
 from qfl.simulator import _checked_probability
 
 
@@ -208,3 +218,21 @@ def object_best_cover(nodes: DegreeSet, n: int, delta: float, strategy: str = "g
         if best is None or key < best[0]:
             best = (key, cover)
     return best[1]
+
+
+def dense_subset_norms(table: FourierTable, k: int) -> dict[tuple[int, ...], float]:
+    """Maximally-mixed trace norm of the dense 2^d restriction of ``table`` to
+    each k-coordinate subset, in lexicographic subset order."""
+    mm = maximally_mixed(table.d)
+    return {
+        coords: rho_norm(synthesize(table.restricted_to_coords(coords)), 1, mm)
+        for coords in itertools.combinations(range(table.d), k)
+    }
+
+
+def dense_best_coords(table: FourierTable, k: int) -> tuple[float, tuple[int, ...]]:
+    """Largest dense subset norm and the lexicographically first subset
+    attaining it."""
+    norms = dense_subset_norms(table, k)
+    chosen = max(norms, key=norms.get)
+    return norms[chosen], chosen

@@ -216,6 +216,13 @@ class TestCli:
         assert code == 2
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("seeds", ["abc", "-1", "1,x"])
+    def test_bad_seed_override_exits_2_without_output(self, tmp_path, seeds):
+        out_dir = tmp_path / "results"
+        args = ["run", str(CONFIGS / "bell.cfg"), "--out-dir", str(out_dir)]
+        assert main(args + [f"--seed-override={seeds}"]) == 2
+        assert not out_dir.exists()
+
     def test_runtime_failure_leaves_no_output(self, tmp_path, monkeypatch):
         config = write_parity_setup(tmp_path)
 

@@ -1,13 +1,16 @@
 """Estimation, predictor construction, learners, losses, and bound formulas."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qfl import learner
 from qfl.compatibility import BatchPlan, Cover, allocate_batches, best_cover
 from qfl.learner import (
     Predictor,
+    best_coords,
     build_predictor,
     chernoff_band,
     empirical_loss,
@@ -53,6 +56,7 @@ from conftest import (
     make_parity_source,
     random_hermitian,
 )
+from oracles import dense_best_coords, dense_subset_norms
 
 P = PauliString.from_digits
 
@@ -350,6 +354,73 @@ class TestOptK:
         value, coords = opt_k(source, 1)
         assert abs(value - want) <= 1e-10
         assert coords == (int(np.argmax(norms)),)
+
+
+class TestBestCoords:
+    """Selection on 2^k x 2^k blocks against the dense 2^d oracle."""
+
+    @staticmethod
+    def _tables(d):
+        rng = np.random.default_rng(60 + d)
+        strings = degree_set_upto(d, min(d, 3))
+        random_table = FourierTable(d, {s: float(rng.normal()) for s in strings})
+        source = make_noisy_source(sign_operator(random_hermitian(rng, 1 << d)), 0.1)
+        _, report = junta_learn(source, min(d, 2), 4000, 0.05, d)
+        return [random_table, report.estimates, source.exact_table(strings)]
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_block_matches_dense(self, d):
+        clear = 0
+        for table in self._tables(d):
+            for k in range(min(d, 3) + 1):
+                norm, coords = best_coords(table, k)
+                want_norm, want_coords = dense_best_coords(table, k)
+                assert abs(norm - want_norm) <= 1e-10
+                # Subsets within 1e-10 of the best tie up to rounding (at k=1 a
+                # dominant identity coefficient ties every qubit), and rounding
+                # picks among them on either path; a clear winner must agree.
+                dense = dense_subset_norms(table, k)
+                tied = [c for c, v in dense.items() if v >= want_norm - 1e-10]
+                assert coords == want_coords if len(tied) == 1 else coords in tied
+                clear += len(tied) == 1
+        assert clear >= 5
+
+    def test_symmetric_table_tie_goes_to_first_pair(self):
+        d = 4
+        coeffs = {PauliString.identity(d): 0.1}
+        for j in range(d):
+            coeffs[PauliString(tuple(3 if q == j else 0 for q in range(d)))] = 0.3
+        for pair in itertools.combinations(range(d), 2):
+            for sym, c in ((1, 0.2), (2, -0.25)):
+                coeffs[PauliString(tuple(sym if q in pair else 0 for q in range(d)))] = c
+        table = FourierTable(d, coeffs)
+        # every pair has the same block, so every pair ties exactly
+        norms = {rho_norm(synthesize(table.block(pair)), 1, maximally_mixed(2))
+                 for pair in itertools.combinations(range(d), 2)}
+        assert len(norms) == 1
+        assert best_coords(table, 2) == (norms.pop(), (0, 1))
+
+    def test_selection_never_leaves_2_to_the_k(self, monkeypatch):
+        shapes = {"rho_norm": [], "synthesize": []}
+        real_norm, real_synthesize = learner.rho_norm, learner.synthesize
+
+        def norm(a, q, rho):
+            shapes["rho_norm"].append((a.shape, rho.shape))
+            return real_norm(a, q, rho)
+
+        def synthesize_(table):
+            out = real_synthesize(table)
+            shapes["synthesize"].append(out.shape)
+            return out
+
+        monkeypatch.setattr(learner, "rho_norm", norm)
+        monkeypatch.setattr(learner, "synthesize", synthesize_)
+        _, report = junta_learn(make_parity_source(6, (1, 4)), 2, 20_000, 0.05, 1)
+        assert report.chosen_coords == report.extra["opt_coords"] == (1, 4)
+        pairs = 15
+        # selection and opt_k: one 4x4 block per pair; the two predictors stay dense
+        assert shapes["rho_norm"] == [((4, 4), (4, 4))] * (2 * pairs)
+        assert sorted(shapes["synthesize"]) == [(4, 4)] * (2 * pairs) + [(64, 64)] * 2
 
 
 class TestQldLearn:

@@ -135,6 +135,16 @@ class TestRhoNorm:
             assert abs(rho_norm(a, 2, rho) - oracle_2) <= 1e-10
             assert rho_norm(a, 1, rho) <= rho_norm(a, 2, rho) + 1e-10
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_q1_weights_match_einsum_formula(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(3):
+            a = random_hermitian(rng, 1 << d)
+            rho = random_density(rng, 1 << d)
+            w, v = np.linalg.eigh(a)
+            weights = np.einsum("ij,jk,ki->i", v.conj().T, rho, v).real
+            assert abs(rho_norm(a, 1, rho) - float(np.abs(w) @ weights)) <= 1e-12
+
     def test_appendix_suite(self):
         # 50 random pairs: expansion identity, Cauchy-Schwarz, triangle, 1<=2
         rng = np.random.default_rng(7)

@@ -262,6 +262,23 @@ class TestRestriction:
             assert set(s.support) <= {1}
         assert len(kept) == 4
 
+    @pytest.mark.parametrize("coords", [(1,), (0, 2), (2, 0), (0, 1, 2)])
+    def test_block_is_the_restriction_on_its_coordinates(self, coords):
+        table = self._table()
+        block = table.block(coords)
+        assert block.d == len(coords)
+        # move the block's coordinates first; the restriction is then block (x) I
+        order = list(coords) + [q for q in range(3) if q not in coords]
+        dense = synthesize(table.restricted_to_coords(coords)).reshape([2] * 6)
+        moved = dense.transpose(order + [3 + q for q in order]).reshape(8, 8)
+        want = np.kron(synthesize(block), np.eye(1 << (3 - len(coords))))
+        assert np.abs(moved - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("coords", [(), (1, 1), (3,), (-1,)])
+    def test_block_rejects_bad_coords(self, coords):
+        with pytest.raises(ValueError, match="coordinates"):
+            self._table().block(coords)
+
 
 class TestClassicalEmbedding:
     def test_constant_zero(self):
