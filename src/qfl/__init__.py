@@ -28,7 +28,6 @@ from .pauli import (
     DegreeSet,
     FourierTable,
     PauliString,
-    apply_pauli,
     classical_embedding,
     degree_set_classical_upto,
     degree_set_upto,
@@ -59,7 +58,6 @@ from .simulator import (
     make_custom_source,
     make_noisy_source,
     make_realizable_source,
-    measure,
     measure_batch_groups,
 )
 from .learner import (

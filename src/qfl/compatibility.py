@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .pauli import DegreeSet, PauliString, _parity
+from .pauli import DegreeSet, PauliString, _parity, pauli_masks
 
 EXHAUSTIVE_MAX_SIZE = 12
 GREEDY_RESTARTS = 32
@@ -45,8 +45,7 @@ def pauli_commute(s: PauliString, t: PauliString) -> bool:
 def commutation_matrix(strings: Sequence[PauliString]) -> np.ndarray:
     """Boolean matrix of pairwise commutation, from the symplectic rule applied
     to all pairs of masks at once."""
-    x = np.array([s.x_mask for s in strings], dtype=np.int64)
-    z = np.array([s.z_mask for s in strings], dtype=np.int64)
+    x, z, _ = pauli_masks(strings)
     return _parity(x[:, None] & z[None, :]) == _parity(z[:, None] & x[None, :])
 
 

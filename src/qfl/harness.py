@@ -412,16 +412,10 @@ def run_config(
         row["point"] = pi
         return task, row, wall
 
-    if threads == 1:
-        outcomes = map(work, tasks)
-        for task, row, wall in outcomes:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for task, row, wall in pool.map(work, tasks):
             rows[task] = row
             timings[task] = wall
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for task, row, wall in pool.map(work, tasks):
-                rows[task] = row
-                timings[task] = wall
 
     target = (Path(out_dir) if out_dir is not None else config.base_dir) / config.out
     target.mkdir(parents=True, exist_ok=True)

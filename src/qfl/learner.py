@@ -46,6 +46,8 @@ from .simulator import (
 )
 
 LOSS_CLAMP_SLACK = 1e-9
+# Subset norms within this relative distance of the largest count as tied.
+COORD_TIE_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +167,8 @@ def empirical_loss(
 
 def best_coords(table: FourierTable, k: int) -> tuple[float, tuple[int, ...]]:
     """Largest maximally-mixed trace norm of ``table`` restricted to k
-    coordinates, and the lexicographically first subset attaining it.
+    coordinates, and the lexicographically first subset attaining it up to a
+    relative ``COORD_TIE_RTOL``.
 
     The restriction to C acts as ``I (x) A_C``, and under the maximally mixed
     state its trace norm is the mean |eigenvalue| of the 2^k x 2^k block
@@ -174,14 +177,12 @@ def best_coords(table: FourierTable, k: int) -> tuple[float, tuple[int, ...]]:
     if k == 0:
         return abs(table.get(PauliString.identity(table.d))), ()
     mm = maximally_mixed(k)
-    best_norm = -1.0
-    chosen: tuple[int, ...] = ()
-    for coords in itertools.combinations(range(table.d), k):
-        norm = rho_norm(synthesize(table.block(coords)), 1, mm)
-        if norm > best_norm:
-            best_norm = norm
-            chosen = coords
-    return best_norm, chosen
+    subsets = list(itertools.combinations(range(table.d), k))
+    norms = [rho_norm(synthesize(table.block(coords)), 1, mm) for coords in subsets]
+    # norms that agree to rounding are ties, and ties go to the first subset
+    floor = max(norms) * (1.0 - COORD_TIE_RTOL)
+    first = next(i for i, norm in enumerate(norms) if norm >= floor)
+    return norms[first], subsets[first]
 
 
 def opt_k(source: SampleSource, k: int) -> tuple[float, tuple[int, ...]]:

@@ -11,7 +11,7 @@ Conventions
 * All functions are pure; inputs are never mutated.
 * Matrix side lengths are capped at ``2**MAX_QUBITS`` so that accidental
   large allocations fail fast instead of thrashing.
-* Tolerances below are defaults and can be overridden per call.
+* The tolerances below are fixed for the whole package.
 """
 
 from __future__ import annotations
@@ -51,11 +51,11 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.abs(a - a.conj().T).max())
 
 
-def require_hermitian(a, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(a) -> np.ndarray:
     a = as_operator(a)
     defect = hermiticity_defect(a)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian: max deviation {defect:.3e} > {tol:.1e}")
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian: max deviation {defect:.3e} > {HERMITICITY_TOL:.1e}")
     return a
 
 
@@ -77,13 +77,13 @@ class Spectrum:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def hermitian_eig(h, *, herm_tol: float = HERMITICITY_TOL) -> Spectrum:
+def hermitian_eig(h) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix with descending eigenvalues.
 
     Raises RuntimeError if the underlying solver fails to converge; the error
     message carries the hermiticity defect of the input as a diagnostic.
     """
-    h = require_hermitian(h, herm_tol)
+    h = require_hermitian(h)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -95,18 +95,16 @@ def hermitian_eig(h, *, herm_tol: float = HERMITICITY_TOL) -> Spectrum:
     return Spectrum(eigenvalues=w[order].copy(), eigenvectors=v[:, order].copy())
 
 
-def sign_operator(h, zero_tol: float = SIGN_ZERO_TOL) -> np.ndarray:
+def sign_operator(h) -> np.ndarray:
     """Spectral sign of a Hermitian operator.
 
-    Eigenvalues above ``zero_tol`` map to +1, below ``-zero_tol`` to -1, and
-    anything in between maps to +1.  The tie-break keeps the result a valid
-    +-1 operator (it squares to the identity), so ``(I +- sign(h))/2`` is
-    always a projective two-outcome POVM.
+    Eigenvalues above ``SIGN_ZERO_TOL`` map to +1, below ``-SIGN_ZERO_TOL``
+    to -1, and anything in between maps to +1.  The tie-break keeps the
+    result a valid +-1 operator (it squares to the identity), so
+    ``(I +- sign(h))/2`` is always a projective two-outcome POVM.
     """
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be >= 0")
     spec = hermitian_eig(h)
-    signs = np.where(spec.eigenvalues < -zero_tol, -1.0, 1.0)
+    signs = np.where(spec.eigenvalues < -SIGN_ZERO_TOL, -1.0, 1.0)
     v = spec.eigenvectors
     out = (v * signs) @ v.conj().T
     return (out + out.conj().T) / 2.0
@@ -178,35 +176,23 @@ class Violation:
         return f"{self.invariant} (residual {self.residual:.3e})"
 
 
-def validate_density(
-    rho,
-    *,
-    herm_tol: float = HERMITICITY_TOL,
-    eig_floor: float = EIGENVALUE_FLOOR,
-    trace_tol: float = DENSITY_TRACE_TOL,
-) -> list[Violation]:
+def validate_density(rho) -> list[Violation]:
     """Check Hermiticity, nonnegativity, and unit trace; empty list means valid."""
     rho = as_operator(rho)
     violations = []
     defect = hermiticity_defect(rho)
-    if defect > herm_tol:
+    if defect > HERMITICITY_TOL:
         violations.append(Violation("hermiticity", defect))
     trace_dev = abs(np.trace(rho) - 1.0)
-    if trace_dev > trace_tol:
+    if trace_dev > DENSITY_TRACE_TOL:
         violations.append(Violation("unit-trace", float(trace_dev)))
     lo = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2.0).min())
-    if lo < eig_floor:
+    if lo < EIGENVALUE_FLOOR:
         violations.append(Violation("nonnegativity", -lo))
     return violations
 
 
-def validate_povm(
-    effects,
-    *,
-    herm_tol: float = HERMITICITY_TOL,
-    eig_floor: float = EIGENVALUE_FLOOR,
-    resolution_tol: float = POVM_RESOLUTION_TOL,
-) -> list[Violation]:
+def validate_povm(effects) -> list[Violation]:
     """Check that the effects are nonnegative Hermitian and sum to the identity."""
     mats = [as_operator(e) for e in effects]
     if not mats:
@@ -219,13 +205,13 @@ def validate_povm(
             violations.append(Violation(f"effect-{i}-dimension", float(m.shape[0] - dim)))
             continue
         defect = hermiticity_defect(m)
-        if defect > herm_tol:
+        if defect > HERMITICITY_TOL:
             violations.append(Violation(f"effect-{i}-hermiticity", defect))
         lo = float(np.linalg.eigvalsh((m + m.conj().T) / 2.0).min())
-        if lo < eig_floor:
+        if lo < EIGENVALUE_FLOOR:
             violations.append(Violation(f"effect-{i}-nonnegativity", -lo))
         total += m
     resolution = float(np.abs(total - np.eye(dim)).max())
-    if resolution > resolution_tol:
+    if resolution > POVM_RESOLUTION_TOL:
         violations.append(Violation("resolution-of-identity", resolution))
     return violations

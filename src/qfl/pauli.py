@@ -1,10 +1,12 @@
 """Pauli strings and the Pauli-basis Fourier expansion of Hermitian operators.
 
 A Pauli string is a word over ``{0, 1, 2, 3}`` (identity, X, Y, Z) of length
-``d``.  The associated tensor-product operator acts as a signed permutation of
-the computational basis, which this module exploits so that applying a string,
-taking a trace against one, or extracting a single expansion coefficient all
-cost O(2^d) instead of a dense matrix product.
+``d``.  The associated tensor-product operator acts as a phased permutation of
+the computational basis given by its symplectic masks (:func:`pauli_masks`),
+``sigma^s |j> = i^{n_Y} (-1)^{parity(j & z)} |j ^ x>``.  Every use of that
+action in the package goes through this module: traces against many strings
+(:func:`pauli_traces`, hence expansion coefficients) and dense synthesis cost
+O(2^d) per string instead of a dense matrix product.
 
 Bit convention: qubit ``j`` (0-based, leftmost symbol) is the most significant
 bit of a basis index, matching the ``numpy.kron`` composition order used by
@@ -25,13 +27,10 @@ import numpy as np
 from .operators import MAX_QUBITS
 
 COEFFICIENT_IMAG_TOL = 1e-8
+# Most entries gathered at once by pauli_traces and synthesize.
+TRACE_BLOCK = 1 << 18
 
-_SINGLE_QUBIT = {
-    0: np.eye(2, dtype=np.complex128),
-    1: np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    2: np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    3: np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
+_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True, order=True)
@@ -112,65 +111,42 @@ def _parity(v: np.ndarray) -> np.ndarray:
     return v & 1
 
 
-def phase_vector(s: PauliString) -> np.ndarray:
-    """Per-basis-state phase of the string's action, as a complex vector."""
-    n = 1 << s.d
-    idx = np.arange(n)
-    signs = 1.0 - 2.0 * _parity(idx & s.z_mask)
-    return (1j**s.y_count) * signs
+def pauli_masks(strings: Iterable[PauliString]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """int64 arrays ``x``, ``z`` and ``k = n_Y mod 4`` of the strings, so that
+    string t acts as ``|j> -> i^{k_t} (-1)^{parity(j & z_t)} |j ^ x_t>``."""
+    strings = list(strings)
+    x = np.array([s.x_mask for s in strings], dtype=np.int64)
+    z = np.array([s.z_mask for s in strings], dtype=np.int64)
+    k = np.array([s.y_count % 4 for s in strings], dtype=np.int64)
+    return x, z, k
 
 
-def _check_dim(s: PauliString):
-    if s.d > MAX_QUBITS:
-        raise ValueError(f"dense operations are capped at {MAX_QUBITS} qubits; got d={s.d}")
+def pauli_traces(m: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Complex ``tr(P_t m)`` for every string t given by its masks, one O(2^d)
+    gather each, taken in blocks of at most ``TRACE_BLOCK`` entries to bound
+    memory."""
+    n = m.shape[0]
+    j = np.arange(n)
+    odd = _parity(j).astype(bool)
+    flat = m.ravel()
+    out = np.empty(len(x), dtype=np.complex128)
+    rows = max(1, TRACE_BLOCK // n)
+    for lo in range(0, len(x), rows):
+        block = slice(lo, lo + rows)
+        vals = flat[j * n + (j ^ x[block, None])]
+        sums = np.where(odd[j & z[block, None]], -vals, vals).sum(axis=1)
+        out[block] = _I_POWERS[k[block]] * sums
+    return out
 
 
 def pauli_matrix(s: PauliString) -> np.ndarray:
     """Dense ``2^d x 2^d`` matrix of the string's operator."""
-    _check_dim(s)
-    n = 1 << s.d
-    idx = np.arange(n)
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[idx ^ s.x_mask, idx] = phase_vector(s)
-    return m
+    return synthesize(FourierTable(s.d, {s: 1.0}))
 
 
-def apply_pauli(s: PauliString, v) -> np.ndarray:
-    """Apply the string's operator to a state vector in O(2^d)."""
-    v = np.asarray(v, dtype=np.complex128)
-    n = 1 << s.d
-    if v.shape != (n,):
-        raise ValueError(f"vector length {v.shape} does not match 2^{s.d}")
-    ph = phase_vector(s)
-    idx = np.arange(n)
-    return (ph * v)[idx ^ s.x_mask]
-
-
-def pauli_expectation(s: PauliString, m: np.ndarray) -> np.ndarray:
-    """``tr(sigma^s m)`` in O(2^d); works on stacks, returning one trace each."""
-    n = 1 << s.d
-    idx = np.arange(n)
-    ph = phase_vector(s)
-    return (m[..., idx, idx ^ s.x_mask] * ph).sum(axis=-1)
-
-
-def fourier_coefficient(a: np.ndarray, s: PauliString, *, imag_tol: float = COEFFICIENT_IMAG_TOL) -> float:
-    """Expansion coefficient ``tr(a sigma^s) / 2^d`` of ``a`` at string ``s``.
-
-    The coefficient of a Hermitian operator is real; a normalized imaginary
-    residue above ``imag_tol`` signals a non-Hermitian input and raises.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    n = 1 << s.d
-    if a.shape != (n, n):
-        raise ValueError(f"operator shape {a.shape} does not match d={s.d}")
-    val = pauli_expectation(s, a) / n
-    if abs(val.imag) > imag_tol:
-        raise ValueError(
-            f"coefficient at {s} has imaginary residue {val.imag:.3e} > {imag_tol:.1e}; "
-            "input is not Hermitian"
-        )
-    return float(val.real)
+def fourier_coefficient(a: np.ndarray, s: PauliString) -> float:
+    """Expansion coefficient ``tr(a sigma^s) / 2^d`` of ``a`` at string ``s``."""
+    return fourier_transform(a, (s,))[s]
 
 
 @dataclass(frozen=True)
@@ -354,24 +330,51 @@ class FourierTable:
 
 
 def fourier_transform(a: np.ndarray, strings: Iterable[PauliString], *, d: int | None = None) -> FourierTable:
-    """Extract the expansion coefficients of ``a`` at the given strings."""
+    """Expansion coefficients ``tr(a sigma^s) / 2^d`` of ``a`` at the given strings.
+
+    The coefficients of a Hermitian operator are real; a normalized imaginary
+    residue above ``COEFFICIENT_IMAG_TOL`` signals a non-Hermitian input and
+    raises, naming the first such string.
+    """
     strings = list(strings)
     if d is None:
         if not strings:
             raise ValueError("cannot infer d from an empty string collection")
         d = strings[0].d
-    return FourierTable(d, {s: fourier_coefficient(a, s) for s in strings})
+    a = np.asarray(a, dtype=np.complex128)
+    n = 1 << d
+    if a.shape != (n, n) or any(s.d != d for s in strings):
+        raise ValueError(f"operator shape {a.shape} does not match the strings' d={d}")
+    vals = pauli_traces(a, *pauli_masks(strings)) / n
+    bad = np.flatnonzero(np.abs(vals.imag) > COEFFICIENT_IMAG_TOL)
+    if bad.size:
+        raise ValueError(
+            f"coefficient at {strings[bad[0]]} has imaginary residue {vals.imag[bad[0]]:.3e} > "
+            f"{COEFFICIENT_IMAG_TOL:.1e}; input is not Hermitian"
+        )
+    return FourierTable(d, dict(zip(strings, vals.real.tolist())))
 
 
 def synthesize(table: FourierTable) -> np.ndarray:
-    """Dense operator ``sum_s c_s sigma^s`` from a coefficient table."""
+    """Dense operator ``sum_s c_s sigma^s`` from a coefficient table.
+
+    Strings are added one at a time in sorted order, so every entry is the
+    same floating-point sum whatever the block size.
+    """
     n = 1 << table.d
     if table.d > MAX_QUBITS:
         raise ValueError(f"dense synthesis capped at {MAX_QUBITS} qubits")
+    items = table.items()
+    x, z, k = pauli_masks(s for s, _ in items)
+    c = np.array([v for _, v in items], dtype=np.float64)
     idx = np.arange(n)
     out = np.zeros((n, n), dtype=np.complex128)
-    for s, c in table.items():
-        out[idx ^ s.x_mask, idx] += c * phase_vector(s)
+    rows = max(1, TRACE_BLOCK // n)
+    for lo in range(0, len(x), rows):
+        block = slice(lo, lo + rows)
+        phases = c[block, None] * (_I_POWERS[k[block], None] * (1.0 - 2.0 * _parity(idx & z[block, None])))
+        for xt, row in zip(x[block], phases):
+            out[idx ^ xt, idx] += row
     return out
 
 

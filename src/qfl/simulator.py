@@ -18,8 +18,7 @@ of the ``2^r`` expectations of generator products, each one O(2^d) gather
 over the state, so no ``2^m`` joint effects and no collapsed states are ever
 formed.  :func:`measure_batch_groups` computes that law once per distinct
 state and draws every sample's outcomes from its conditionals with the rule of
-sequential measurement with collapse; :func:`measure` is the dense
-single-state oracle.
+sequential measurement with collapse.
 
 Randomness: one master seed, with independent Philox substreams derived
 through `numpy.random.SeedSequence` spawn keys.  Identical seeds give
@@ -36,6 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .operators import (
+    MAX_QUBITS,
     as_operator,
     maximally_mixed,
     require_hermitian,
@@ -47,9 +47,11 @@ from .pauli import (
     PauliString,
     classical_embedding,
     fourier_coefficient,
+    fourier_transform,
     _parity,
     parse_truth_table,
     pauli_matrix,
+    pauli_traces,
     synthesize,
 )
 from .compatibility import is_clique
@@ -66,10 +68,6 @@ SIGN_OPERATOR_TOL = 1e-8
 MARGINAL_TOL = 1e-8
 PROB_CLAMP_WINDOW = 1e-9
 PROB_HARD_FLOOR = -1e-6
-# Most entries gathered at once when computing a batch's joint law.
-LAW_BLOCK = 1 << 18
-
-_I_POWERS = np.array([1, 1j, -1, -1j])
 
 
 @dataclass(frozen=True)
@@ -164,7 +162,7 @@ class SampleSource:
         key = tuple(strings)
         table = self._exact_tables.get(key)
         if table is None:
-            table = FourierTable(self.d, {s: self.exact_coefficient(s) for s in key})
+            table = fourier_transform(self.labeling_xop, key, d=self.d)
             self._exact_tables[key] = table
         return table
 
@@ -181,7 +179,7 @@ def _mixture_is_maximally_mixed(p0: float, rho0: np.ndarray, rho1: np.ndarray, d
     return bool(np.abs(mix - maximally_mixed(d)).max() <= MARGINAL_TOL)
 
 
-def make_realizable_source(f_op, *, tol: float = SIGN_OPERATOR_TOL) -> SampleSource:
+def make_realizable_source(f_op) -> SampleSource:
     """Source whose label is a deterministic function of a +-1 operator's eigenspace.
 
     The conditional states are the normalized eigenprojections (label 1 on the
@@ -195,9 +193,9 @@ def make_realizable_source(f_op, *, tol: float = SIGN_OPERATOR_TOL) -> SampleSou
     if 1 << d != n:
         raise ValueError(f"operator dimension {n} is not a power of two")
     defect = float(np.abs(f_op @ f_op - np.eye(n)).max())
-    if defect > tol:
+    if defect > SIGN_OPERATOR_TOL:
         raise ValueError(
-            f"not a +-1 operator: max |F^2 - I| = {defect:.3e} > {tol:.1e}"
+            f"not a +-1 operator: max |F^2 - I| = {defect:.3e} > {SIGN_OPERATOR_TOL:.1e}"
         )
     w, v = np.linalg.eigh(f_op)
     plus = v[:, w > 0]
@@ -218,7 +216,7 @@ def make_realizable_source(f_op, *, tol: float = SIGN_OPERATOR_TOL) -> SampleSou
     )
 
 
-def make_noisy_source(f_op, eta: float, *, tol: float = SIGN_OPERATOR_TOL) -> SampleSource:
+def make_noisy_source(f_op, eta: float) -> SampleSource:
     """Realizable source with labels flipped after the draw at rate ``eta``.
 
     Every exact coefficient shrinks by ``1 - 2 eta`` and the optimal loss over
@@ -226,7 +224,7 @@ def make_noisy_source(f_op, eta: float, *, tol: float = SIGN_OPERATOR_TOL) -> Sa
     """
     if not 0.0 <= eta < 0.5:
         raise ValueError(f"eta must lie in [0, 0.5), got {eta}")
-    return make_realizable_source(f_op, tol=tol).with_flip_rate(eta)
+    return make_realizable_source(f_op).with_flip_rate(eta)
 
 
 def make_classical_source(truth_table) -> SampleSource:
@@ -323,44 +321,15 @@ def _checked_probability(p):
     return np.clip(p, 0.0, 1.0)
 
 
-def measure(
-    state, effects: Sequence[np.ndarray], rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Sample one outcome of a projective POVM and return the collapsed state.
-
-    The outcome is the effect index; probabilities observed outside
-    ``[-1e-9, 1 + 1e-9]`` are clamped, and anything below the hard floor is an
-    error rather than a sample.
-    """
-    state = as_operator(state)
-    probs = [
-        _checked_probability(float(np.einsum("ij,ji->", e, state).real))
-        for e in effects
-    ]
-    u = rng.random()
-    acc = 0.0
-    outcome = len(effects) - 1
-    for v, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            outcome = v
-            break
-    eff = effects[outcome]
-    post = eff @ state @ eff
-    tr = float(np.trace(post).real)
-    if tr <= 0.0:
-        raise ValueError("post-measurement state has nonpositive trace")
-    return outcome, post / tr
-
-
-def _reduce_batch(batch: DegreeSet) -> tuple[list[PauliString], list[tuple[int, int, int]]]:
+def _reduce_batch(batch: DegreeSet) -> tuple[list[PauliString], list[tuple[int, int, int]], tuple]:
     """GF(2) reduction of the batch's symplectic vectors ``(x|z)``, in batch order.
 
-    Returns the generators (the strings independent of all earlier ones) and,
-    per string, ``(g, combo, sign)``: a generator has its index ``g``; any
-    other string has ``g = -1`` and equals ``sign`` (+-1) times the product of
-    the generators in the bitmask ``combo``.  The identity string is such a
-    string with ``combo = 0``.
+    Returns the generators (the strings independent of all earlier ones),
+    per string ``(g, combo, sign)``, and the :func:`_product_masks` of the
+    generators.  A generator has its index ``g``; any other string has
+    ``g = -1`` and equals ``sign`` (+-1) times the product of the generators
+    in the bitmask ``combo``.  The identity string is such a string with
+    ``combo = 0``.
     """
     d = batch.d
     basis: dict[int, tuple[int, int]] = {}  # pivot bit -> (vector, generator bitmask)
@@ -381,11 +350,11 @@ def _reduce_batch(batch: DegreeSet) -> tuple[list[PauliString], list[tuple[int, 
             columns.append((-1, combo))
     # sigma^s = sign * P_combo: both send |0> to a power of i times |x>, and
     # for commuting strings the exponents differ by 0 (sign +1) or 2 (sign -1)
-    k = _product_masks(generators)[2]
+    masks = _product_masks(generators)
     return generators, [
-        (g, combo, 1 - (s.y_count - int(k[combo])) % 4 if g < 0 else 1)
+        (g, combo, 1 - (s.y_count - int(masks[2][combo])) % 4 if g < 0 else 1)
         for s, (g, combo) in zip(batch, columns)
-    ]
+    ], masks
 
 
 def _product_masks(generators: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -406,25 +375,10 @@ def _product_masks(generators: Sequence[PauliString]) -> tuple[np.ndarray, np.nd
     return x, z, k % 4
 
 
-def _expectations(state: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """``tr(state P_T)`` for every product ``P_T``, one O(2^d) gather each,
-    taken in blocks of at most ``LAW_BLOCK`` entries to bound memory."""
-    n = state.shape[0]
-    j = np.arange(n)
-    odd = _parity(j).astype(bool)
-    flat = state.ravel()
-    out = np.empty(len(x))
-    rows = max(1, LAW_BLOCK // n)
-    for lo in range(0, len(x), rows):
-        block = slice(lo, lo + rows)
-        vals = flat[j * n + (j ^ x[block, None])]
-        sums = np.where(odd[j & z[block, None]], -vals, vals).sum(axis=1)
-        out[block] = (_I_POWERS[k[block]] * sums).real
-    return out
-
-
-def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """In-place butterfly transform ``a[b] <- sum_T (-1)^{|b & T|} a[T]``."""
+def _law(state: np.ndarray, masks: tuple) -> np.ndarray:
+    """``2^-r sum_T (-1)^{|b & T|} tr(state P_T)`` for every b, from the
+    generator-product masks, by an in-place Walsh-Hadamard butterfly."""
+    a = pauli_traces(state, *masks).real.copy()
     h = 1
     while h < len(a):
         v = a.reshape(-1, 2, h)
@@ -432,6 +386,7 @@ def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
         v[:, 0] += v[:, 1]
         np.subtract(top, v[:, 1], out=v[:, 1])
         h *= 2
+    a /= len(a)
     return a
 
 
@@ -442,10 +397,7 @@ def joint_law(state, generators: Sequence[PauliString]) -> np.ndarray:
     ``(-1)^{bit g of b}``, namely ``2^-r sum_T (-1)^{|b & T|} tr(state P_T)``
     over the ``2^r`` generator products ``P_T``.
     """
-    state = np.asarray(state, dtype=np.complex128)
-    law = _walsh_hadamard(_expectations(state, *_product_masks(generators)))
-    law /= len(law)
-    return law
+    return _law(np.asarray(state, dtype=np.complex128), _product_masks(generators))
 
 
 def _prefix_tree(law: np.ndarray) -> np.ndarray:
@@ -487,7 +439,7 @@ def measure_batch_groups(
     n_total, m = uniforms.shape
     if m != len(batch):
         raise ValueError("uniforms must have one column per batch string")
-    generators, columns = _reduce_batch(batch)
+    generators, columns, masks = _reduce_batch(batch)
 
     # one prefix tree per distinct state object, laid end to end
     tree_index: dict[int, int] = {}
@@ -495,7 +447,7 @@ def measure_batch_groups(
     for state, _, _ in groups:
         if id(state) not in tree_index:
             tree_index[id(state)] = len(trees)
-            trees.append(_prefix_tree(joint_law(state, generators)))
+            trees.append(_prefix_tree(_law(state, masks)))
     trees = np.concatenate(trees)
 
     index_sets = [np.asarray(idx, dtype=np.intp) for _, _, idx in groups]
@@ -585,6 +537,8 @@ def load_source(path) -> SampleSource:
         d = int(fields["d"])
     except KeyError as exc:
         raise ValueError(f"{path}: missing required field {exc}") from exc
+    if not 1 <= d <= MAX_QUBITS:
+        raise ValueError(f"{path}: d={d} is outside [1, {MAX_QUBITS}]")
     base = path.parent
     if kind in ("realizable", "noisy"):
         table = FourierTable.load(base / fields["ftab"])

@@ -1,11 +1,13 @@
 """Dense oracles that fast paths in ``qfl`` are tested against.
 
 Each oracle is the straightforward implementation a fast path replaced:
-sequential measurement with dense post-measurement collapse, left and right
-Pauli application on dense matrices, pairwise commutation, cover search that
-builds and canonicalizes a ``Cover`` per candidate, integer batch
-allocation by a heap started from one sample per subset, and junta subset
-selection on dense 2^d operators.
+per-string Pauli phases, matrices, traces, coefficients and synthesis, Pauli
+matrices as Kronecker products of single-qubit ones, dense single-state
+measurement, sequential measurement with dense post-measurement collapse,
+left and right Pauli application on dense matrices, pairwise commutation,
+cover search that builds and canonicalizes a ``Cover`` per candidate, integer
+batch allocation by a heap started from one sample per subset, and junta
+subset selection on dense 2^d operators.
 """
 
 from __future__ import annotations
@@ -29,16 +31,94 @@ from qfl.compatibility import (
     is_clique,
     pauli_commute,
 )
-from qfl.operators import maximally_mixed, rho_norm
+from qfl.operators import as_operator, maximally_mixed, rho_norm
 from qfl.pauli import (
     DegreeSet,
     FourierTable,
     PauliString,
-    pauli_expectation,
-    phase_vector,
+    _parity,
     synthesize,
 )
 from qfl.simulator import _checked_probability
+
+SINGLE_QUBIT = {
+    0: np.eye(2, dtype=np.complex128),
+    1: np.array([[0, 1], [1, 0]], dtype=np.complex128),
+    2: np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
+    3: np.array([[1, 0], [0, -1]], dtype=np.complex128),
+}
+
+
+def kron_pauli(s: PauliString) -> np.ndarray:
+    """The string's matrix as the Kronecker product of its symbols' matrices."""
+    out = np.eye(1, dtype=np.complex128)
+    for sym in s.symbols:
+        out = np.kron(out, SINGLE_QUBIT[sym])
+    return out
+
+
+def phase_vector(s: PauliString) -> np.ndarray:
+    """Per-basis-state phase of the string's action, as a complex vector."""
+    idx = np.arange(1 << s.d)
+    signs = 1.0 - 2.0 * _parity(idx & s.z_mask)
+    return (1j**s.y_count) * signs
+
+
+def string_matrix(s: PauliString) -> np.ndarray:
+    """Dense matrix of one string, written from its phase vector."""
+    n = 1 << s.d
+    idx = np.arange(n)
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[idx ^ s.x_mask, idx] = phase_vector(s)
+    return m
+
+
+def pauli_expectation(s: PauliString, m: np.ndarray) -> np.ndarray:
+    """``tr(sigma^s m)`` in O(2^d); works on stacks, returning one trace each."""
+    idx = np.arange(1 << s.d)
+    return (m[..., idx, idx ^ s.x_mask] * phase_vector(s)).sum(axis=-1)
+
+
+def string_coefficients(a: np.ndarray, strings: Sequence[PauliString]) -> dict[PauliString, float]:
+    """Expansion coefficients ``tr(a sigma^s) / 2^d``, one trace per string."""
+    return {s: float((pauli_expectation(s, a) / (1 << s.d)).real) for s in strings}
+
+
+def string_synthesize(table: FourierTable) -> np.ndarray:
+    """``sum_s c_s sigma^s``, adding one string's phase vector at a time."""
+    n = 1 << table.d
+    idx = np.arange(n)
+    out = np.zeros((n, n), dtype=np.complex128)
+    for s, c in table.items():
+        out[idx ^ s.x_mask, idx] += c * phase_vector(s)
+    return out
+
+
+def measure(state, effects: Sequence[np.ndarray], rng: np.random.Generator) -> tuple[int, np.ndarray]:
+    """Sample one outcome of a projective POVM and return the collapsed state.
+
+    The outcome is the effect index; probabilities are clamped into [0, 1],
+    and anything below the hard floor is an error rather than a sample.
+    """
+    state = as_operator(state)
+    probs = [
+        _checked_probability(float(np.einsum("ij,ji->", e, state).real))
+        for e in effects
+    ]
+    u = rng.random()
+    acc = 0.0
+    outcome = len(effects) - 1
+    for v, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            outcome = v
+            break
+    eff = effects[outcome]
+    post = eff @ state @ eff
+    tr = float(np.trace(post).real)
+    if tr <= 0.0:
+        raise ValueError("post-measurement state has nonpositive trace")
+    return outcome, post / tr
 
 
 def pauli_apply_left(s: PauliString, m: np.ndarray) -> np.ndarray:

@@ -54,23 +54,10 @@ from qfl.simulator import (
 )
 
 from conftest import make_bell_source, make_parity_source, random_hermitian, random_string
+from oracles import kron_pauli
 
 P = PauliString.from_digits
 REPO = Path(__file__).resolve().parents[1]
-
-SIGMA = {
-    0: np.eye(2, dtype=complex),
-    1: np.array([[0, 1], [1, 0]], dtype=complex),
-    2: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    3: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def kron_oracle(s: PauliString) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for sym in s.symbols:
-        out = np.kron(out, SIGMA[sym])
-    return out
 
 
 def report(num: int, name: str, ok: bool, detail: str = ""):
@@ -119,7 +106,7 @@ def test_criterion_02_fourier_correctness():
 def test_criterion_03_commutation_oracle_equivalence():
     disagreements = 0
     strings3 = list(full_degree_set(3))
-    dense3 = {s: kron_oracle(s) for s in strings3}
+    dense3 = {s: kron_pauli(s) for s in strings3}
     for s in strings3:
         for t in strings3:
             a, b = dense3[s], dense3[t]
@@ -128,7 +115,7 @@ def test_criterion_03_commutation_oracle_equivalence():
     rng = np.random.default_rng(88)
     for _ in range(500):
         s, t = random_string(rng, 8), random_string(rng, 8)
-        a, b = kron_oracle(s), kron_oracle(t)
+        a, b = kron_pauli(s), kron_pauli(t)
         dense = bool(np.abs(a @ b - b @ a).max() <= 1e-12)
         disagreements += int(dense != pauli_commute(s, t))
     report(3, "symplectic rule equals dense commutator test", disagreements == 0,

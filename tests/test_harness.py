@@ -277,6 +277,21 @@ class TestCli:
         assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
         assert not out_dir.exists()
 
+    def test_qubit_count_over_cap_exits_2_before_any_matrix(self, tmp_path, monkeypatch):
+        import qfl.simulator as simulator_module
+
+        def no_embedding(truth_table):
+            raise AssertionError("a 2^13 x 2^13 operator was about to be built")
+
+        monkeypatch.setattr(simulator_module, "classical_embedding", no_embedding)
+        config = write_parity_setup(tmp_path)
+        (tmp_path / "parity.src").write_text(
+            "kind = classical\nd = 13\ntruth_table = " + "01" * (1 << 12) + "\n", encoding="utf-8"
+        )
+        out_dir = tmp_path / "results"
+        assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+
     def test_missing_referenced_table_exits_2_without_output(self, tmp_path):
         config = write_parity_setup(tmp_path)
         (tmp_path / "parity.src").write_text(
@@ -349,8 +364,8 @@ class TestVerifySuites:
 
         true_sign = operators_module.sign_operator
 
-        def corrupted(h, zero_tol=1e-12):
-            g = true_sign(h, zero_tol)
+        def corrupted(h):
+            g = true_sign(h)
             g = g.copy()
             g[0, 0] += 0.5  # break the +-1 structure
             return g

@@ -12,7 +12,6 @@ from qfl.pauli import (
     DegreeSet,
     FourierTable,
     PauliString,
-    apply_pauli,
     classical_embedding,
     degree_set_classical_upto,
     degree_set_upto,
@@ -20,27 +19,23 @@ from qfl.pauli import (
     fourier_coefficient,
     fourier_transform,
     full_degree_set,
-    pauli_expectation,
+    pauli_masks,
     pauli_matrix,
+    pauli_traces,
     synthesize,
 )
 
 from conftest import random_hermitian, random_string
-from oracles import pauli_apply_left, pauli_apply_right
-
-SIGMA = {
-    0: np.eye(2, dtype=complex),
-    1: np.array([[0, 1], [1, 0]], dtype=complex),
-    2: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    3: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def kron_oracle(s: PauliString) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for sym in s.symbols:
-        out = np.kron(out, SIGMA[sym])
-    return out
+from oracles import (
+    SINGLE_QUBIT as SIGMA,
+    kron_pauli,
+    pauli_apply_left,
+    pauli_apply_right,
+    pauli_expectation,
+    string_coefficients,
+    string_matrix,
+    string_synthesize,
+)
 
 
 symbols_strategy = st.lists(st.integers(0, 3), min_size=1, max_size=5).map(tuple)
@@ -103,7 +98,7 @@ class TestPauliMatrix:
     @given(symbols_strategy)
     def test_matches_kron_oracle(self, symbols):
         s = PauliString(symbols)
-        assert np.abs(pauli_matrix(s) - kron_oracle(s)).max() <= 1e-14
+        assert np.abs(pauli_matrix(s) - kron_pauli(s)).max() <= 1e-14
 
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(symbols_strategy)
@@ -113,26 +108,83 @@ class TestPauliMatrix:
         assert np.abs(m @ m - np.eye(m.shape[0])).max() <= 1e-14
 
 
+class TestKernel:
+    """The mask kernel against the per-string code it replaced."""
+
+    @staticmethod
+    def _strings(rng, d):
+        count = min(4**d, 200)
+        return sorted({random_string(rng, d) for _ in range(count)} | {PauliString.identity(d)})
+
+    def test_masks(self):
+        strings = [PauliString.from_digits(w) for w in ("0123", "2222", "2220", "3300")]
+        x, z, k = pauli_masks(strings)
+        assert x.dtype == z.dtype == k.dtype == np.int64
+        assert x.tolist() == [s.x_mask for s in strings]
+        assert z.tolist() == [s.z_mask for s in strings]
+        assert k.tolist() == [1, 0, 3, 0]
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_synthesize_matches_per_string_sum(self, d):
+        rng = np.random.default_rng(70 + d)
+        table = FourierTable(d, {s: float(rng.normal()) for s in self._strings(rng, d)})
+        got, want = synthesize(table), string_synthesize(table)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # signed zeros too
+
+    def test_synthesize_is_blocked(self, monkeypatch):
+        import qfl.pauli as pauli_module
+
+        rng = np.random.default_rng(78)
+        table = FourierTable(4, {s: float(rng.normal()) for s in self._strings(rng, 4)})
+        monkeypatch.setattr(pauli_module, "TRACE_BLOCK", 40)
+        assert synthesize(table).tobytes() == string_synthesize(table).tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_fourier_transform_matches_per_string_traces(self, d):
+        rng = np.random.default_rng(80 + d)
+        a = random_hermitian(rng, 1 << d)
+        strings = self._strings(rng, d)
+        table = fourier_transform(a, strings)
+        assert table.coefficients == string_coefficients(a, strings)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_pauli_matrix_matches_per_string_matrix(self, d):
+        rng = np.random.default_rng(90 + d)
+        for s in self._strings(rng, d)[:40]:
+            assert np.array_equal(pauli_matrix(s), string_matrix(s))
+
+    def test_pauli_matrix_is_kron_product(self):
+        for d in range(1, 4):
+            for s in full_degree_set(d):
+                assert np.array_equal(pauli_matrix(s), kron_pauli(s))
+        rng = np.random.default_rng(98)
+        for _ in range(60):
+            s = random_string(rng, int(rng.integers(4, 7)))
+            assert np.array_equal(pauli_matrix(s), kron_pauli(s))
+
+    @pytest.mark.parametrize("block", [1 << 18, 24])
+    def test_traces_match_kron_trace(self, block, monkeypatch):
+        import qfl.pauli as pauli_module
+
+        monkeypatch.setattr(pauli_module, "TRACE_BLOCK", block)
+        rng = np.random.default_rng(99)
+        for d in range(1, 6):
+            m = rng.normal(size=(1 << d, 1 << d)) + 1j * rng.normal(size=(1 << d, 1 << d))
+            strings = self._strings(rng, d)
+            traces = pauli_traces(m, *pauli_masks(strings))
+            want = np.array([np.trace(kron_pauli(s) @ m) for s in strings])
+            assert np.abs(traces - want).max() <= 1e-12
+
+    def test_residue_names_first_bad_string(self):
+        bad = np.zeros((4, 4), dtype=complex)
+        bad[0, 3] = 1.0  # tr(bad sigma) is imaginary for XY and YX only
+        strings = [PauliString.from_digits(w) for w in ("00", "11", "12", "21")]
+        with pytest.raises(ValueError, match="coefficient at 12 has imaginary residue"):
+            fourier_transform(bad, strings)
+
+
 class TestApplyPauli:
-    def test_identity_action(self):
-        v = np.array([0.3, -0.1, 0.2, 0.9], dtype=complex)
-        assert np.array_equal(apply_pauli(PauliString((0, 0)), v), v)
-
-    def test_bit_flip(self):
-        assert np.array_equal(apply_pauli(PauliString((1,)), [1, 0]), np.array([0, 1], dtype=complex))
-
-    def test_matches_dense_random(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            d = int(rng.integers(1, 9))
-            s = random_string(rng, d)
-            v = rng.normal(size=1 << d) + 1j * rng.normal(size=1 << d)
-            assert np.abs(apply_pauli(s, v) - pauli_matrix(s) @ v).max() <= 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            apply_pauli(PauliString((1, 0)), [1, 0])
-
     def test_left_right_application(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
@@ -188,7 +240,7 @@ class TestFourier:
             d = int(rng.integers(1, 5))
             a = random_hermitian(rng, 1 << d)
             s = random_string(rng, d)
-            dense = np.trace(a @ kron_oracle(s)).real / (1 << d)
+            dense = np.trace(a @ kron_pauli(s)).real / (1 << d)
             assert abs(fourier_coefficient(a, s) - dense) <= 1e-12
 
     def test_round_trip_yy_exact(self):

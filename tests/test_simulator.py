@@ -34,13 +34,12 @@ from qfl.simulator import (
     make_realizable_source,
     matrix_from_text,
     matrix_to_text,
-    measure,
     measure_batch_groups,
     save_matrix,
 )
 
 from conftest import joint_state, make_bell_source, make_parity_source, random_density
-from oracles import collapse_measure_batch_groups
+from oracles import collapse_measure_batch_groups, measure
 
 P = PauliString.from_digits
 
@@ -392,7 +391,7 @@ class TestJointLawSampler:
         rng = np.random.default_rng(seed)
         cliques = k2_cliques(d)
         batch = cliques[int(rng.integers(len(cliques)))]
-        generators, _ = _reduce_batch(batch)
+        generators, _, _ = _reduce_batch(batch)
         state = random_density(rng, 1 << d)
         law = joint_law(state, generators)
         assert law.shape == (1 << len(generators),)
@@ -427,7 +426,7 @@ class TestJointLawSampler:
     def test_reduction_matches_dense_products(self):
         for d in range(1, 5):
             for batch in k2_cliques(d) + (degree_set_upto(d, 0),):
-                generators, columns = _reduce_batch(batch)
+                generators, columns, _ = _reduce_batch(batch)
                 assert len(generators) <= d
                 for s, (g, combo, sign) in zip(batch, columns):
                     if g >= 0:
@@ -442,7 +441,7 @@ class TestJointLawSampler:
     def test_identity_and_product_are_determined(self):
         # 00 is the identity; ZZ = -(XX)(YY) is dependent on the generators XX, YY
         batch = DegreeSet.of(2, [P("00"), P("11"), P("22"), P("33")])
-        generators, columns = _reduce_batch(batch)
+        generators, columns, _ = _reduce_batch(batch)
         assert generators == [P("11"), P("22")]
         assert columns == [(-1, 0, 1), (0, 0, 1), (1, 0, 1), (-1, 3, -1)]
         rng = np.random.default_rng(41)
