@@ -29,18 +29,21 @@ def _ensure(condition: bool, message: str):
         raise CheckFailure(message)
 
 
-def _random_hermitian(rng, n):
+def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Hermitian part of an n x n complex Gaussian matrix."""
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return (a + a.conj().T) / 2.0
 
 
-def _random_density(rng, n):
+def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Full-rank n x n density operator ``A A^dagger / tr(A A^dagger)``."""
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
 
 
-def _random_string(rng, d) -> PauliString:
+def random_string(rng: np.random.Generator, d: int) -> PauliString:
+    """Uniformly random Pauli string on d qubits."""
     return PauliString(tuple(int(v) for v in rng.integers(0, 4, size=d)))
 
 
@@ -96,7 +99,7 @@ def check_pauli_orthonormality():
 def check_fourier_round_trip():
     rng = np.random.default_rng(CHECK_SEED)
     for d in (2, 3, 4):
-        a = _random_hermitian(rng, 1 << d)
+        a = random_hermitian(rng, 1 << d)
         back = pauli.synthesize(pauli.fourier_transform(a, pauli.full_degree_set(d)))
         err = float(np.abs(back - a).max())
         _ensure(err <= 1e-8, f"round trip error {err:.3e} at d={d}")
@@ -105,7 +108,7 @@ def check_fourier_round_trip():
 def check_fourier_parseval():
     rng = np.random.default_rng(CHECK_SEED + 1)
     for d in (2, 3):
-        a = _random_hermitian(rng, 1 << d)
+        a = random_hermitian(rng, 1 << d)
         table = pauli.fourier_transform(a, pauli.full_degree_set(d))
         norm_sq = operators.rho_norm(a, 2, operators.maximally_mixed(d)) ** 2
         _ensure(
@@ -129,7 +132,7 @@ def check_commutation_oracle():
                 )
     for _ in range(200):
         d = int(rng.integers(3, 7))
-        s, t = _random_string(rng, d), _random_string(rng, d)
+        s, t = random_string(rng, d), random_string(rng, d)
         dense = np.abs(
             pauli.pauli_matrix(s) @ pauli.pauli_matrix(t)
             - pauli.pauli_matrix(t) @ pauli.pauli_matrix(s)
@@ -143,7 +146,7 @@ def check_commutation_oracle():
 def check_eig_reconstruction():
     rng = np.random.default_rng(CHECK_SEED + 3)
     for n in (2, 8, 64, 256):
-        h = _random_hermitian(rng, n)
+        h = random_hermitian(rng, n)
         spec = operators.hermitian_eig(h)
         err = float(np.abs(spec.reconstruct() - h).max())
         _ensure(err <= 1e-8, f"reconstruction error {err:.3e} at dim {n}")
@@ -156,7 +159,7 @@ def check_eig_reconstruction():
 def check_sign_involution():
     rng = np.random.default_rng(CHECK_SEED + 4)
     for n in (2, 8, 16):
-        g = operators.sign_operator(_random_hermitian(rng, n))
+        g = operators.sign_operator(random_hermitian(rng, n))
         err = float(np.abs(g @ g - np.eye(n)).max())
         _ensure(err <= 1e-8, f"sign square defect {err:.3e} at dim {n}")
     zero = operators.sign_operator(np.zeros((4, 4)))
@@ -172,8 +175,8 @@ def check_rho_norm_inequalities():
     for _ in range(50):
         d = int(rng.integers(1, 4))
         n = 1 << d
-        a, b = _random_hermitian(rng, n), _random_hermitian(rng, n)
-        rho = _random_density(rng, n)
+        a, b = random_hermitian(rng, n), random_hermitian(rng, n)
+        rho = random_density(rng, n)
         na2 = operators.rho_norm(a, 2, rho)
         nb2 = operators.rho_norm(b, 2, rho)
         nab2 = operators.rho_norm(a + b, 2, rho)
@@ -198,7 +201,7 @@ def check_estimation_observables():
     rng = np.random.default_rng(CHECK_SEED + 6)
     for _ in range(10):
         d = int(rng.integers(1, 4))
-        s = _random_string(rng, d)
+        s = random_string(rng, d)
         plus, minus = simulator.estimation_observable(s)
         problems = operators.validate_povm([plus, minus])
         _ensure(not problems, f"estimation pair at {s}: {problems}")
@@ -231,7 +234,7 @@ def check_clique_witness():
 def check_cover_search():
     rng = np.random.default_rng(CHECK_SEED + 8)
     for trial in range(5):
-        strings = {_random_string(rng, 4) for _ in range(8)}
+        strings = {random_string(rng, 4) for _ in range(8)}
         nodes = pauli.DegreeSet.of(4, strings)
         n, delta = 500, 0.1
         greedy = compat.best_cover(nodes, n, delta, "greedy")
@@ -282,7 +285,7 @@ def check_labeling_operator():
         n = 1 << (d + 1)
         _ensure(float(np.abs(f @ f - np.eye(n)).max()) <= 1e-12, "labeling operator not +-1")
         rng = np.random.default_rng(CHECK_SEED + 9)
-        rho = _random_density(rng, 1 << d)
+        rho = random_density(rng, 1 << d)
         for y, want in ((0, -1.0), (1, 1.0)):
             e = np.zeros((2, 2), dtype=complex)
             e[y, y] = 1.0
@@ -295,7 +298,7 @@ def check_labeling_operator():
 
 def check_partial_trace():
     rng = np.random.default_rng(CHECK_SEED + 10)
-    rho = _random_density(rng, 4)
+    rho = random_density(rng, 4)
     e0 = np.zeros((2, 2), dtype=complex)
     e0[0, 0] = 1.0
     back = operators.partial_trace_label(np.kron(rho, e0))
@@ -326,7 +329,7 @@ def check_classical_embedding():
 
 def check_junta_support():
     rng = np.random.default_rng(CHECK_SEED + 12)
-    b = _random_hermitian(rng, 4)
+    b = random_hermitian(rng, 4)
     a = np.kron(np.eye(2), b)  # acts on coordinates {1, 2} of d=3
     for s in pauli.full_degree_set(3):
         if not set(s.support) <= {1, 2}:

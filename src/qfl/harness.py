@@ -24,11 +24,11 @@ import os
 import statistics
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .compatibility import best_cover, check_strategy
-from .learner import LearnReport, junta_learn, qld_learn
+from .learner import junta_learn, qld_learn
 from .pauli import DegreeSet, PauliString, degree_set_classical_upto, degree_set_upto
 from .simulator import SampleSource, load_source, parse_key_values
 
@@ -229,14 +229,6 @@ class ExperimentConfig:
         return out
 
 
-@dataclass
-class PointResult:
-    point_index: int
-    params: dict
-    rows: list[dict] = field(default_factory=list)
-    wall_ms: float = 0.0
-
-
 def _fmt(value) -> str:
     if value is None:
         return ""
@@ -280,7 +272,7 @@ def _known_opt(source: SampleSource) -> float | None:
 
 
 def _run_one(config: ExperimentConfig, params: dict, source: SampleSource,
-             degree_set: DegreeSet | None, seed: int) -> dict:
+             degree_set: DegreeSet, seed: int) -> dict:
     if config.algorithm == "junta":
         _, report = junta_learn(
             source,
@@ -303,47 +295,26 @@ def _run_one(config: ExperimentConfig, params: dict, source: SampleSource,
             opt_value=_known_opt(source),
             n_test=config.n_test,
         )
-    return _row_from_report(config, params, seed, source, report)
-
-
-def _row_from_report(
-    config: ExperimentConfig,
-    params: dict,
-    seed: int,
-    source: SampleSource,
-    report: LearnReport,
-) -> dict:
-    return {
+    row = {
         "schema_version": CSV_SCHEMA_VERSION,
         "point": None,  # filled by the caller
-        "seed": seed,
         "source": params["source"],
         "algorithm": config.algorithm,
         "d": source.d,
         "k": params["k"],
         "classical_only": config.classical_only,
         "strings": "|".join(config.strings) if config.strings else None,
-        "n": params["n"],
-        "delta": params["delta"],
         "eta": source.flip_rate,
         "cover_strategy": config.cover_strategy,
         "n_test": config.n_test,
         "m_subsets": report.cover.m,
-        "score": report.score,
-        "beta_bound": report.beta_bound,
-        "beta_measured": report.beta_measured,
-        "epsilon": report.epsilon,
-        "opt_value": report.opt_value,
-        "bound_value": report.bound_value,
-        "bound_measured": report.bound_measured,
-        "exact_loss": report.exact_loss,
-        "empirical_loss": report.empirical_loss,
-        "optimal_exact_loss": report.optimal_exact_loss,
         "chosen_coords": "|".join(map(str, report.chosen_coords))
         if report.chosen_coords is not None
         else None,
-        "degenerate": report.degenerate,
     }
+    # every other column is the report field of that name
+    row.update((name, getattr(report, name)) for name in CSV_COLUMNS if name not in row)
+    return row
 
 
 def _mean_std(values: list[float]) -> dict:
@@ -372,7 +343,7 @@ def run_config(
     seeds = _checked_seeds(seed_override) if seed_override else config.seeds
     points = config.points()
     # Resolve each point once: its source, loaded once per file, with the eta
-    # override, and its degree set (None for junta, whose learner builds it).
+    # override, and its degree set (for junta, all strings of support <= k).
     loaded: dict[str, SampleSource] = {}
     resolved = []
     for params in points:
@@ -386,13 +357,12 @@ def run_config(
                 source = source.with_flip_rate(params["eta"])
             if config.algorithm == "qld":
                 degree_set = _degree_set_for(config, source, params["k"])
-                resolved.append((source, degree_set))
             elif not 1 <= params["k"] <= source.d:
                 raise ConfigError(f"junta k={params['k']} out of range for d={source.d}")
             else:
                 degree_set = degree_set_upto(source.d, params["k"])
-                resolved.append((source, None))
             _check_cover_budget(config, params, degree_set)
+            resolved.append((source, degree_set))
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
     try:
@@ -445,19 +415,11 @@ def run_config(
             "point": pi,
             "params": params,
             "runs": len(point_rows),
-            "exact_loss": _mean_std([r["exact_loss"] for r in point_rows if r["exact_loss"] is not None]),
-            "empirical_loss": _mean_std(
-                [r["empirical_loss"] for r in point_rows if r["empirical_loss"] is not None]
-            ),
-            "optimal_exact_loss": _mean_std(
-                [r["optimal_exact_loss"] for r in point_rows if r["optimal_exact_loss"] is not None]
-            ),
-            "beta_measured": _mean_std(
-                [r["beta_measured"] for r in point_rows if r["beta_measured"] is not None]
-            ),
             "bound_fraction_met": (len(met) / len(bound_checked)) if bound_checked else None,
             "wall_ms": sum(timings[(pi, si)] for si in range(len(seeds))),
         }
+        for key in ("exact_loss", "empirical_loss", "optimal_exact_loss", "beta_measured"):
+            entry[key] = _mean_std([r[key] for r in point_rows if r[key] is not None])
         summary["points"].append(entry)
     json_path = target / "summary.json"
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .simulator import (
     STREAM_TEST,
     RandomStreams,
     SampleSource,
-    coerce_streams,
     draw_samples,
     group_samples,
     measure_batch_groups,
@@ -272,44 +271,31 @@ class LearnReport:
     extra: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "estimates_ftab": self.estimates.to_text(),
-            "cover": self.cover.to_text(),
-            "plan": list(self.plan.sizes),
-            "n": self.n,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "score": self.score,
-            "beta_bound": self.beta_bound,
-            "seed": self.seed,
-            "opt_value": self.opt_value,
-            "bound_value": self.bound_value,
-            "beta_measured": self.beta_measured,
-            "bound_measured": self.bound_measured,
-            "chosen_coords": list(self.chosen_coords) if self.chosen_coords is not None else None,
-            "exact_loss": self.exact_loss,
-            "empirical_loss": self.empirical_loss,
-            "optimal_exact_loss": self.optimal_exact_loss,
-            "degenerate": self.degenerate,
-        }
+        """Every field but ``extra``, with the estimates under ``estimates_ftab``
+        and the cover, plan and chosen coordinates as text or lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
+        out["estimates_ftab"] = out.pop("estimates").to_text()
+        out["cover"] = self.cover.to_text()
+        out["plan"] = list(self.plan.sizes)
+        if self.chosen_coords is not None:
+            out["chosen_coords"] = list(self.chosen_coords)
+        return out
 
 
-def _measured_beta(estimates: FourierTable, truth: FourierTable, degree_set: DegreeSet) -> float:
-    sq = 0.0
-    for s in degree_set:
-        err = estimates.get(s) - truth[s]
-        sq += err * err
-    return math.sqrt(sq)
-
-
-def _estimation_pipeline(
+def _estimate(
     source: SampleSource,
     degree_set: DegreeSet,
     n: int,
     delta: float,
-    streams: RandomStreams,
+    seed: int,
     cover_strategy: str,
-) -> tuple[FourierTable, Cover, BatchPlan, float]:
+) -> tuple[LearnReport, FourierTable]:
+    """Estimation step of both learners: cover, plan, draw, shuffle and
+    estimate every string of the degree set from ``n`` samples.
+
+    Returns the report with the fields every learner fills alike
+    (``epsilon`` is 0) and the source's exact table on the degree set.
+    """
     if degree_set.d != source.d:
         raise ValueError(f"degree set is on d={degree_set.d}, source on d={source.d}")
     if not 0.0 < delta < 1.0:
@@ -319,12 +305,57 @@ def _estimation_pipeline(
     if n < cover.m:
         raise ValueError(f"need n >= number of cover subsets: n={n} < m={cover.m}")
     plan = allocate_batches(n, cover, delta)
+    streams = RandomStreams(seed)
     bases, labels = draw_samples(source, n, streams.generator(STREAM_DRAW))
     perm = streams.generator(STREAM_SHUFFLE).permutation(n)
     estimates = fourier_estimation(
         source, bases[perm], labels[perm], cover, plan, streams.generator(STREAM_MEASURE)
     )
-    return estimates, cover, plan, cover_score(cover, n, delta)
+    truth = source.exact_table(degree_set)
+    sq = 0.0
+    for s in degree_set:
+        err = estimates.get(s) - truth[s]
+        sq += err * err
+    score = cover_score(cover, n, delta)
+    report = LearnReport(
+        estimates=estimates,
+        cover=cover,
+        plan=plan,
+        n=n,
+        delta=delta,
+        epsilon=0.0,
+        score=score,
+        beta_bound=math.sqrt(8.0 * score),
+        seed=seed,
+        beta_measured=math.sqrt(sq),
+    )
+    return report, truth
+
+
+def _close(
+    report: LearnReport,
+    predictor: Predictor,
+    source: SampleSource,
+    optimal: FourierTable | None,
+    degree_set: DegreeSet,
+    n_test: int,
+) -> tuple[Predictor, LearnReport]:
+    """Closing step of both learners: the predictor's exact loss, the exact
+    loss of the sign of ``optimal`` (an exact table of the source, when the
+    optimum is known) and, for ``n_test`` > 0, the empirical loss."""
+    report.exact_loss = exact_loss(predictor, source)
+    report.degenerate = predictor.degenerate
+    if optimal is not None:
+        # the optimum does not depend on the seed, so each source keeps its loss
+        key = tuple(s for s in optimal.coefficients if s in degree_set)
+        if key not in source._optimal_losses:
+            source._optimal_losses[key] = exact_loss(build_predictor(optimal, degree_set), source)
+        report.optimal_exact_loss = source._optimal_losses[key]
+    if n_test > 0:
+        report.empirical_loss = empirical_loss(
+            predictor, source, n_test, RandomStreams(report.seed).generator(STREAM_TEST)
+        )
+    return predictor, report
 
 
 def qld_learn(
@@ -332,7 +363,7 @@ def qld_learn(
     degree_set: DegreeSet,
     n: int,
     delta: float,
-    rng: RandomStreams | int,
+    seed: int,
     *,
     cover_strategy: str = "greedy",
     epsilon: float = 0.0,
@@ -346,39 +377,14 @@ def qld_learn(
     reported a-priori bound ``2 opt + 2 eps + 5 beta``.  The report also
     carries a measured-beta variant computed against the source ground truth.
     """
-    streams = coerce_streams(rng)
-    estimates, cover, plan, score = _estimation_pipeline(
-        source, degree_set, n, delta, streams, cover_strategy
-    )
-    predictor = build_predictor(estimates, degree_set)
-    beta_bound = math.sqrt(8.0 * score)
-    truth = source.exact_table(degree_set)
-    beta_measured = _measured_beta(estimates, truth, degree_set)
-    report = LearnReport(
-        estimates=estimates,
-        cover=cover,
-        plan=plan,
-        n=n,
-        delta=delta,
-        epsilon=epsilon,
-        score=score,
-        beta_bound=beta_bound,
-        seed=streams.seed,
-        opt_value=opt_value,
-        beta_measured=beta_measured,
-        exact_loss=exact_loss(predictor, source),
-        degenerate=predictor.degenerate,
-    )
+    report, truth = _estimate(source, degree_set, n, delta, seed, cover_strategy)
+    predictor = build_predictor(report.estimates, degree_set)
+    report.epsilon = epsilon
+    report.opt_value = opt_value
     if opt_value is not None:
-        report.bound_value = qld_error_bound(opt_value, epsilon, beta_bound)
-        report.bound_measured = qld_error_bound(opt_value, epsilon, beta_measured)
-    optimal = build_predictor(truth, degree_set)
-    report.optimal_exact_loss = exact_loss(optimal, source)
-    if n_test > 0:
-        report.empirical_loss = empirical_loss(
-            predictor, source, n_test, streams.generator(STREAM_TEST)
-        )
-    return predictor, report
+        report.bound_value = qld_error_bound(opt_value, epsilon, report.beta_bound)
+        report.bound_measured = qld_error_bound(opt_value, epsilon, report.beta_measured)
+    return _close(report, predictor, source, truth, degree_set, n_test)
 
 
 def junta_learn(
@@ -386,14 +392,14 @@ def junta_learn(
     k: int,
     n: int,
     delta: float,
-    rng: RandomStreams | int,
+    seed: int,
     *,
     cover_strategy: str = "greedy",
     n_test: int = 0,
 ) -> tuple[Predictor, LearnReport]:
-    """Junta learning: estimate all coefficients of support size at most k,
-    keep the k-coordinate subset with the largest restricted trace norm, and
-    predict with the sign of that restriction.
+    """Junta learning: the low-degree estimation over all strings of support
+    size at most k, then the k-coordinate subset with the largest restricted
+    trace norm, predicting with the sign of that restriction.
 
     Ties between subsets are broken lexicographically.  When the source
     marginal is maximally mixed the report carries the optimal k-junta loss
@@ -401,40 +407,15 @@ def junta_learn(
     """
     if not 1 <= k <= source.d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={source.d}")
-    streams = coerce_streams(rng)
     degree_set = degree_set_upto(source.d, k)
-    estimates, cover, plan, score = _estimation_pipeline(
-        source, degree_set, n, delta, streams, cover_strategy
-    )
-    _, chosen = best_coords(estimates, k)
-    predictor = build_predictor(estimates.restricted_to_coords(chosen), degree_set)
-    truth = source.exact_table(degree_set)
-    beta_measured = _measured_beta(estimates, truth, degree_set)
-    report = LearnReport(
-        estimates=estimates,
-        cover=cover,
-        plan=plan,
-        n=n,
-        delta=delta,
-        epsilon=0.0,
-        score=score,
-        beta_bound=math.sqrt(8.0 * score),
-        seed=streams.seed,
-        chosen_coords=chosen,
-        beta_measured=beta_measured,
-        exact_loss=exact_loss(predictor, source),
-        degenerate=predictor.degenerate,
-    )
+    report, truth = _estimate(source, degree_set, n, delta, seed, cover_strategy)
+    _, report.chosen_coords = best_coords(report.estimates, k)
+    predictor = build_predictor(report.estimates.restricted_to_coords(report.chosen_coords), degree_set)
+    optimal = None
     if source.maximally_mixed:
-        opt_value, opt_coords = opt_k(source, k)
-        report.opt_value = opt_value
-        report.bound_value = junta_error_bound(opt_value, score)
-        report.bound_measured = junta_error_bound(opt_value, beta_measured**2)
+        report.opt_value, opt_coords = opt_k(source, k)
+        report.bound_value = junta_error_bound(report.opt_value, report.score)
+        report.bound_measured = junta_error_bound(report.opt_value, report.beta_measured**2)
         report.extra["opt_coords"] = opt_coords
-        optimal = build_predictor(truth.restricted_to_coords(opt_coords), degree_set)
-        report.optimal_exact_loss = exact_loss(optimal, source)
-    if n_test > 0:
-        report.empirical_loss = empirical_loss(
-            predictor, source, n_test, streams.generator(STREAM_TEST)
-        )
-    return predictor, report
+        optimal = truth.restricted_to_coords(opt_coords)
+    return _close(report, predictor, source, optimal, degree_set, n_test)

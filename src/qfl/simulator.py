@@ -66,7 +66,6 @@ STREAM_TEST = 3
 
 SIGN_OPERATOR_TOL = 1e-8
 MARGINAL_TOL = 1e-8
-PROB_CLAMP_WINDOW = 1e-9
 PROB_HARD_FLOOR = -1e-6
 
 
@@ -89,12 +88,6 @@ class RandomStreams:
     def generator(self, *key: int) -> np.random.Generator:
         ss = np.random.SeedSequence(self.seed, spawn_key=tuple(int(k) for k in key))
         return np.random.Generator(np.random.Philox(ss))
-
-
-def coerce_streams(rng: "RandomStreams | int") -> RandomStreams:
-    if isinstance(rng, RandomStreams):
-        return rng
-    return RandomStreams(int(rng))
 
 
 def labeling_operator(d: int) -> np.ndarray:
@@ -165,6 +158,12 @@ class SampleSource:
             table = fourier_transform(self.labeling_xop, key, d=self.d)
             self._exact_tables[key] = table
         return table
+
+    @cached_property
+    def _optimal_losses(self) -> dict:
+        """Exact loss of the optimal predictor, kept by the learners per
+        tuple of strings it is the sign over; it does not depend on the seed."""
+        return {}
 
     def with_flip_rate(self, eta: float) -> "SampleSource":
         """Same draw distribution with the label-flip rate replaced by ``eta``."""
@@ -533,10 +532,14 @@ def load_source(path) -> SampleSource:
     path = Path(path)
     fields = parse_key_values(path.read_text(encoding="utf-8"))
     try:
-        kind = fields["kind"]
-        d = int(fields["d"])
+        return _source_from_fields(path, fields)
     except KeyError as exc:
         raise ValueError(f"{path}: missing required field {exc}") from exc
+
+
+def _source_from_fields(path: Path, fields: dict[str, str]) -> SampleSource:
+    kind = fields["kind"]
+    d = int(fields["d"])
     if not 1 <= d <= MAX_QUBITS:
         raise ValueError(f"{path}: d={d} is outside [1, {MAX_QUBITS}]")
     base = path.parent

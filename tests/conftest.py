@@ -5,24 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qfl.checks import bell_states, make_bell_source, make_parity_source  # noqa: F401
-from qfl.pauli import PauliString
+from qfl.checks import (  # noqa: F401
+    bell_states,
+    make_bell_source,
+    make_parity_source,
+    random_density,
+    random_hermitian,
+    random_string,
+)
 from qfl.simulator import SampleSource
-
-
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (a + a.conj().T) / 2.0
-
-
-def random_density(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-
-
-def random_string(rng: np.random.Generator, d: int) -> PauliString:
-    return PauliString(tuple(int(v) for v in rng.integers(0, 4, size=d)))
 
 
 def joint_state(source: SampleSource) -> np.ndarray:

@@ -13,6 +13,8 @@ import pytest
 from qfl import checks, harness
 from qfl.cli import main
 from qfl.harness import CSV_COLUMNS, ConfigError, ExperimentConfig, run_config
+from qfl.pauli import FourierTable, PauliString
+from qfl.simulator import save_matrix
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -173,6 +175,23 @@ class TestGoldenBytes:
         assert csv_path.read_bytes() == golden.read_bytes()
 
 
+class TestBundledPayloads:
+    def test_make_sources_reproduces_configs(self, tmp_path, monkeypatch):
+        import importlib.util
+
+        spec = importlib.util.spec_from_file_location("make_sources", REPO / "scripts" / "make_sources.py")
+        make_sources = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(make_sources)
+        monkeypatch.setattr(make_sources, "CONFIG_DIR", tmp_path)
+        make_sources.main()
+        written = sorted(p.name for p in tmp_path.iterdir())
+        # every bundled file but the experiment configs is a generated payload
+        bundled = sorted(p.name for p in CONFIGS.iterdir() if p.is_file() and p.suffix != ".cfg")
+        assert written == bundled
+        for name in written:
+            assert (tmp_path / name).read_bytes() == (CONFIGS / name).read_bytes(), name
+
+
 class TestCli:
     def test_run_bundled_bell(self, tmp_path):
         code = main(
@@ -290,6 +309,30 @@ class TestCli:
         )
         out_dir = tmp_path / "results"
         assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "spec, field",
+        [
+            ("kind = classical\nd = 2\n", "truth_table"),
+            ("kind = realizable\nd = 2\n", "ftab"),
+            ("kind = noisy\nd = 2\nftab = parity.ftab\n", "eta"),
+            ("kind = custom\nd = 2\nrho0 = rho0.mat\nrho1 = rho1.mat\n", "p0"),
+            ("kind = custom\nd = 2\np0 = 0.5\nrho1 = rho1.mat\n", "rho0"),
+            ("kind = custom\nd = 2\np0 = 0.5\nrho0 = rho0.mat\n", "rho1"),
+        ],
+        ids=["truth_table", "ftab", "eta", "p0", "rho0", "rho1"],
+    )
+    def test_missing_source_field_exits_2_without_output(self, tmp_path, capsys, spec, field):
+        config = write_parity_setup(tmp_path)
+        table = FourierTable(2, {PauliString.from_digits("33"): 1.0})
+        table.save(tmp_path / "parity.ftab")
+        for name, rho in zip(("rho0.mat", "rho1.mat"), checks.bell_states()):
+            save_matrix(tmp_path / name, rho)
+        (tmp_path / "parity.src").write_text(spec, encoding="utf-8")
+        out_dir = tmp_path / "results"
+        assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
+        assert f"missing required field '{field}'" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_missing_referenced_table_exits_2_without_output(self, tmp_path):

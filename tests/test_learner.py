@@ -477,6 +477,20 @@ class TestQldLearn:
         assert a.estimates.to_text() == b.estimates.to_text()
         assert a.exact_loss == b.exact_loss
 
+    def test_optimal_predictor_built_once_per_source(self, monkeypatch):
+        source = make_parity_source(3, (0, 2))
+        degree_set = degree_set_upto(3, 2)
+        built = []
+        real = learner.build_predictor
+        monkeypatch.setattr(learner, "build_predictor", lambda t, ds: built.append(t) or real(t, ds))
+        reports = [qld_learn(source, degree_set, 2000, 0.05, seed)[1] for seed in (1, 2)]
+        # one learned predictor per seed, and the optimum once
+        assert len(built) == 3
+        assert reports[0].optimal_exact_loss == reports[1].optimal_exact_loss == 0.0
+        fresh = make_parity_source(3, (0, 2))
+        assert qld_learn(fresh, degree_set, 2000, 0.05, 2)[1].optimal_exact_loss == 0.0
+        assert len(built) == 5
+
     def test_report_json_schema(self):
         import json
 
@@ -508,13 +522,19 @@ class TestJuntaLearn:
         assert validate_povm(predictor.effects) == []
 
     def test_k_equals_d_matches_qld(self):
-        source = make_parity_source(2, (0, 1))
         seed = 17
-        p_junta, r_junta = junta_learn(source, 2, 4000, 0.05, seed)
-        p_qld, r_qld = qld_learn(source, degree_set_upto(2, 2), 4000, 0.05, seed)
+        # one source each, so neither reads the other's memoized optimum
+        p_junta, r_junta = junta_learn(make_parity_source(2, (0, 1)), 2, 4000, 0.05, seed)
+        p_qld, r_qld = qld_learn(make_parity_source(2, (0, 1)), degree_set_upto(2, 2), 4000, 0.05, seed)
         assert r_junta.chosen_coords == (0, 1)
         assert np.abs(p_junta.g_op - p_qld.g_op).max() <= 1e-12
-        assert r_junta.exact_loss == r_qld.exact_loss
+        # both learners share one estimation and one closing step
+        assert r_junta.estimates.to_text() == r_qld.estimates.to_text()
+        assert r_junta.cover.to_text() == r_qld.cover.to_text()
+        assert r_junta.plan == r_qld.plan
+        for name in ("score", "beta_bound", "beta_measured", "exact_loss",
+                     "optimal_exact_loss", "degenerate"):
+            assert getattr(r_junta, name) == getattr(r_qld, name), name
 
     def test_no_signal_source(self):
         rho = maximally_mixed(2)
