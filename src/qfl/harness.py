@@ -6,12 +6,13 @@ all swept axes, once per seed, and writes a CSV of per-run rows plus a JSON
 summary with per-point aggregates.  Identical config and seeds produce a
 byte-identical CSV; wall-clock timings live only in the JSON summary.
 
-Each point's source (with its eta override) and degree set are resolved once,
-before any run, and reused by every seed.  Bad input, including a non-integer
-``QFL_THREADS``, a cover strategy that cannot search the degree set, or a
-budget ``n`` below the number of cover subsets, raises :class:`ConfigError`
-then; the output directory is created only after every run has returned, so a
-failed run leaves no output.
+Each point's source (with its eta override), degree set, cover and batch plan
+are resolved once, before any run, and reused by every seed: the source
+memoizes the cover and plan, so a point searches its cover once.  Bad input,
+including a non-integer ``QFL_THREADS``, a cover strategy that cannot search
+the degree set, or a budget ``n`` below the number of cover subsets, raises
+:class:`ConfigError` then; the output directory is created only after every
+run has returned, so a failed run leaves no output.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .compatibility import best_cover, check_strategy
-from .learner import junta_learn, qld_learn
+from .learner import _plan, junta_learn, qld_learn
 from .pauli import DegreeSet, PauliString, degree_set_classical_upto, degree_set_upto
 from .simulator import SampleSource, load_source, parse_key_values
 
@@ -251,18 +251,6 @@ def _degree_set_for(config: ExperimentConfig, source: SampleSource, k: int | Non
     return degree_set_upto(source.d, k)
 
 
-def _check_cover_budget(config: ExperimentConfig, params: dict, degree_set: DegreeSet) -> None:
-    """Reject a point whose cover search cannot run or whose budget is below
-    the cover's subset count m.  m never exceeds the degree set's size, so the
-    search runs here only when n is smaller than that size."""
-    check_strategy(len(degree_set), config.cover_strategy)
-    n = params["n"]
-    if n < len(degree_set):
-        m = best_cover(degree_set, n, params["delta"], config.cover_strategy).m
-        if n < m:
-            raise ConfigError(f"need n >= number of cover subsets: n={n} < m={m}")
-
-
 def _known_opt(source: SampleSource) -> float | None:
     if source.kind in ("realizable", "classical"):
         return source.flip_rate if source.flip_rate > 0 else 0.0
@@ -361,7 +349,9 @@ def run_config(
                 raise ConfigError(f"junta k={params['k']} out of range for d={source.d}")
             else:
                 degree_set = degree_set_upto(source.d, params["k"])
-            _check_cover_budget(config, params, degree_set)
+            # searched here so a bad cover or budget exits before any run; the
+            # source memoizes the result for the point's seeds
+            _plan(source, degree_set, params["n"], params["delta"], config.cover_strategy)
             resolved.append((source, degree_set))
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -420,6 +410,12 @@ def run_config(
         }
         for key in ("exact_loss", "empirical_loss", "optimal_exact_loss", "beta_measured"):
             entry[key] = _mean_std([r[key] for r in point_rows if r[key] is not None])
+        # structure of the point's cover, read back from the memo its runs filled
+        source, degree_set = resolved[pi]
+        cover, _ = _plan(source, degree_set, params["n"], params["delta"], config.cover_strategy)
+        entry["m"] = cover.m
+        entry["max_clique"] = max(cover.sizes())
+        entry["r"] = [source._prepared_batch(b).rank for b in cover.subsets]
         summary["points"].append(entry)
     json_path = target / "summary.json"
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")

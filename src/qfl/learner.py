@@ -194,8 +194,15 @@ def opt_k(source: SampleSource, k: int) -> tuple[float, tuple[int, ...]]:
         raise ValueError("optimal junta loss requires a maximally mixed feature marginal")
     if not 0 <= k <= source.d:
         raise ValueError(f"need 0 <= k <= d, got k={k}")
-    norm, coords = best_coords(source.exact_table(degree_set_upto(source.d, k)), k)
+    norm, coords = source._memoized(
+        ("opt_k", k), lambda: best_coords(source.exact_table(_degree_set_upto(source, k)), k)
+    )
     return min(max(0.5 - 0.5 * norm, 0.0), 0.5), coords
+
+
+def _degree_set_upto(source: SampleSource, k: int) -> DegreeSet:
+    """All strings of support at most k on the source's qubits, built once per source."""
+    return source._memoized(("degree_set_upto", k), lambda: degree_set_upto(source.d, k))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +241,7 @@ def fourier_estimation(
         pos += size
         uniforms = rng.random((size, len(subset)))
         groups = group_samples(source, bases[chunk], labels[chunk])
-        outcomes = measure_batch_groups(groups, subset, uniforms)
+        outcomes = measure_batch_groups(groups, source._prepared_batch(subset), uniforms)
         means = outcomes.mean(axis=0)
         for col, s in enumerate(subset):
             estimates[s] = float(means[col])
@@ -282,6 +289,24 @@ class LearnReport:
         return out
 
 
+def _plan(
+    source: SampleSource, degree_set: DegreeSet, n: int, delta: float, cover_strategy: str
+) -> tuple[Cover, BatchPlan]:
+    """The checked cover of the degree set and its allocation of ``n``
+    samples, searched once per source and ``(strings, n, delta, strategy)``.
+    A cover that fails its checks, or has more subsets than ``n``, raises on
+    every call."""
+
+    def build():
+        cover = best_cover(degree_set, n, delta, strategy=cover_strategy)
+        check_cover(cover, degree_set)
+        if n < cover.m:
+            raise ValueError(f"need n >= number of cover subsets: n={n} < m={cover.m}")
+        return cover, allocate_batches(n, cover, delta)
+
+    return source._memoized(("plan", degree_set.strings, n, delta, cover_strategy), build)
+
+
 def _estimate(
     source: SampleSource,
     degree_set: DegreeSet,
@@ -300,11 +325,7 @@ def _estimate(
         raise ValueError(f"degree set is on d={degree_set.d}, source on d={source.d}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    cover = best_cover(degree_set, n, delta, strategy=cover_strategy)
-    check_cover(cover, degree_set)
-    if n < cover.m:
-        raise ValueError(f"need n >= number of cover subsets: n={n} < m={cover.m}")
-    plan = allocate_batches(n, cover, delta)
+    cover, plan = _plan(source, degree_set, n, delta, cover_strategy)
     streams = RandomStreams(seed)
     bases, labels = draw_samples(source, n, streams.generator(STREAM_DRAW))
     perm = streams.generator(STREAM_SHUFFLE).permutation(n)
@@ -348,9 +369,9 @@ def _close(
     if optimal is not None:
         # the optimum does not depend on the seed, so each source keeps its loss
         key = tuple(s for s in optimal.coefficients if s in degree_set)
-        if key not in source._optimal_losses:
-            source._optimal_losses[key] = exact_loss(build_predictor(optimal, degree_set), source)
-        report.optimal_exact_loss = source._optimal_losses[key]
+        report.optimal_exact_loss = source._memoized(
+            ("optimal_loss", key), lambda: exact_loss(build_predictor(optimal, degree_set), source)
+        )
     if n_test > 0:
         report.empirical_loss = empirical_loss(
             predictor, source, n_test, RandomStreams(report.seed).generator(STREAM_TEST)
@@ -407,7 +428,7 @@ def junta_learn(
     """
     if not 1 <= k <= source.d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={source.d}")
-    degree_set = degree_set_upto(source.d, k)
+    degree_set = _degree_set_upto(source, k)
     report, truth = _estimate(source, degree_set, n, delta, seed, cover_strategy)
     _, report.chosen_coords = best_coords(report.estimates, k)
     predictor = build_predictor(report.estimates.restricted_to_coords(report.chosen_coords), degree_set)

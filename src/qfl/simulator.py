@@ -16,9 +16,14 @@ generators; every other string is a signed product of earlier generators.
 The joint outcome law of the batch on a state is the Walsh-Hadamard transform
 of the ``2^r`` expectations of generator products, each one O(2^d) gather
 over the state, so no ``2^m`` joint effects and no collapsed states are ever
-formed.  :func:`measure_batch_groups` computes that law once per distinct
-state and draws every sample's outcomes from its conditionals with the rule of
-sequential measurement with collapse.
+formed.  A source computes the reduction and the law of each conditional state
+once per batch and keeps them (:meth:`SampleSource._prepared_batch`);
+:func:`measure_batch_groups` then draws every sample's outcomes from the
+law's conditionals with the rule of sequential measurement with collapse.
+
+Everything a source derives without the seed (exact tables, the optimal
+loss, cover and batch plan, prepared batches, ``opt_k``) is memoized on it,
+so the seeds of one experiment point pay for it once.
 
 Randomness: one master seed, with independent Philox substreams derived
 through `numpy.random.SeedSequence` spawn keys.  Identical seeds give
@@ -27,7 +32,8 @@ identical transcripts on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -121,6 +127,12 @@ class SampleSource:
     flip_rate: float = 0.0
     maximally_mixed: bool = False
     degenerate: bool = False
+    # Seed-invariant values derived from this source, keyed by tuples whose
+    # first entry names their kind; see _memoized.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo_lock: threading.RLock = field(
+        default_factory=threading.RLock, init=False, repr=False, compare=False
+    )
 
     @property
     def p1(self) -> float:
@@ -145,28 +157,40 @@ class SampleSource:
         """Ground-truth coefficient ``tr(sigma^s (p1' rho1' - p0' rho0'))``."""
         return fourier_coefficient(self.labeling_xop, s)
 
-    @cached_property
-    def _exact_tables(self) -> dict:
-        return {}
+    def _memoized(self, key: tuple, build):
+        """The value stored under ``key``, built by ``build()`` on its first use.
+
+        The memo holds only values that do not depend on any seed: exact
+        tables, the optimal loss, cover and batch plan, prepared batches and
+        ``opt_k``, each computed once per source.  A build that raises stores
+        nothing, so its checks run again on the next call.  Builds hold a
+        per-source lock, so concurrent runs build each key once.
+        """
+        with self._memo_lock:
+            try:
+                return self._memo[key]
+            except KeyError:
+                value = self._memo[key] = build()
+                return value
 
     def exact_table(self, strings) -> FourierTable:
         """Exact coefficients at the given strings, computed once per source and
         string tuple (a learner and its optimum ask for the same table)."""
         key = tuple(strings)
-        table = self._exact_tables.get(key)
-        if table is None:
-            table = fourier_transform(self.labeling_xop, key, d=self.d)
-            self._exact_tables[key] = table
-        return table
+        return self._memoized(
+            ("exact_table", key), lambda: fourier_transform(self.labeling_xop, key, d=self.d)
+        )
 
-    @cached_property
-    def _optimal_losses(self) -> dict:
-        """Exact loss of the optimal predictor, kept by the learners per
-        tuple of strings it is the sign over; it does not depend on the seed."""
-        return {}
+    def _prepared_batch(self, batch: DegreeSet) -> "_PreparedBatch":
+        """The commuting batch reduced to its generators, with the prefix tree
+        of its joint law on ``rho0`` and ``rho1`` (rows 0 and 1, by base)."""
+        return self._memoized(
+            ("batch", batch.strings), lambda: _prepare_batch(batch, (self.rho0, self.rho1))
+        )
 
     def with_flip_rate(self, eta: float) -> "SampleSource":
-        """Same draw distribution with the label-flip rate replaced by ``eta``."""
+        """Same draw distribution with the label-flip rate replaced by ``eta``,
+        as a new source with an empty memo."""
         if not 0.0 <= eta < 0.5:
             raise ValueError(f"flip rate must lie in [0, 0.5), got {eta}")
         kind = self.kind if eta == self.flip_rate else "noisy"
@@ -286,15 +310,15 @@ def draw_samples(
 
 
 def group_samples(source: SampleSource, bases: np.ndarray, labels: np.ndarray) -> list[tuple]:
-    """``(state, label_sign, sample_indices)`` for each ``(base, label)`` pair
+    """``(base, label_sign, sample_indices)`` for each ``(base, label)`` pair
     that occurs, in pair order; the label sign ``-(-1)^label`` is +1 for label 1."""
     key = 2 * bases + labels
     groups = []
-    for base, state in enumerate((source.rho0, source.rho1)):
+    for base in (0, 1):
         for label, sign in ((0, -1.0), (1, 1.0)):
             idx = np.flatnonzero(key == 2 * base + label)
             if idx.size:
-                groups.append((state, sign, idx))
+                groups.append((base, sign, idx))
     return groups
 
 
@@ -411,9 +435,35 @@ def _prefix_tree(law: np.ndarray) -> np.ndarray:
     return tree
 
 
+@dataclass(frozen=True)
+class _PreparedBatch:
+    """A commuting batch reduced over GF(2), with its joint law on some states.
+
+    ``columns`` holds the per-string ``(g, combo, sign)`` of
+    :func:`_reduce_batch`, ``rank`` the generator count r, and row i of
+    ``trees`` the :func:`_prefix_tree` of the law on state i.
+    """
+
+    rank: int
+    columns: tuple[tuple[int, int, int], ...]
+    trees: np.ndarray
+
+
+def _prepare_batch(batch: DegreeSet, states: Sequence[np.ndarray]) -> _PreparedBatch:
+    """Check that the batch is jointly measurable, reduce it and take its law
+    on each state."""
+    if len(batch) == 0:
+        raise ValueError("batch must contain at least one string")
+    if not is_clique(batch):
+        raise ValueError("batch strings do not mutually commute; not jointly measurable")
+    generators, columns, masks = _reduce_batch(batch)
+    trees = np.stack([_prefix_tree(_law(state, masks)) for state in states])
+    return _PreparedBatch(len(generators), tuple(columns), trees)
+
+
 def measure_batch_groups(
-    groups: Sequence[tuple[np.ndarray, float, np.ndarray]],
-    batch: DegreeSet,
+    groups: Sequence[tuple],
+    batch: DegreeSet | _PreparedBatch,
     uniforms: np.ndarray,
 ) -> np.ndarray:
     """Measure a commuting batch on groups of identical samples by sampling
@@ -421,46 +471,45 @@ def measure_batch_groups(
 
     ``groups`` lists ``(state, label_sign, sample_indices)`` triples whose
     indices partition the rows of ``uniforms`` (one row per sample, one column
-    per batch string).  The batch reduces to r <= d independent generators,
-    and every other string is a fixed signed product of earlier generators, so
-    its outcome follows from theirs.  For each distinct state the law of the
-    generator eigenvalues and its prefix marginals are computed once.  Sample
-    ``i`` gets outcome +1 on a generator column ``l`` exactly when
+    per batch string).  ``batch`` is either the batch itself, whose law is
+    then taken once per distinct state object, or a batch a source prepared
+    (:meth:`SampleSource._prepared_batch`), in which case each group names its
+    state by its base, as :func:`group_samples` gives it.  The batch reduces
+    to r <= d independent generators, and every other string is a fixed
+    signed product of earlier generators, so its outcome follows from theirs.
+    Sample ``i`` gets outcome +1 on a generator column ``l`` exactly when
     ``uniforms[i, l]`` falls below ``(1 + c t) / 2``, with ``c`` the label sign
     and ``t`` the generator's mean given the sample's earlier outcomes; this is
     the rule of sequential measurement with collapse.  Outcomes do not depend
     on how samples are grouped or ordered.  Returns the +-1 outcome matrix.
     """
-    if len(batch) == 0:
-        raise ValueError("batch must contain at least one string")
-    if not is_clique(batch):
-        raise ValueError("batch strings do not mutually commute; not jointly measurable")
+    if not isinstance(batch, _PreparedBatch):
+        tree_index: dict[int, int] = {}
+        states = []
+        for state, _, _ in groups:
+            if id(state) not in tree_index:
+                tree_index[id(state)] = len(states)
+                states.append(state)
+        batch = _prepare_batch(batch, states)
+        groups = [(tree_index[id(state)], c, idx) for state, c, idx in groups]
     n_total, m = uniforms.shape
-    if m != len(batch):
+    if m != len(batch.columns):
         raise ValueError("uniforms must have one column per batch string")
-    generators, columns, masks = _reduce_batch(batch)
-
-    # one prefix tree per distinct state object, laid end to end
-    tree_index: dict[int, int] = {}
-    trees = []
-    for state, _, _ in groups:
-        if id(state) not in tree_index:
-            tree_index[id(state)] = len(trees)
-            trees.append(_prefix_tree(_law(state, masks)))
-    trees = np.concatenate(trees)
 
     index_sets = [np.asarray(idx, dtype=np.intp) for _, _, idx in groups]
     sizes = [len(idx) for idx in index_sets]
     rows = np.concatenate(index_sets)
-    tree_size = 2 << len(generators)
-    offset = np.repeat([tree_index[id(state)] * tree_size for state, _, _ in groups], sizes)
+    # the prefix trees of all states, laid end to end
+    trees = batch.trees.ravel()
+    tree_size = batch.trees.shape[1]
+    offset = np.repeat([tree * tree_size for tree, _, _ in groups], sizes)
     signs = np.repeat(np.array([c for _, c, _ in groups], dtype=float), sizes)
     positive = signs > 0
     u = uniforms[rows]
     res = np.empty((len(rows), m), dtype=np.int8)
     # bit g of a sample's prefix is set when generator g showed eigenvalue -1
     prefix = np.zeros(len(rows), dtype=np.int64)
-    for col, (g, combo, sign) in enumerate(columns):
+    for col, (g, combo, sign) in enumerate(batch.columns):
         if g < 0:
             flipped = _parity(prefix & combo).astype(bool)
             res[:, col] = np.where(positive ^ (sign < 0) ^ flipped, 1, -1)

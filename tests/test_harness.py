@@ -10,11 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfl import checks, harness
+from qfl import checks, harness, learner
 from qfl.cli import main
 from qfl.harness import CSV_COLUMNS, ConfigError, ExperimentConfig, run_config
 from qfl.pauli import FourierTable, PauliString
-from qfl.simulator import save_matrix
+from qfl.simulator import _reduce_batch, load_source, save_matrix
 
 REPO = Path(__file__).resolve().parents[1]
 CONFIGS = REPO / "configs"
@@ -36,6 +36,14 @@ def write_parity_setup(tmp_path: Path, *, seeds="1, 2", n=2000) -> Path:
         "out = out\n",
         encoding="utf-8",
     )
+    return config
+
+
+def write_d4_config(tmp_path: Path, settings: str) -> Path:
+    """A config on the bundled four-qubit parity source with ``settings`` added."""
+    shutil.copy(CONFIGS / "parity_d4.src", tmp_path)
+    config = tmp_path / "d4.cfg"
+    config.write_text("source = parity_d4.src\ndelta = 0.05\nout = out\n" + settings)
     return config
 
 
@@ -114,11 +122,38 @@ class TestRunConfig:
         assert first.read_bytes() == second.read_bytes()
 
     def test_thread_pool_matches_serial(self, tmp_path, monkeypatch):
-        config = write_parity_setup(tmp_path, seeds="1, 2, 3")
-        serial, _ = run_config(config, out_dir=tmp_path / "serial")
-        monkeypatch.setenv("QFL_THREADS", "3")
-        pooled, _ = run_config(config, out_dir=tmp_path / "pooled")
-        assert serial.read_bytes() == pooled.read_bytes()
+        qld = write_parity_setup(tmp_path, seeds="1, 2, 3")
+        # the pooled seeds of a junta point share one source and its memo
+        junta = write_d4_config(tmp_path, "algorithm = junta\nk = 2\nn = 3000\nseeds = 1, 2, 3\n")
+        for config in (qld, junta):
+            monkeypatch.delenv("QFL_THREADS", raising=False)
+            serial, _ = run_config(config, out_dir=tmp_path / "serial")
+            monkeypatch.setenv("QFL_THREADS", "3")
+            pooled, _ = run_config(config, out_dir=tmp_path / "pooled")
+            assert serial.read_bytes() == pooled.read_bytes()
+
+    def test_point_searches_its_cover_once(self, tmp_path, monkeypatch):
+        # n = 40 is below the 67 strings of the degree set, so the budget
+        # check searches the cover before the runs; the runs reuse it
+        config = write_d4_config(tmp_path, "algorithm = qld\nk = 2\nn = 40\nseeds = 1, 2, 3\n")
+        calls = []
+        real = learner.best_cover
+        monkeypatch.setattr(learner, "best_cover", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        csv_path, _ = run_config(config, out_dir=tmp_path)
+        assert len(csv_path.read_text().splitlines()) == 4
+        assert len(calls) == 1
+
+    def test_summary_reports_cover_structure(self, tmp_path):
+        config = write_d4_config(tmp_path, "algorithm = junta\nk = 2\nn = 3000\nseeds = 1, 2\n")
+        csv_path, json_path = run_config(config, out_dir=tmp_path)
+        (point,) = json.loads(json_path.read_text())["points"]
+        cover = learner.junta_learn(load_source(tmp_path / "parity_d4.src"), 2, 3000, 0.05, 1)[1].cover
+        assert point["m"] == cover.m == len(point["r"])
+        assert point["max_clique"] == max(cover.sizes())
+        assert point["r"] == [len(_reduce_batch(b)[0]) for b in cover.subsets]
+        assert max(point["r"]) <= 4
+        # structure stays out of the byte-gated CSV
+        assert csv_path.read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
 
     def test_bound_dominates_loss_on_realizable_rows(self, tmp_path):
         config = write_parity_setup(tmp_path, seeds="1, 2, 3, 4", n=4000)
@@ -268,11 +303,7 @@ class TestCli:
              "epsilon-text", "epsilon-negative", "epsilon-nan"],
     )
     def test_config_mistake_exits_2_without_output(self, tmp_path, settings):
-        shutil.copy(CONFIGS / "parity_d4.src", tmp_path)
-        config = tmp_path / "bad.cfg"
-        config.write_text(
-            "source = parity_d4.src\ndelta = 0.05\nseeds = 1\nout = out\n" + settings
-        )
+        config = write_d4_config(tmp_path, "seeds = 1\n" + settings)
         out_dir = tmp_path / "results"
         assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
         assert not out_dir.exists()

@@ -1,12 +1,13 @@
 """Estimation, predictor construction, learners, losses, and bound formulas."""
 
+import collections
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from qfl import learner
+from qfl import learner, simulator
 from qfl.compatibility import BatchPlan, Cover, allocate_batches, best_cover
 from qfl.learner import (
     Predictor,
@@ -573,3 +574,81 @@ class TestJuntaLearn:
         _, report = junta_learn(source, 2, 2000, 0.05, 4)
         assert report.opt_value == pytest.approx(0.0, abs=1e-12)
         assert calls == [len(degree_set_upto(3, 2))]
+
+
+class TestSeedInvariantMemo:
+    """A source memoizes what a learn call derives without the seed: cover,
+    plan, prepared batches, the optimum and ``opt_k``."""
+
+    @staticmethod
+    def noisy_source():
+        rng = np.random.default_rng(51)
+        return make_noisy_source(sign_operator(random_hermitian(rng, 8)), 0.1)
+
+    @staticmethod
+    def learn(name, source, seed, n=3000):
+        if name == "qld":
+            return qld_learn(source, degree_set_upto(3, 2), n, 0.05, seed, n_test=500)
+        return junta_learn(source, 2, n, 0.05, seed, n_test=500)
+
+    @pytest.mark.parametrize("name", ["qld", "junta"])
+    def test_warm_memo_matches_fresh_source(self, name):
+        warm = self.noisy_source()
+        self.learn(name, warm, 0)
+        for seed in (1, 2, 3):
+            p_warm, r_warm = self.learn(name, warm, seed)
+            p_fresh, r_fresh = self.learn(name, self.noisy_source(), seed)
+            assert r_warm.to_json_dict() == r_fresh.to_json_dict()
+            assert r_warm.extra == r_fresh.extra
+            assert np.array_equal(p_warm.g_op, p_fresh.g_op)
+
+    @staticmethod
+    def count_calls(monkeypatch, counts, module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    @pytest.mark.parametrize("name", ["qld", "junta"])
+    def test_seed_invariant_steps_run_once_per_source(self, monkeypatch, name):
+        counts = collections.Counter()
+        for fn in ("best_cover", "check_cover", "allocate_batches", "best_coords"):
+            self.count_calls(monkeypatch, counts, learner, fn)
+        self.count_calls(monkeypatch, counts, simulator, "_law")
+        source = self.noisy_source()
+        reports = [self.learn(name, source, seed)[1] for seed in (1, 2, 3)]
+        m = reports[0].cover.m
+        # the law of every batch on each base once; junta selects once per
+        # seed and scores opt_k once per source
+        junta = name == "junta"
+        assert counts == collections.Counter(best_cover=1, check_cover=1, allocate_batches=1,
+                                             best_coords=(3 + 1) * junta, _law=2 * m)
+        # another budget is another plan; another source starts empty
+        self.learn(name, source, 1, n=4000)
+        assert (counts["best_cover"], counts["allocate_batches"]) == (2, 2)
+        self.learn(name, source.with_flip_rate(0.2), 1)
+        assert (counts["best_cover"], counts["allocate_batches"]) == (3, 3)
+        assert counts["_law"] >= 4 * m
+        assert counts["best_coords"] == (3 + 1 + 1 + 2) * junta
+
+    def test_errors_are_not_memoized(self, monkeypatch):
+        source = make_realizable_source(pauli_matrix(P("3")))
+        nodes = DegreeSet.of(1, [P("1"), P("2"), P("3")])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="n >= number of cover subsets"):
+                qld_learn(source, nodes, 2, 0.1, 0)
+        # a cover that fails its check raises on every call, then a good one runs
+        bad = Cover((DegreeSet.of(1, [P("1"), P("2")]), DegreeSet.of(1, [P("3")])))
+        monkeypatch.setattr(learner, "best_cover", lambda *args, **kwargs: bad)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not mutually commuting"):
+                qld_learn(source, nodes, 10, 0.1, 0)
+        monkeypatch.undo()
+        assert qld_learn(source, nodes, 10, 0.1, 0)[1].cover.m == 3
+        # and so does a batch that cannot be measured jointly
+        for _ in range(2):
+            with pytest.raises(ValueError, match="commute"):
+                source._prepared_batch(bad.subsets[0])

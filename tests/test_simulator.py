@@ -1,6 +1,9 @@
 """Sample sources, the labeling operator, and the measurement engine."""
 
 import itertools
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -347,8 +350,8 @@ class TestMeasureBatch:
         groups = group_samples(source, bases, labels)
         # all four (base, label) pairs occur, each exactly once, in pair order
         assert len(groups) == 4
-        for (state, sign, idx), (base, label) in zip(groups, [(0, 0), (0, 1), (1, 0), (1, 1)]):
-            assert state is (source.rho0, source.rho1)[base]
+        for (got, sign, idx), (base, label) in zip(groups, [(0, 0), (0, 1), (1, 0), (1, 1)]):
+            assert got == base
             assert sign == (1.0 if label == 1 else -1.0)
             assert np.all(bases[idx] == base) and np.all(labels[idx] == label)
         assert np.array_equal(np.sort(np.concatenate([g[2] for g in groups])), np.arange(400))
@@ -468,6 +471,68 @@ class TestJointLawSampler:
         batch = DegreeSet.of(1, [P("3")])
         with pytest.raises(ValueError, match="below"):
             measure_batch_groups([(state, -1.0, np.arange(2))], batch, np.zeros((2, 1)))
+
+
+class TestSourceMemo:
+    def test_prepared_batch_matches_per_state_law(self):
+        # differential: a source's prepared batch with groups named by base
+        # against the law taken per distinct state object
+        rng = np.random.default_rng(42)
+        for d in range(1, 5):
+            source = make_custom_source(0.4, random_density(rng, 1 << d), random_density(rng, 1 << d))
+            bases, labels = draw_samples(source, 200, RandomStreams(d).generator(0))
+            by_base = group_samples(source, bases, labels)
+            by_state = [((source.rho0, source.rho1)[b], c, idx) for b, c, idx in by_base]
+            for batch in k2_cliques(d):
+                uniforms = rng.random((200, len(batch)))
+                prepared = source._prepared_batch(batch)
+                assert prepared is source._prepared_batch(batch)
+                assert prepared.rank == len(_reduce_batch(batch)[0])
+                assert np.array_equal(
+                    measure_batch_groups(by_base, prepared, uniforms),
+                    measure_batch_groups(by_state, batch, uniforms),
+                )
+
+    def test_with_flip_rate_starts_empty(self):
+        source = make_parity_source(2, (0, 1))
+        batch = DegreeSet.of(2, [P("33")])
+        source._prepared_batch(batch)
+        source.exact_table(degree_set_upto(2, 1))
+        assert len(source._memo) == 2
+        assert source.with_flip_rate(0.1)._memo == {}
+        assert source.with_flip_rate(0.0)._memo == {}
+
+    def test_concurrent_builds_run_once_per_key(self):
+        source = make_parity_source(2, (0, 1))
+        built = []
+        lock = threading.Lock()
+
+        def build(key):
+            time.sleep(1e-3)  # a build slow enough for other threads to arrive
+            with lock:
+                built.append(key)
+            return key
+
+        wrong = []
+
+        def work():
+            for i in range(200):
+                if source._memoized(("stress", i % 20), lambda: build(i % 20)) != i % 20:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        assert sorted(built) == list(range(20))
 
 
 class TestSourceFiles:
