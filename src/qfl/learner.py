@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,7 +32,15 @@ from .compatibility import (
     cover_score,
 )
 from .operators import maximally_mixed, rho_norm, sign_operator
-from .pauli import DegreeSet, FourierTable, PauliString, degree_set_upto, synthesize
+from .pauli import (
+    TRACE_BLOCK,
+    DegreeSet,
+    FourierTable,
+    PauliString,
+    degree_set_upto,
+    synthesize,
+    synthesize_stack,
+)
 from .simulator import (
     STREAM_DRAW,
     STREAM_MEASURE,
@@ -171,17 +180,48 @@ def best_coords(table: FourierTable, k: int) -> tuple[float, tuple[int, ...]]:
 
     The restriction to C acts as ``I (x) A_C``, and under the maximally mixed
     state its trace norm is the mean |eigenvalue| of the 2^k x 2^k block
-    ``A_C``, so each subset costs one k-qubit spectrum, never a 2^d one.
+    ``A_C``, so each subset costs one k-qubit spectrum, never a 2^d one.  The
+    blocks of all subsets are gathered and synthesized as one stack, and
+    their norms taken by one ``rho_norm`` call per ``TRACE_BLOCK`` entries.
     """
     if k == 0:
         return abs(table.get(PauliString.identity(table.d))), ()
+    subsets, position, gather = _subset_blocks(table.d, k)
+    # strings outside the degree set (support above k) land in the last slot
+    coeffs = np.zeros(len(position) + 1)
+    items = table.coefficients.items()
+    coeffs[[position.get(s.symbols, -1) for s, _ in items]] = [v for _, v in items]
+    blocks = coeffs[gather]
     mm = maximally_mixed(k)
-    subsets = list(itertools.combinations(range(table.d), k))
-    norms = [rho_norm(synthesize(table.block(coords)), 1, mm) for coords in subsets]
+    chunk = max(1, TRACE_BLOCK >> 2 * k)
+    norms = np.concatenate([
+        rho_norm(synthesize_stack(blocks[lo: lo + chunk], k), 1, mm)
+        for lo in range(0, len(subsets), chunk)
+    ])
     # norms that agree to rounding are ties, and ties go to the first subset
-    floor = max(norms) * (1.0 - COORD_TIE_RTOL)
-    first = next(i for i, norm in enumerate(norms) if norm >= floor)
-    return norms[first], subsets[first]
+    first = int(np.argmax(norms >= norms.max() * (1.0 - COORD_TIE_RTOL)))
+    return float(norms[first]), subsets[first]
+
+
+@lru_cache(maxsize=16)
+def _subset_blocks(d: int, k: int) -> tuple[list[tuple[int, ...]], dict, np.ndarray]:
+    """The k-coordinate subsets in lexicographic order, the position of each
+    string of ``degree_set_upto(d, k)`` by its symbols, and the gather index:
+    row i lists the positions of the 4^k strings supported in subset i, in
+    the sorted order of their restrictions to it (the order of
+    ``full_degree_set(k)``).  Every caller shares them, so the index is
+    read-only."""
+    position = {s.symbols: i for i, s in enumerate(degree_set_upto(d, k))}
+    subsets = list(itertools.combinations(range(d), k))
+    gather = np.empty((len(subsets), 4**k), dtype=np.intp)
+    for i, coords in enumerate(subsets):
+        for t, fill in enumerate(itertools.product(range(4), repeat=k)):
+            symbols = [0] * d
+            for c, sym in zip(coords, fill):
+                symbols[c] = sym
+            gather[i, t] = position[tuple(symbols)]
+    gather.flags.writeable = False
+    return subsets, position, gather
 
 
 def opt_k(source: SampleSource, k: int) -> tuple[float, tuple[int, ...]]:

@@ -30,16 +30,18 @@ DENSITY_TRACE_TOL = 1e-10
 SIGN_ZERO_TOL = 1e-12
 
 
-def as_operator(a) -> np.ndarray:
-    """Coerce to a square complex matrix, enforcing finiteness and the size cap."""
+def as_operator(a, *, stack: bool = False) -> np.ndarray:
+    """Coerce to a square complex matrix, or with ``stack`` to a nonempty
+    ``(S, n, n)`` stack of them, enforcing finiteness and the size cap."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] < 1:
-        raise ValueError("matrix must have dimension >= 1")
-    if m.shape[0] > 2**MAX_QUBITS:
+    if m.ndim != 2 + stack or m.shape[-1] != m.shape[-2]:
+        kind = "stack of square matrices" if stack else "square matrix"
+        raise ValueError(f"expected a {kind}, got shape {m.shape}")
+    if m.size == 0:
+        raise ValueError(f"matrix must have dimension >= 1, got shape {m.shape}")
+    if m.shape[-1] > 2**MAX_QUBITS:
         raise ValueError(
-            f"dense matrices are capped at dimension 2**{MAX_QUBITS}; got {m.shape[0]}"
+            f"dense matrices are capped at dimension 2**{MAX_QUBITS}; got {m.shape[-1]}"
         )
     if not (np.all(np.isfinite(m.real)) and np.all(np.isfinite(m.imag))):
         raise ValueError("matrix contains non-finite entries")
@@ -47,12 +49,12 @@ def as_operator(a) -> np.ndarray:
 
 
 def hermiticity_defect(a: np.ndarray) -> float:
-    """Max absolute entry of ``a - a^dagger``."""
-    return float(np.abs(a - a.conj().T).max())
+    """Max absolute entry of ``a - a^dagger`` (over a whole stack)."""
+    return float(np.abs(a - np.swapaxes(a.conj(), -1, -2)).max())
 
 
-def require_hermitian(a) -> np.ndarray:
-    a = as_operator(a)
+def require_hermitian(a, *, stack: bool = False) -> np.ndarray:
+    a = as_operator(a, stack=stack)
     defect = hermiticity_defect(a)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max deviation {defect:.3e} > {HERMITICITY_TOL:.1e}")
@@ -61,12 +63,12 @@ def require_hermitian(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian operator.
+    """Eigendecomposition of a Hermitian operator, or of a stack of them.
 
     ``eigenvalues`` are real and sorted descending; ``eigenvectors`` holds the
     matching orthonormal eigenvectors as columns, so that
     ``eigenvectors @ diag(eigenvalues) @ eigenvectors^dagger`` reconstructs
-    the input.
+    the input.  A stack carries one leading axis on both.
     """
 
     eigenvalues: np.ndarray
@@ -74,16 +76,18 @@ class Spectrum:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def hermitian_eig(h) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix with descending eigenvalues.
+def hermitian_eig(h, *, stack: bool = False) -> Spectrum:
+    """Eigendecomposition of a Hermitian matrix with descending eigenvalues;
+    with ``stack``, of each matrix of an ``(S, n, n)`` stack, bit for bit as
+    one call per matrix would give it.
 
     Raises RuntimeError if the underlying solver fails to converge; the error
     message carries the hermiticity defect of the input as a diagnostic.
     """
-    h = require_hermitian(h)
+    h = require_hermitian(h, stack=stack)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -91,8 +95,7 @@ def hermitian_eig(h) -> Spectrum:
             f"eigendecomposition did not converge (hermiticity defect "
             f"{hermiticity_defect(h):.3e}): {exc}"
         ) from exc
-    order = slice(None, None, -1)
-    return Spectrum(eigenvalues=w[order].copy(), eigenvectors=v[:, order].copy())
+    return Spectrum(eigenvalues=w[..., ::-1].copy(), eigenvectors=v[..., ::-1].copy())
 
 
 def sign_operator(h) -> np.ndarray:
@@ -120,25 +123,29 @@ def rho_inner_product(a, b, rho) -> complex:
     return complex(np.einsum("ji,jk,ki->", a.conj(), b, rho))
 
 
-def rho_norm(a, q: int, rho) -> float:
+def rho_norm(a, q: int, rho) -> float | np.ndarray:
     """State-weighted q-norm ``tr(|a|^q rho)^(1/q)`` for Hermitian ``a``, q in {1, 2}.
 
     For q=2 this is ``sqrt(tr(a^2 rho))``; for q=1 the absolute value is taken
-    spectrally.
+    spectrally.  For q=1, ``a`` may also be an ``(S, n, n)`` stack, giving an
+    array of S norms, each bit for bit the norm of its matrix alone.
     """
-    a = require_hermitian(a)
+    stack = q == 1 and np.ndim(a) == 3
+    a = require_hermitian(a, stack=stack)
     rho = as_operator(rho)
-    if a.shape != rho.shape:
+    if a.shape[-2:] != rho.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {rho.shape}")
     if q == 2:
         val = np.einsum("ij,jk,ki->", a, a, rho).real
         return float(np.sqrt(max(val, 0.0)))
     if q == 1:
-        spec = hermitian_eig(a)
+        spec = hermitian_eig(a, stack=stack)
         v = spec.eigenvectors
         # weights[i] = <v_i| rho |v_i>, through one matrix product
-        weights = (v.conj() * (rho @ v)).sum(axis=0).real
-        return float(np.abs(spec.eigenvalues) @ weights)
+        weights = (v.conj() * (rho @ v)).sum(axis=-2).real
+        # a (1, n) @ (n, 1) product per matrix: the same dot on a stack as alone
+        norms = (np.abs(spec.eigenvalues)[..., None, :] @ weights[..., None])[..., 0, 0]
+        return norms if stack else float(norms)
     raise ValueError(f"q must be 1 or 2, got {q!r}")
 
 

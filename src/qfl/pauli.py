@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -47,6 +47,8 @@ class PauliString:
     x_mask: int = field(init=False, compare=False, repr=False)
     z_mask: int = field(init=False, compare=False, repr=False)
     y_count: int = field(init=False, compare=False, repr=False)
+    # strings key every memo lookup, so the hash is taken once
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         symbols = tuple(int(v) for v in self.symbols)
@@ -69,6 +71,10 @@ class PauliString:
         object.__setattr__(self, "x_mask", x_mask)
         object.__setattr__(self, "z_mask", z_mask)
         object.__setattr__(self, "y_count", y_count)
+        object.__setattr__(self, "_hash", hash((symbols,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def identity(cls, d: int) -> "PauliString":
@@ -276,31 +282,14 @@ class FourierTable:
 
     def restricted_to_coords(self, coords: Iterable[int]) -> "FourierTable":
         """Keep exactly the entries whose support lies inside ``coords``."""
-        keep = set(coords)
+        # bits outside the coordinates, in the x_mask/z_mask layout
+        outside = (1 << self.d) - 1
+        for c in set(coords):
+            if 0 <= c < self.d:
+                outside &= ~(1 << (self.d - 1 - c))
         return FourierTable(
             self.d,
-            {s: c for s, c in self.coefficients.items() if set(s.support) <= keep},
-        )
-
-    def block(self, coords: Iterable[int]) -> "FourierTable":
-        """The entries supported inside ``coords``, re-indexed onto
-        ``len(coords)`` qubits: qubit j of the block is coordinate
-        ``coords[j]``.  ``synthesize(self.restricted_to_coords(coords))`` acts
-        as the block's operator on those coordinates and as the identity on
-        the rest."""
-        coords = tuple(coords)
-        keep = set(coords)
-        if not coords or len(keep) != len(coords) or not keep <= set(range(self.d)):
-            raise ValueError(f"need one or more distinct coordinates in [0, {self.d}), got {coords}")
-        # bits outside the coordinates, in the x_mask/z_mask layout
-        outside = ((1 << self.d) - 1) ^ sum(1 << (self.d - 1 - c) for c in coords)
-        return FourierTable(
-            len(coords),
-            {
-                PauliString(tuple(s.symbols[c] for c in coords)): v
-                for s, v in self.coefficients.items()
-                if not (s.x_mask | s.z_mask) & outside
-            },
+            {s: v for s, v in self.coefficients.items() if not (s.x_mask | s.z_mask) & outside},
         )
 
     def to_text(self) -> str:
@@ -361,20 +350,46 @@ def synthesize(table: FourierTable) -> np.ndarray:
     Strings are added one at a time in sorted order, so every entry is the
     same floating-point sum whatever the block size.
     """
-    n = 1 << table.d
     if table.d > MAX_QUBITS:
         raise ValueError(f"dense synthesis capped at {MAX_QUBITS} qubits")
     items = table.items()
-    x, z, k = pauli_masks(s for s, _ in items)
     c = np.array([v for _, v in items], dtype=np.float64)
+    return _accumulate(c, *pauli_masks(s for s, _ in items), 1 << table.d)
+
+
+def synthesize_stack(coeffs: np.ndarray, d: int) -> np.ndarray:
+    """Dense operators ``sum_s coeffs[i, s] sigma^s``, one per row of the
+    ``(S, 4^d)`` coefficients over all d-qubit strings in sorted order.
+
+    Each matrix is bit for bit ``synthesize`` of its row as a table (a string
+    left out of a table adds the same bits as a zero coefficient).
+    """
+    if d > MAX_QUBITS:
+        raise ValueError(f"dense synthesis capped at {MAX_QUBITS} qubits")
+    return _accumulate(np.asarray(coeffs, dtype=np.float64), *_full_masks(d), 1 << d)
+
+
+@lru_cache(maxsize=None)
+def _full_masks(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``pauli_masks(full_degree_set(d))``, shared by every caller, read-only."""
+    masks = pauli_masks(full_degree_set(d))
+    for a in masks:
+        a.flags.writeable = False
+    return masks
+
+
+def _accumulate(c: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """``sum_t c[..., t] P_t`` as dense ``(..., n, n)`` operators, from the
+    strings' masks, adding one string at a time in the given order; the
+    phases are taken in blocks of at most ``TRACE_BLOCK`` entries."""
+    out = np.zeros(c.shape[:-1] + (n, n), dtype=np.complex128)
     idx = np.arange(n)
-    out = np.zeros((n, n), dtype=np.complex128)
-    rows = max(1, TRACE_BLOCK // n)
+    rows = max(1, TRACE_BLOCK // (out.size // n))
     for lo in range(0, len(x), rows):
         block = slice(lo, lo + rows)
-        phases = c[block, None] * (_I_POWERS[k[block], None] * (1.0 - 2.0 * _parity(idx & z[block, None])))
-        for xt, row in zip(x[block], phases):
-            out[idx ^ xt, idx] += row
+        phases = c[..., block, None] * (_I_POWERS[k[block], None] * (1.0 - 2.0 * _parity(idx & z[block, None])))
+        for t, xt in enumerate(x[block]):
+            out[..., idx ^ xt, idx] += phases[..., t, :]
     return out
 
 

@@ -16,10 +16,14 @@ generators; every other string is a signed product of earlier generators.
 The joint outcome law of the batch on a state is the Walsh-Hadamard transform
 of the ``2^r`` expectations of generator products, each one O(2^d) gather
 over the state, so no ``2^m`` joint effects and no collapsed states are ever
-formed.  A source computes the reduction and the law of each conditional state
-once per batch and keeps them (:meth:`SampleSource._prepared_batch`);
-:func:`measure_batch_groups` then draws every sample's outcomes from the
-law's conditionals with the rule of sequential measurement with collapse.
+formed.  A source reduces each batch once and keeps it with outcome tables
+taken from the law of each conditional state
+(:meth:`SampleSource._prepared_batch`): per state, label sign, generator and
+prefix of earlier outcomes, the probability of outcome +1, and per dependent
+string whether its outcome is +1.  :func:`measure_batch_groups` then draws
+every sample's outcomes by the rule of sequential measurement with collapse,
+one generator at a time, with a gather from those tables and one comparison
+against the sample's uniform.
 
 Everything a source derives without the seed (exact tables, the optimal
 loss, cover and batch plan, prepared batches, ``opt_k``) is memoized on it,
@@ -182,8 +186,8 @@ class SampleSource:
         )
 
     def _prepared_batch(self, batch: DegreeSet) -> "_PreparedBatch":
-        """The commuting batch reduced to its generators, with the prefix tree
-        of its joint law on ``rho0`` and ``rho1`` (rows 0 and 1, by base)."""
+        """The commuting batch reduced to its generators, with its outcome
+        tables on ``rho0`` and ``rho1`` (states 0 and 1, by base)."""
         return self._memoized(
             ("batch", batch.strings), lambda: _prepare_batch(batch, (self.rho0, self.rho1))
         )
@@ -437,28 +441,58 @@ def _prefix_tree(law: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _PreparedBatch:
-    """A commuting batch reduced over GF(2), with its joint law on some states.
+    """A commuting batch reduced over GF(2), with its outcome tables on some
+    states.
 
     ``columns`` holds the per-string ``(g, combo, sign)`` of
-    :func:`_reduce_batch`, ``rank`` the generator count r, and row i of
-    ``trees`` the :func:`_prefix_tree` of the law on state i.
+    :func:`_reduce_batch` and ``rank`` the generator count r.  A sample's
+    prefix p records the generators measured so far, bit g set when generator
+    g showed eigenvalue -1.  Every table has one row per state and label sign
+    c, row ``2 i + (c > 0)`` for state i, laid out like the state's
+    :func:`_prefix_tree`: after h generators a sample reads entry ``2^h + p``
+    of its row.  In ``probs`` that entry is the probability ``(1 + c t) / 2``
+    that generator h gives outcome +1, with t its mean on the law conditioned
+    on p, or NaN where p has no mass.  ``outcomes`` holds, for each dependent
+    string, the table of whether its outcome is +1, namely the label sign
+    times ``(-1)^(parity(p & combo) ^ (sign < 0))`` (None for generators).
     """
 
     rank: int
     columns: tuple[tuple[int, int, int], ...]
-    trees: np.ndarray
+    probs: np.ndarray
+    outcomes: tuple[np.ndarray | None, ...]
 
 
 def _prepare_batch(batch: DegreeSet, states: Sequence[np.ndarray]) -> _PreparedBatch:
-    """Check that the batch is jointly measurable, reduce it and take its law
-    on each state."""
+    """Check that the batch is jointly measurable, reduce it and tabulate its
+    outcomes from the prefix trees of its law on each state."""
     if len(batch) == 0:
         raise ValueError("batch must contain at least one string")
     if not is_clique(batch):
         raise ValueError("batch strings do not mutually commute; not jointly measurable")
     generators, columns, masks = _reduce_batch(batch)
     trees = np.stack([_prefix_tree(_law(state, masks)) for state in states])
-    return _PreparedBatch(len(generators), tuple(columns), trees)
+    probs = np.full((2 * len(states), trees.shape[1]), np.nan)
+    for g in range(len(generators)):
+        level = slice(1 << g, 2 << g)
+        denom = trees[:, level]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (2.0 * trees[:, 2 << g: 3 << g] - denom) / denom
+        for row, c in ((0, -1.0), (1, 1.0)):
+            probs[row::2, level] = np.where(denom > 0.0, 0.5 * (1.0 + c * t), np.nan)
+    outcomes = []
+    h = 0  # generators before the column
+    for g, combo, sign in columns:
+        if g >= 0:
+            outcomes.append(None)
+            h += 1
+            continue
+        flip = (_parity(np.arange(1 << h) & combo) ^ (sign < 0)).astype(bool)
+        table = np.zeros(probs.shape, dtype=bool)
+        table[0::2, 1 << h: 2 << h] = flip
+        table[1::2, 1 << h: 2 << h] = ~flip
+        outcomes.append(table)
+    return _PreparedBatch(len(generators), tuple(columns), probs, tuple(outcomes))
 
 
 def measure_batch_groups(
@@ -471,18 +505,21 @@ def measure_batch_groups(
 
     ``groups`` lists ``(state, label_sign, sample_indices)`` triples whose
     indices partition the rows of ``uniforms`` (one row per sample, one column
-    per batch string).  ``batch`` is either the batch itself, whose law is
-    then taken once per distinct state object, or a batch a source prepared
-    (:meth:`SampleSource._prepared_batch`), in which case each group names its
-    state by its base, as :func:`group_samples` gives it.  The batch reduces
-    to r <= d independent generators, and every other string is a fixed
-    signed product of earlier generators, so its outcome follows from theirs.
-    Sample ``i`` gets outcome +1 on a generator column ``l`` exactly when
-    ``uniforms[i, l]`` falls below ``(1 + c t) / 2``, with ``c`` the label sign
-    and ``t`` the generator's mean given the sample's earlier outcomes; this is
-    the rule of sequential measurement with collapse.  Outcomes do not depend
-    on how samples are grouped or ordered.  Returns the +-1 outcome matrix.
+    per batch string); label signs are +1 or -1.  ``batch`` is either the
+    batch itself, whose law is then taken once per distinct state object, or
+    a batch a source prepared (:meth:`SampleSource._prepared_batch`), in which
+    case each group names its state by its base, as :func:`group_samples`
+    gives it.  The batch reduces to r <= d independent generators, and every
+    other string is a fixed signed product of earlier generators, so its
+    outcome follows from theirs.  Sample ``i`` gets outcome +1 on a generator
+    column ``l`` exactly when ``uniforms[i, l]`` falls below ``(1 + c t) / 2``,
+    with ``c`` the label sign and ``t`` the generator's mean given the
+    sample's earlier outcomes; this is the rule of sequential measurement
+    with collapse.  Outcomes do not depend on how samples are grouped or
+    ordered.  Returns the +-1 outcome matrix.
     """
+    if any(c not in (-1.0, 1.0) for _, c, _ in groups):
+        raise ValueError("label signs must be +1 or -1")
     if not isinstance(batch, _PreparedBatch):
         tree_index: dict[int, int] = {}
         states = []
@@ -495,34 +532,35 @@ def measure_batch_groups(
     n_total, m = uniforms.shape
     if m != len(batch.columns):
         raise ValueError("uniforms must have one column per batch string")
+    if sum(len(idx) for _, _, idx in groups) != n_total:
+        raise ValueError("the groups' sample indices must partition the rows of uniforms")
 
-    index_sets = [np.asarray(idx, dtype=np.intp) for _, _, idx in groups]
-    sizes = [len(idx) for idx in index_sets]
-    rows = np.concatenate(index_sets)
-    # the prefix trees of all states, laid end to end
-    trees = batch.trees.ravel()
-    tree_size = batch.trees.shape[1]
-    offset = np.repeat([tree * tree_size for tree, _, _ in groups], sizes)
-    signs = np.repeat(np.array([c for _, c, _ in groups], dtype=float), sizes)
-    positive = signs > 0
-    u = uniforms[rows]
-    res = np.empty((len(rows), m), dtype=np.int8)
-    # bit g of a sample's prefix is set when generator g showed eigenvalue -1
-    prefix = np.zeros(len(rows), dtype=np.int64)
-    for col, (g, combo, sign) in enumerate(batch.columns):
+    # each sample's entry in the tables, all rows laid end to end
+    width = batch.probs.shape[1]
+    index = np.empty(n_total, dtype=np.int64)
+    positive = np.empty(n_total, dtype=bool)
+    for state, c, idx in groups:
+        index[idx] = (2 * state + (c > 0)) * width + 1
+        positive[idx] = c > 0
+    probs = batch.probs.ravel()
+    # hits[i, l] is set when sample i shows outcome +1 on string l
+    hits = np.empty((n_total, m), dtype=bool)
+    for col, ((g, _, _), table) in enumerate(zip(batch.columns, batch.outcomes)):
         if g < 0:
-            flipped = _parity(prefix & combo).astype(bool)
-            res[:, col] = np.where(positive ^ (sign < 0) ^ flipped, 1, -1)
+            hits[:, col] = table.take(index)
             continue
-        denom = trees[offset + (1 << g) + prefix]
-        if not (denom > 0.0).all():
-            raise ValueError("a sample reached an outcome prefix of zero probability")
-        t = (2.0 * trees[offset + (2 << g) + prefix] - denom) / denom
-        took = u[:, col] < _checked_probability(0.5 * (1.0 + signs * t))
-        res[:, col] = np.where(took, 1, -1)
-        prefix |= (took ^ positive).astype(np.int64) << g
-    outcomes = np.empty((n_total, m), dtype=np.int8)
-    outcomes[rows] = res
+        p = probs.take(index)
+        # u < p equals u < clip(p, 0, 1) for u in [0, 1), once no p is NaN
+        # (a prefix without mass) or below the floor
+        if not np.minimum.reduce(p, initial=0.0) >= PROB_HARD_FLOOR:
+            if np.isnan(p).any():
+                raise ValueError("a sample reached an outcome prefix of zero probability")
+            _checked_probability(p)
+        took = np.less(uniforms[:, col], p, out=hits[:, col])
+        # down to level g + 1, with eigenvalue bit took ^ positive as bit g of p
+        index += np.where(took ^ positive, 2 << g, 1 << g)
+    outcomes = hits.view(np.int8) * np.int8(2)
+    outcomes -= np.int8(1)
     return outcomes
 
 

@@ -7,7 +7,7 @@ measurement, sequential measurement with dense post-measurement collapse,
 left and right Pauli application on dense matrices, pairwise commutation,
 cover search that builds and canonicalizes a ``Cover`` per candidate, integer
 batch allocation by a heap started from one sample per subset, and junta
-subset selection on dense 2^d operators.
+subset selection by one k-qubit block per subset and on dense 2^d operators.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from qfl.compatibility import (
     is_clique,
     pauli_commute,
 )
+from qfl.learner import COORD_TIE_RTOL
 from qfl.operators import as_operator, maximally_mixed, rho_norm
 from qfl.pauli import (
     DegreeSet,
@@ -298,6 +299,49 @@ def object_best_cover(nodes: DegreeSet, n: int, delta: float, strategy: str = "g
         if best is None or key < best[0]:
             best = (key, cover)
     return best[1]
+
+
+def block(table: FourierTable, coords: Sequence[int]) -> FourierTable:
+    """The entries of ``table`` supported inside ``coords``, re-indexed onto
+    ``len(coords)`` qubits: qubit j of the block is coordinate ``coords[j]``.
+    ``synthesize(table.restricted_to_coords(coords))`` acts as the block's
+    operator on those coordinates and as the identity on the rest."""
+    coords = tuple(coords)
+    keep = set(coords)
+    if not coords or len(keep) != len(coords) or not keep <= set(range(table.d)):
+        raise ValueError(f"need one or more distinct coordinates in [0, {table.d}), got {coords}")
+    # bits outside the coordinates, in the x_mask/z_mask layout
+    outside = ((1 << table.d) - 1) ^ sum(1 << (table.d - 1 - c) for c in coords)
+    return FourierTable(
+        len(coords),
+        {
+            PauliString(tuple(s.symbols[c] for c in coords)): v
+            for s, v in table.coefficients.items()
+            if not (s.x_mask | s.z_mask) & outside
+        },
+    )
+
+
+def subset_norms(table: FourierTable, k: int) -> list[float]:
+    """Maximally-mixed trace norm of each k-coordinate subset's block, one
+    ``block``, ``synthesize`` and ``rho_norm`` call per subset, in
+    lexicographic subset order."""
+    mm = maximally_mixed(k)
+    return [rho_norm(synthesize(block(table, coords)), 1, mm)
+            for coords in itertools.combinations(range(table.d), k)]
+
+
+def subset_best_coords(table: FourierTable, k: int) -> tuple[float, tuple[int, ...]]:
+    """Selection by one block per subset (the loop the stacked selection
+    replaced): the largest norm up to a relative ``COORD_TIE_RTOL``, and the
+    first subset attaining it."""
+    if k == 0:
+        return abs(table.get(PauliString.identity(table.d))), ()
+    subsets = list(itertools.combinations(range(table.d), k))
+    norms = subset_norms(table, k)
+    floor = max(norms) * (1.0 - COORD_TIE_RTOL)
+    first = next(i for i, norm in enumerate(norms) if norm >= floor)
+    return norms[first], subsets[first]
 
 
 def dense_subset_norms(table: FourierTable, k: int) -> dict[tuple[int, ...], float]:

@@ -56,7 +56,7 @@ from conftest import (
     make_parity_source,
     random_hermitian,
 )
-from oracles import dense_best_coords, dense_subset_norms
+from oracles import block, dense_best_coords, dense_subset_norms, subset_best_coords, subset_norms
 
 P = PauliString.from_digits
 
@@ -385,6 +385,39 @@ class TestBestCoords:
                 clear += len(tied) == 1
         assert clear >= 5
 
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_stack_matches_per_subset_oracle(self, d):
+        # bit for bit: the stacked blocks and norms are the per-subset ones
+        for table in self._tables(d):
+            for k in range(min(d, 3) + 1):
+                assert best_coords(table, k) == subset_best_coords(table, k)
+        sparse = FourierTable(d, dict(list(self._tables(d)[0].items())[::3]))
+        assert best_coords(sparse, 2) == subset_best_coords(sparse, 2)
+
+    def test_stack_is_chunked(self, monkeypatch):
+        table = self._tables(5)[0]
+        calls = []
+        real = learner.rho_norm
+        monkeypatch.setattr(learner, "rho_norm", lambda a, q, rho: calls.append(a.shape) or real(a, q, rho))
+        want = best_coords(table, 2)
+        monkeypatch.setattr(learner, "TRACE_BLOCK", 3 * 16)
+        assert best_coords(table, 2) == want
+        assert calls == [(10, 4, 4)] + [(3, 4, 4)] * 3 + [(1, 4, 4)]
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_gather_index_matches_block_oracle(self, d):
+        rng = np.random.default_rng(70 + d)
+        for k in range(1, min(d, 3) + 1):
+            strings = degree_set_upto(d, k)
+            table = FourierTable(d, {s: float(rng.normal()) for s in strings})
+            subsets, position, gather = learner._subset_blocks(d, k)
+            assert subsets == list(itertools.combinations(range(d), k))
+            assert [position[s.symbols] for s in strings] == list(range(len(strings)))
+            coeffs = np.array([table[s] for s in strings])
+            for coords, row in zip(subsets, gather):
+                want = [block(table, coords).get(s) for s in full_degree_set(k)]
+                assert coeffs[row].tolist() == want
+
     def test_symmetric_table_tie_goes_to_first_pair(self):
         d = 4
         coeffs = {PauliString.identity(d): 0.1}
@@ -395,8 +428,7 @@ class TestBestCoords:
                 coeffs[PauliString(tuple(sym if q in pair else 0 for q in range(d)))] = c
         table = FourierTable(d, coeffs)
         # every pair has the same block, so every pair ties exactly
-        norms = {rho_norm(synthesize(table.block(pair)), 1, maximally_mixed(2))
-                 for pair in itertools.combinations(range(d), 2)}
+        norms = set(subset_norms(table, 2))
         assert len(norms) == 1
         assert best_coords(table, 2) == (norms.pop(), (0, 1))
 
@@ -407,7 +439,7 @@ class TestBestCoords:
         coeffs = {s: float(rng.normal(scale=0.1)) for s in degree_set_upto(3, 1)}
         coeffs[PauliString.identity(3)] = 0.9
         table = FourierTable(3, coeffs)
-        norms = [rho_norm(synthesize(table.block((q,))), 1, maximally_mixed(1)) for q in range(3)]
+        norms = subset_norms(table, 1)
         assert max(norms) > norms[0]  # a strict comparison would not pick qubit 0
         norm, coords = best_coords(table, 1)
         assert coords == (0,)
@@ -430,10 +462,10 @@ class TestBestCoords:
         monkeypatch.setattr(learner, "synthesize", synthesize_)
         _, report = junta_learn(make_parity_source(6, (1, 4)), 2, 20_000, 0.05, 1)
         assert report.chosen_coords == report.extra["opt_coords"] == (1, 4)
-        pairs = 15
-        # selection and opt_k: one 4x4 block per pair; the two predictors stay dense
-        assert shapes["rho_norm"] == [((4, 4), (4, 4))] * (2 * pairs)
-        assert sorted(shapes["synthesize"]) == [(4, 4)] * (2 * pairs) + [(64, 64)] * 2
+        # selection and opt_k: one stack of the 15 pairs' 4x4 blocks each;
+        # only the two predictors are dense
+        assert shapes["rho_norm"] == [((15, 4, 4), (4, 4))] * 2
+        assert sorted(shapes["synthesize"]) == [(64, 64)] * 2
 
 
 class TestQldLearn:

@@ -164,6 +164,38 @@ class TestRhoNorm:
         with pytest.raises(ValueError, match="q must be"):
             rho_norm(np.eye(2), 3, np.eye(2) / 2)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stack_matches_per_matrix_bit_for_bit(self, k):
+        rng = np.random.default_rng(30 + k)
+        n = 1 << k
+        for rho in (maximally_mixed(k), random_density(rng, n)):
+            for size in (1, 7, 40):
+                a = np.stack([random_hermitian(rng, n) for _ in range(size)])
+                a[0] = a[0].real  # a real block, as selection often builds
+                norms = rho_norm(a, 1, rho)
+                assert norms.shape == (size,)
+                assert norms.tolist() == [rho_norm(m, 1, rho) for m in a]
+                spec = hermitian_eig(a, stack=True)
+                for i, m in enumerate(a):
+                    one = hermitian_eig(m)
+                    assert spec.eigenvalues[i].tobytes() == one.eigenvalues.tobytes()
+                    assert spec.eigenvectors[i].tobytes() == one.eigenvectors.tobytes()
+                assert np.abs(spec.reconstruct() - a).max() <= 1e-12
+
+    def test_stack_checks(self):
+        rng = np.random.default_rng(34)
+        a = np.stack([random_hermitian(rng, 4) for _ in range(3)])
+        a[2, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            rho_norm(a, 1, maximally_mixed(2))
+        with pytest.raises(ValueError, match="mismatch"):
+            rho_norm(a[:2], 1, maximally_mixed(1))
+        with pytest.raises(ValueError, match="dimension >= 1"):
+            rho_norm(a[:0], 1, maximally_mixed(2))
+        # the stacked form is for q=1 only
+        with pytest.raises(ValueError, match="square matrix"):
+            rho_norm(a[:2], 2, maximally_mixed(2))
+
 
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(0, 10_000))

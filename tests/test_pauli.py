@@ -23,11 +23,13 @@ from qfl.pauli import (
     pauli_matrix,
     pauli_traces,
     synthesize,
+    synthesize_stack,
 )
 
 from conftest import random_hermitian, random_string
 from oracles import (
     SINGLE_QUBIT as SIGMA,
+    block,
     kron_pauli,
     pauli_apply_left,
     pauli_apply_right,
@@ -64,6 +66,16 @@ class TestPauliString:
             PauliString((4,))
         with pytest.raises(ValueError):
             PauliString(())
+
+    def test_equal_strings_hash_alike(self):
+        a, b = PauliString((0, 2, 3)), PauliString.from_digits("023")
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(((0, 2, 3),))
+        assert {a: 1.0}[b] == 1.0
+        assert len({a, b, PauliString((0, 2, 1))}) == 2
+        # the hash is a field taken at construction, not compared or printed
+        assert "_hash" not in repr(a)
+        assert PauliString((0, 2, 1)) < a
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(symbols_strategy)
@@ -139,6 +151,22 @@ class TestKernel:
         table = FourierTable(4, {s: float(rng.normal()) for s in self._strings(rng, 4)})
         monkeypatch.setattr(pauli_module, "TRACE_BLOCK", 40)
         assert synthesize(table).tobytes() == string_synthesize(table).tobytes()
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_synthesize_stack_matches_synthesize(self, d, monkeypatch):
+        import qfl.pauli as pauli_module
+
+        rng = np.random.default_rng(90 + d)
+        strings = full_degree_set(d).strings
+        coeffs = rng.normal(size=(5, len(strings)))
+        # rows with zeros where a table leaves strings out, and a zero row
+        coeffs[1, rng.random(len(strings)) < 0.5] = 0.0
+        coeffs[2] = 0.0
+        tables = [FourierTable(d, {s: v for s, v in zip(strings, row) if v != 0.0}) for row in coeffs]
+        want = np.stack([synthesize(t) for t in tables])
+        assert synthesize_stack(coeffs, d).tobytes() == want.tobytes()
+        monkeypatch.setattr(pauli_module, "TRACE_BLOCK", 40)
+        assert synthesize_stack(coeffs, d).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_fourier_transform_matches_per_string_traces(self, d):
@@ -308,6 +336,12 @@ class TestRestriction:
         table = self._table()
         assert table.restricted_to_coords(range(3)).items() == table.items()
 
+    @pytest.mark.parametrize("coords", [(), (1,), (0, 2), (2, 0, 2), (1, 5, -1)])
+    def test_restriction_keeps_strings_supported_inside(self, coords):
+        table = self._table()
+        want = [(s, c) for s, c in table.items() if set(s.support) <= set(coords)]
+        assert table.restricted_to_coords(coords).items() == want
+
     def test_single_coordinate(self):
         kept = self._table().restricted_to_coords((1,))
         for s, _ in kept.items():
@@ -317,19 +351,19 @@ class TestRestriction:
     @pytest.mark.parametrize("coords", [(1,), (0, 2), (2, 0), (0, 1, 2)])
     def test_block_is_the_restriction_on_its_coordinates(self, coords):
         table = self._table()
-        block = table.block(coords)
-        assert block.d == len(coords)
+        kept = block(table, coords)
+        assert kept.d == len(coords)
         # move the block's coordinates first; the restriction is then block (x) I
         order = list(coords) + [q for q in range(3) if q not in coords]
         dense = synthesize(table.restricted_to_coords(coords)).reshape([2] * 6)
         moved = dense.transpose(order + [3 + q for q in order]).reshape(8, 8)
-        want = np.kron(synthesize(block), np.eye(1 << (3 - len(coords))))
+        want = np.kron(synthesize(kept), np.eye(1 << (3 - len(coords))))
         assert np.abs(moved - want).max() <= 1e-12
 
     @pytest.mark.parametrize("coords", [(), (1, 1), (3,), (-1,)])
     def test_block_rejects_bad_coords(self, coords):
         with pytest.raises(ValueError, match="coordinates"):
-            self._table().block(coords)
+            block(self._table(), coords)
 
 
 class TestClassicalEmbedding:

@@ -24,6 +24,7 @@ from qfl.pauli import (
 )
 from qfl.simulator import (
     RandomStreams,
+    _prepare_batch,
     _reduce_batch,
     draw_samples,
     estimation_observable,
@@ -471,6 +472,43 @@ class TestJointLawSampler:
         batch = DegreeSet.of(1, [P("3")])
         with pytest.raises(ValueError, match="below"):
             measure_batch_groups([(state, -1.0, np.arange(2))], batch, np.zeros((2, 1)))
+
+    def test_table_path_errors_only_for_samples_that_reach_them(self):
+        # state 1 has no mass at all, so every entry of its rows is NaN
+        batch = DegreeSet.of(2, [P("30"), P("03"), P("33")])
+        good = random_density(np.random.default_rng(43), 4)
+        prepared = _prepare_batch(batch, (good, np.zeros((4, 4))))
+        assert not np.isnan(prepared.probs[:2, 1: 1 << prepared.rank]).any()
+        assert np.isnan(prepared.probs[2:]).all()
+        uniforms = np.random.default_rng(44).random((6, 3))
+        fine = [(0, -1.0, np.arange(3)), (0, 1.0, np.arange(3, 6))]
+        assert np.array_equal(measure_batch_groups(fine, prepared, uniforms),
+                              measure_batch_groups([(good, c, idx) for _, c, idx in fine], batch, uniforms))
+        with pytest.raises(ValueError, match="zero probability"):
+            measure_batch_groups(fine[:1] + [(1, 1.0, np.arange(3, 6))], prepared, uniforms)
+        # a negative eigenvalue: outcome +1 has probability 1.5 under label
+        # sign +1 and -0.5 under -1; only the samples of sign -1 raise
+        broken = _prepare_batch(DegreeSet.of(1, [P("3")]), (np.diag([1.5, -0.5]).astype(complex),))
+        assert broken.probs[:, 1].tolist() == [-0.5, 1.5]
+        ones = measure_batch_groups([(0, 1.0, np.arange(4))], broken, np.full((4, 1), 0.999))
+        assert (ones == 1).all()
+        with pytest.raises(ValueError, match="below"):
+            measure_batch_groups([(0, 1.0, np.arange(3)), (0, -1.0, np.array([3]))],
+                                 broken, np.full((4, 1), 0.999))
+
+    def test_groups_must_cover_every_row(self):
+        batch = DegreeSet.of(1, [P("3")])
+        with pytest.raises(ValueError, match="partition"):
+            measure_batch_groups([(maximally_mixed(1), 1.0, np.arange(2))], batch, np.zeros((3, 1)))
+
+    @pytest.mark.parametrize("sign", [0.5, 0.0, -2.0, 3, float("nan")])
+    def test_label_sign_must_be_unit(self, sign):
+        batch = DegreeSet.of(1, [P("3")])
+        with pytest.raises(ValueError, match="label signs"):
+            measure_batch_groups([(maximally_mixed(1), sign, np.arange(2))], batch, np.zeros((2, 1)))
+        prepared = make_bell_source()._prepared_batch(DegreeSet.of(2, [P("30")]))
+        with pytest.raises(ValueError, match="label signs"):
+            measure_batch_groups([(0, sign, np.arange(2))], prepared, np.zeros((2, 1)))
 
 
 class TestSourceMemo:
