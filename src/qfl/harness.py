@@ -7,8 +7,11 @@ summary with per-point aggregates.  Identical config and seeds produce a
 byte-identical CSV; wall-clock timings live only in the JSON summary.
 
 Each point's source (with its eta override), degree set, cover and batch plan
-are resolved once, before any run, and reused by every seed: the source
-memoizes the cover and plan, so a point searches its cover once.  Bad input,
+are resolved once, before any run, and reused by every seed.  The degree set,
+cover and plan depend only on the measurement class (d, k or the strings, n,
+delta and the cover strategy), so they are searched once per class and shared
+by every point and source of that class (an eta sweep searches its cover
+once); each source pays once for the work on its states.  Bad input,
 including a non-integer ``QFL_THREADS``, a cover strategy that cannot search
 the degree set, or a budget ``n`` below the number of cover subsets, raises
 :class:`ConfigError` then; the output directory is created only after every
@@ -30,7 +33,7 @@ from pathlib import Path
 
 from .learner import _plan, junta_learn, qld_learn
 from .pauli import DegreeSet, PauliString, degree_set_classical_upto, degree_set_upto
-from .simulator import SampleSource, load_source, parse_key_values
+from .simulator import SampleSource, _checked_reduction, load_source, parse_key_values
 
 CSV_SCHEMA_VERSION = 1
 
@@ -350,8 +353,8 @@ def run_config(
             else:
                 degree_set = degree_set_upto(source.d, params["k"])
             # searched here so a bad cover or budget exits before any run; the
-            # source memoizes the result for the point's seeds
-            _plan(source, degree_set, params["n"], params["delta"], config.cover_strategy)
+            # plan is cached for the class, so the runs reuse it
+            _plan(degree_set, params["n"], params["delta"], config.cover_strategy)
             resolved.append((source, degree_set))
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -410,12 +413,12 @@ def run_config(
         }
         for key in ("exact_loss", "empirical_loss", "optimal_exact_loss", "beta_measured"):
             entry[key] = _mean_std([r[key] for r in point_rows if r[key] is not None])
-        # structure of the point's cover, read back from the memo its runs filled
-        source, degree_set = resolved[pi]
-        cover, _ = _plan(source, degree_set, params["n"], params["delta"], config.cover_strategy)
+        # structure of the point's cover, read back from the class caches
+        _, degree_set = resolved[pi]
+        cover, _ = _plan(degree_set, params["n"], params["delta"], config.cover_strategy)
         entry["m"] = cover.m
         entry["max_clique"] = max(cover.sizes())
-        entry["r"] = [source._prepared_batch(b).rank for b in cover.subsets]
+        entry["r"] = [_checked_reduction(b).rank for b in cover.subsets]
         summary["points"].append(entry)
     json_path = target / "summary.json"
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -235,14 +235,9 @@ def opt_k(source: SampleSource, k: int) -> tuple[float, tuple[int, ...]]:
     if not 0 <= k <= source.d:
         raise ValueError(f"need 0 <= k <= d, got k={k}")
     norm, coords = source._memoized(
-        ("opt_k", k), lambda: best_coords(source.exact_table(_degree_set_upto(source, k)), k)
+        ("opt_k", k), lambda: best_coords(source.exact_table(degree_set_upto(source.d, k)), k)
     )
     return min(max(0.5 - 0.5 * norm, 0.0), 0.5), coords
-
-
-def _degree_set_upto(source: SampleSource, k: int) -> DegreeSet:
-    """All strings of support at most k on the source's qubits, built once per source."""
-    return source._memoized(("degree_set_upto", k), lambda: degree_set_upto(source.d, k))
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +324,27 @@ class LearnReport:
         return out
 
 
-def _plan(
-    source: SampleSource, degree_set: DegreeSet, n: int, delta: float, cover_strategy: str
-) -> tuple[Cover, BatchPlan]:
+# Most measurement classes whose plan is kept.  An entry is a cover and a
+# plan: at most one subset and one int per string of the degree set, whose
+# strings it shares.
+PLAN_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(degree_set: DegreeSet, n: int, delta: float, cover_strategy: str) -> tuple[Cover, BatchPlan]:
     """The checked cover of the degree set and its allocation of ``n``
-    samples, searched once per source and ``(strings, n, delta, strategy)``.
-    A cover that fails its checks, or has more subsets than ``n``, raises on
-    every call."""
+    samples, searched once per measurement class ``(degree set, n, delta,
+    strategy)`` and shared by every source.  A cover that fails its checks,
+    or has more subsets than ``n``, raises on every call.
 
-    def build():
-        cover = best_cover(degree_set, n, delta, strategy=cover_strategy)
-        check_cover(cover, degree_set)
-        if n < cover.m:
-            raise ValueError(f"need n >= number of cover subsets: n={n} < m={cover.m}")
-        return cover, allocate_batches(n, cover, delta)
-
-    return source._memoized(("plan", degree_set.strings, n, delta, cover_strategy), build)
+    The search, check and allocation are looked up in this module's
+    namespace on each miss, so a wrapper installed there sees every one.
+    """
+    cover = best_cover(degree_set, n, delta, strategy=cover_strategy)
+    check_cover(cover, degree_set)
+    if n < cover.m:
+        raise ValueError(f"need n >= number of cover subsets: n={n} < m={cover.m}")
+    return cover, allocate_batches(n, cover, delta)
 
 
 def _estimate(
@@ -365,7 +365,7 @@ def _estimate(
         raise ValueError(f"degree set is on d={degree_set.d}, source on d={source.d}")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    cover, plan = _plan(source, degree_set, n, delta, cover_strategy)
+    cover, plan = _plan(degree_set, n, delta, cover_strategy)
     streams = RandomStreams(seed)
     bases, labels = draw_samples(source, n, streams.generator(STREAM_DRAW))
     perm = streams.generator(STREAM_SHUFFLE).permutation(n)
@@ -468,7 +468,7 @@ def junta_learn(
     """
     if not 1 <= k <= source.d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={source.d}")
-    degree_set = _degree_set_upto(source, k)
+    degree_set = degree_set_upto(source.d, k)
     report, truth = _estimate(source, degree_set, n, delta, seed, cover_strategy)
     _, report.chosen_coords = best_coords(report.estimates, k)
     predictor = build_predictor(report.estimates.restricted_to_coords(report.chosen_coords), degree_set)

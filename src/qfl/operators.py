@@ -104,8 +104,14 @@ def sign_operator(h) -> np.ndarray:
     Eigenvalues above ``SIGN_ZERO_TOL`` map to +1, below ``-SIGN_ZERO_TOL``
     to -1, and anything in between maps to +1.  The tie-break keeps the
     result a valid +-1 operator (it squares to the identity), so
-    ``(I +- sign(h))/2`` is always a projective two-outcome POVM.
+    ``(I +- sign(h))/2`` is always a projective two-outcome POVM.  A diagonal
+    input (no nonzero entry off the diagonal) takes its sign entrywise, with
+    the same tie rule and the same bits as the spectral path.
     """
+    h = require_hermitian(h)
+    diag = np.diagonal(h)
+    if np.count_nonzero(h) == np.count_nonzero(diag):
+        return np.diag(np.where(diag.real < -SIGN_ZERO_TOL, -1.0, 1.0)).astype(np.complex128)
     spec = hermitian_eig(h)
     signs = np.where(spec.eigenvalues < -SIGN_ZERO_TOL, -1.0, 1.0)
     v = spec.eigenvectors

@@ -29,6 +29,8 @@ from .operators import MAX_QUBITS
 COEFFICIENT_IMAG_TOL = 1e-8
 # Most entries gathered at once by pauli_traces and synthesize.
 TRACE_BLOCK = 1 << 18
+# Most (d, k) classes whose degree_set_upto is kept.
+DEGREE_SET_CACHE_SIZE = 16
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
 
@@ -165,10 +167,17 @@ class DegreeSet:
 
     d: int
     strings: tuple[PauliString, ...]
+    # degree sets and their batches key the class caches, so the hash is
+    # taken once, with the value the generated one would have
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if any(s.d != self.d for s in self.strings):
             raise ValueError("all strings in a degree set must have the same length")
+        object.__setattr__(self, "_hash", hash((self.d, self.strings)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def of(cls, d: int, strings: Iterable[PauliString]) -> "DegreeSet":
@@ -188,8 +197,10 @@ class DegreeSet:
         return s in self._lookup
 
 
+@lru_cache(maxsize=DEGREE_SET_CACHE_SIZE)
 def degree_set_upto(d: int, k: int) -> DegreeSet:
-    """All strings on d qubits with at most k non-identity symbols."""
+    """All strings on d qubits with at most k non-identity symbols, built once
+    per ``(d, k)`` and shared by every caller (a degree set is immutable)."""
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
     strings = [PauliString.identity(d)]

@@ -16,7 +16,8 @@ generators; every other string is a signed product of earlier generators.
 The joint outcome law of the batch on a state is the Walsh-Hadamard transform
 of the ``2^r`` expectations of generator products, each one O(2^d) gather
 over the state, so no ``2^m`` joint effects and no collapsed states are ever
-formed.  A source reduces each batch once and keeps it with outcome tables
+formed.  Each batch is checked and reduced once, in a bounded cache
+(:func:`_checked_reduction`), and a source keeps, per batch, outcome tables
 taken from the law of each conditional state
 (:meth:`SampleSource._prepared_batch`): per state, label sign, generator and
 prefix of earlier outcomes, the probability of outcome +1, and per dependent
@@ -25,9 +26,14 @@ every sample's outcomes by the rule of sequential measurement with collapse,
 one generator at a time, with a gather from those tables and one comparison
 against the sample's uniform.
 
-Everything a source derives without the seed (exact tables, the optimal
-loss, cover and batch plan, prepared batches, ``opt_k``) is memoized on it,
-so the seeds of one experiment point pay for it once.
+Work that depends only on the measurement class is paid once per class, in
+bounded process-wide caches keyed by all of its inputs: the degree set
+(``pauli.degree_set_upto``), the checked cover and batch plan
+(``learner._plan``) and each batch's checked reduction.  Work that depends on
+the states is paid once per source and memoized on it: exact tables, the
+optimal loss, each batch's outcome tables and ``opt_k``.  So the seeds of one
+experiment point pay for the state work once, and a reloaded source of a
+known class pays only for its states.
 
 Randomness: one master seed, with independent Philox substreams derived
 through `numpy.random.SeedSequence` spawn keys.  Identical seeds give
@@ -38,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Sequence
 
@@ -164,11 +170,14 @@ class SampleSource:
     def _memoized(self, key: tuple, build):
         """The value stored under ``key``, built by ``build()`` on its first use.
 
-        The memo holds only values that do not depend on any seed: exact
-        tables, the optimal loss, cover and batch plan, prepared batches and
-        ``opt_k``, each computed once per source.  A build that raises stores
-        nothing, so its checks run again on the next call.  Builds hold a
-        per-source lock, so concurrent runs build each key once.
+        The memo holds only values that depend on the source's states and
+        on no seed: exact tables, the optimal loss, each batch's outcome
+        tables and ``opt_k``, each computed once per source.  Work that
+        depends on the measurement class alone (degree sets, cover, plan and
+        batch reductions) is cached per class, outside the source.  A build
+        that raises stores nothing, so its checks run again on the next
+        call.  Builds hold a per-source lock, so concurrent runs build each
+        key once.
         """
         with self._memo_lock:
             try:
@@ -186,10 +195,11 @@ class SampleSource:
         )
 
     def _prepared_batch(self, batch: DegreeSet) -> "_PreparedBatch":
-        """The commuting batch reduced to its generators, with its outcome
-        tables on ``rho0`` and ``rho1`` (states 0 and 1, by base)."""
+        """The commuting batch's outcome tables on ``rho0`` and ``rho1``
+        (states 0 and 1, by base), built once per source on the batch's
+        shared reduction."""
         return self._memoized(
-            ("batch", batch.strings), lambda: _prepare_batch(batch, (self.rho0, self.rho1))
+            ("batch", batch), lambda: _prepare_batch(batch, (self.rho0, self.rho1))
         )
 
     def with_flip_rate(self, eta: float) -> "SampleSource":
@@ -440,12 +450,51 @@ def _prefix_tree(law: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _PreparedBatch:
-    """A commuting batch reduced over GF(2), with its outcome tables on some
-    states.
+class _Reduction:
+    """A commuting batch checked and reduced over GF(2): its generators, the
+    per-string ``(g, combo, sign)`` of :func:`_reduce_batch` as an ``(m, 3)``
+    int64 array ``columns``, and the :func:`_product_masks` of the
+    generators.  It depends on the batch alone, so one is shared by every
+    source; the arrays are read-only."""
 
-    ``columns`` holds the per-string ``(g, combo, sign)`` of
-    :func:`_reduce_batch` and ``rank`` the generator count r.  A sample's
+    generators: tuple[PauliString, ...]
+    columns: np.ndarray
+    masks: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @property
+    def rank(self) -> int:
+        return len(self.generators)
+
+
+# Most batches whose reduction is kept.  The largest possible entry, at
+# MAX_QUBITS = 12, is a batch of 2^12 commuting strings with r = 12
+# generators: about 1.3 MB for the batch it is keyed by plus 0.2 MB of
+# columns and masks, so the cache holds at most about 30 MB.  20 entries
+# hold a whole k = 2 cover up to d = 10 (at most 19 subsets).
+REDUCTION_CACHE_SIZE = 20
+
+
+@lru_cache(maxsize=REDUCTION_CACHE_SIZE)
+def _checked_reduction(batch: DegreeSet) -> _Reduction:
+    """The batch's reduction, once per batch, after checking that it is
+    jointly measurable; a batch that fails raises on every call."""
+    if len(batch) == 0:
+        raise ValueError("batch must contain at least one string")
+    if not is_clique(batch):
+        raise ValueError("batch strings do not mutually commute; not jointly measurable")
+    generators, columns, masks = _reduce_batch(batch)
+    columns = np.array(columns, dtype=np.int64).reshape(-1, 3)
+    for a in (columns, *masks):
+        a.flags.writeable = False
+    return _Reduction(tuple(generators), columns, masks)
+
+
+@dataclass(frozen=True)
+class _PreparedBatch:
+    """A commuting batch's reduction with its outcome tables on some states.
+
+    ``columns`` holds the per-string ``(g, combo, sign)`` of the batch's
+    :class:`_Reduction` and ``rank`` the generator count r.  A sample's
     prefix p records the generators measured so far, bit g set when generator
     g showed eigenvalue -1.  Every table has one row per state and label sign
     c, row ``2 i + (c > 0)`` for state i, laid out like the state's
@@ -458,22 +507,19 @@ class _PreparedBatch:
     """
 
     rank: int
-    columns: tuple[tuple[int, int, int], ...]
+    columns: np.ndarray
     probs: np.ndarray
     outcomes: tuple[np.ndarray | None, ...]
 
 
 def _prepare_batch(batch: DegreeSet, states: Sequence[np.ndarray]) -> _PreparedBatch:
-    """Check that the batch is jointly measurable, reduce it and tabulate its
-    outcomes from the prefix trees of its law on each state."""
-    if len(batch) == 0:
-        raise ValueError("batch must contain at least one string")
-    if not is_clique(batch):
-        raise ValueError("batch strings do not mutually commute; not jointly measurable")
-    generators, columns, masks = _reduce_batch(batch)
-    trees = np.stack([_prefix_tree(_law(state, masks)) for state in states])
+    """Tabulate the outcomes of a jointly measurable batch from the prefix
+    trees of its law on each state; the check and the reduction come from
+    :func:`_checked_reduction`."""
+    reduction = _checked_reduction(batch)
+    trees = np.stack([_prefix_tree(_law(state, reduction.masks)) for state in states])
     probs = np.full((2 * len(states), trees.shape[1]), np.nan)
-    for g in range(len(generators)):
+    for g in range(reduction.rank):
         level = slice(1 << g, 2 << g)
         denom = trees[:, level]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -482,7 +528,7 @@ def _prepare_batch(batch: DegreeSet, states: Sequence[np.ndarray]) -> _PreparedB
             probs[row::2, level] = np.where(denom > 0.0, 0.5 * (1.0 + c * t), np.nan)
     outcomes = []
     h = 0  # generators before the column
-    for g, combo, sign in columns:
+    for g, combo, sign in reduction.columns.tolist():
         if g >= 0:
             outcomes.append(None)
             h += 1
@@ -492,7 +538,7 @@ def _prepare_batch(batch: DegreeSet, states: Sequence[np.ndarray]) -> _PreparedB
         table[0::2, 1 << h: 2 << h] = flip
         table[1::2, 1 << h: 2 << h] = ~flip
         outcomes.append(table)
-    return _PreparedBatch(len(generators), tuple(columns), probs, tuple(outcomes))
+    return _PreparedBatch(reduction.rank, reduction.columns, probs, tuple(outcomes))
 
 
 def measure_batch_groups(
@@ -545,7 +591,7 @@ def measure_batch_groups(
     probs = batch.probs.ravel()
     # hits[i, l] is set when sample i shows outcome +1 on string l
     hits = np.empty((n_total, m), dtype=bool)
-    for col, ((g, _, _), table) in enumerate(zip(batch.columns, batch.outcomes)):
+    for col, (g, table) in enumerate(zip(batch.columns[:, 0].tolist(), batch.outcomes)):
         if g < 0:
             hits[:, col] = table.take(index)
             continue

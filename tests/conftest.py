@@ -13,7 +13,30 @@ from qfl.checks import (  # noqa: F401
     random_hermitian,
     random_string,
 )
+from qfl import learner, pauli, simulator
 from qfl.simulator import SampleSource
+
+# Process-wide caches of work that depends only on the measurement class.
+CLASS_CACHES = (
+    pauli.degree_set_upto,
+    learner._plan,
+    learner._subset_blocks,
+    simulator._checked_reduction,
+)
+
+
+def clear_class_caches() -> None:
+    for cache in CLASS_CACHES:
+        cache.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_class_caches():
+    """Every test starts with empty class caches, so build counts do not
+    depend on which tests ran before it."""
+    clear_class_caches()
+    yield
+    clear_class_caches()
 
 
 def joint_state(source: SampleSource) -> np.ndarray:

@@ -6,8 +6,9 @@ matrices as Kronecker products of single-qubit ones, dense single-state
 measurement, sequential measurement with dense post-measurement collapse,
 left and right Pauli application on dense matrices, pairwise commutation,
 cover search that builds and canonicalizes a ``Cover`` per candidate, integer
-batch allocation by a heap started from one sample per subset, and junta
-subset selection by one k-qubit block per subset and on dense 2^d operators.
+batch allocation by a heap started from one sample per subset, junta
+subset selection by one k-qubit block per subset and on dense 2^d operators,
+and the spectral sign of any Hermitian matrix, diagonal or not.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from qfl.compatibility import (
     pauli_commute,
 )
 from qfl.learner import COORD_TIE_RTOL
-from qfl.operators import as_operator, maximally_mixed, rho_norm
+from qfl.operators import SIGN_ZERO_TOL, as_operator, hermitian_eig, maximally_mixed, rho_norm
 from qfl.pauli import (
     DegreeSet,
     FourierTable,
@@ -360,3 +361,13 @@ def dense_best_coords(table: FourierTable, k: int) -> tuple[float, tuple[int, ..
     norms = dense_subset_norms(table, k)
     chosen = max(norms, key=norms.get)
     return norms[chosen], chosen
+
+
+def spectral_sign(h) -> np.ndarray:
+    """Sign of a Hermitian matrix through its eigendecomposition, whatever
+    its structure, with the tie rule of ``sign_operator``."""
+    spec = hermitian_eig(h)
+    signs = np.where(spec.eigenvalues < -SIGN_ZERO_TOL, -1.0, 1.0)
+    v = spec.eigenvectors
+    out = (v * signs) @ v.conj().T
+    return (out + out.conj().T) / 2.0

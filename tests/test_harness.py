@@ -1,5 +1,6 @@
 """Experiment configs, the runner's output files, and the command line."""
 
+import collections
 import json
 import os
 import shutil
@@ -10,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qfl import checks, harness, learner
+from qfl import checks, harness, learner, simulator
 from qfl.cli import main
 from qfl.harness import CSV_COLUMNS, ConfigError, ExperimentConfig, run_config
-from qfl.pauli import FourierTable, PauliString
+from qfl.pauli import FourierTable, PauliString, degree_set_upto
 from qfl.simulator import _reduce_batch, load_source, save_matrix
 
 REPO = Path(__file__).resolve().parents[1]
@@ -142,6 +143,39 @@ class TestRunConfig:
         csv_path, _ = run_config(config, out_dir=tmp_path)
         assert len(csv_path.read_text().splitlines()) == 4
         assert len(calls) == 1
+
+    def test_eta_sweep_searches_its_cover_once(self, tmp_path, monkeypatch):
+        # three points, three sources, one measurement class: one search, one
+        # reduction per batch, and each source's own laws
+        config = write_d4_config(
+            tmp_path, "algorithm = qld\nk = 2\nn = 3000\neta = 0.05, 0.1, 0.2\nseeds = 1, 2\n"
+        )
+        calls = collections.Counter()
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(learner, "best_cover")
+        count(simulator, "_reduce_batch")
+        count(simulator, "_law")
+        serial, summary = run_config(config, out_dir=tmp_path / "serial")
+        points = json.loads(summary.read_text())["points"]
+        assert [p["params"]["eta"] for p in points] == [0.05, 0.1, 0.2]
+        m = points[0]["m"]
+        assert calls == {"best_cover": 1, "_reduce_batch": m, "_law": 3 * 2 * m}
+        cover = learner._plan(degree_set_upto(4, 2), 3000, 0.05, "greedy")[0]
+        assert all(p["r"] == [len(_reduce_batch(b)[0]) for b in cover.subsets] for p in points)
+        # a pool of three runs the class's three sources to the same bytes
+        monkeypatch.setenv("QFL_THREADS", "3")
+        pooled, _ = run_config(config, out_dir=tmp_path / "pooled")
+        assert serial.read_bytes() == pooled.read_bytes()
+        assert calls["best_cover"] == 1
 
     def test_summary_reports_cover_structure(self, tmp_path):
         config = write_d4_config(tmp_path, "algorithm = junta\nk = 2\nn = 3000\nseeds = 1, 2\n")

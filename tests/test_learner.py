@@ -3,6 +3,8 @@
 import collections
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -51,6 +53,7 @@ from qfl.simulator import (
 )
 
 from conftest import (
+    clear_class_caches,
     joint_state,
     make_bell_source,
     make_parity_source,
@@ -609,8 +612,11 @@ class TestJuntaLearn:
 
 
 class TestSeedInvariantMemo:
-    """A source memoizes what a learn call derives without the seed: cover,
-    plan, prepared batches, the optimum and ``opt_k``."""
+    """What a learn call derives without the seed is paid once.  Work that
+    depends only on the measurement class (the degree set, the checked cover
+    and plan, each batch's checked reduction) is cached per class and shared
+    by every source; work on the source's states (outcome tables, exact
+    tables, the optimum and ``opt_k``) is memoized per source."""
 
     @staticmethod
     def noisy_source():
@@ -634,6 +640,19 @@ class TestSeedInvariantMemo:
             assert r_warm.extra == r_fresh.extra
             assert np.array_equal(p_warm.g_op, p_fresh.g_op)
 
+    @pytest.mark.parametrize("name", ["qld", "junta"])
+    def test_cold_class_caches_match_warm(self, name):
+        # differential: every run with the class caches cleared first against
+        # the same runs on warm caches, each on a fresh source
+        self.learn(name, self.noisy_source(), 0)
+        for seed in (1, 2, 3):
+            p_warm, r_warm = self.learn(name, self.noisy_source(), seed)
+            clear_class_caches()
+            p_cold, r_cold = self.learn(name, self.noisy_source(), seed)
+            assert r_warm.to_json_dict() == r_cold.to_json_dict()
+            assert r_warm.extra == r_cold.extra
+            assert np.array_equal(p_warm.g_op, p_cold.g_op)
+
     @staticmethod
     def count_calls(monkeypatch, counts, module, name):
         real = getattr(module, name)
@@ -650,21 +669,29 @@ class TestSeedInvariantMemo:
         for fn in ("best_cover", "check_cover", "allocate_batches", "best_coords"):
             self.count_calls(monkeypatch, counts, learner, fn)
         self.count_calls(monkeypatch, counts, simulator, "_law")
+        self.count_calls(monkeypatch, counts, simulator, "_reduce_batch")
         source = self.noisy_source()
         reports = [self.learn(name, source, seed)[1] for seed in (1, 2, 3)]
         m = reports[0].cover.m
-        # the law of every batch on each base once; junta selects once per
-        # seed and scores opt_k once per source
+        # the class work once; the law of every batch on each base once per
+        # source; junta selects once per seed and scores opt_k once per source
         junta = name == "junta"
-        assert counts == collections.Counter(best_cover=1, check_cover=1, allocate_batches=1,
-                                             best_coords=(3 + 1) * junta, _law=2 * m)
-        # another budget is another plan; another source starts empty
-        self.learn(name, source, 1, n=4000)
-        assert (counts["best_cover"], counts["allocate_batches"]) == (2, 2)
+        plan_once = dict(best_cover=1, check_cover=1, allocate_batches=1, _reduce_batch=m)
+        assert counts == collections.Counter(**plan_once, best_coords=(3 + 1) * junta, _law=2 * m)
+        # a source with another flip rate, and a reloaded source, share the
+        # class: no search, check, allocation or reduction, but their own laws
         self.learn(name, source.with_flip_rate(0.2), 1)
-        assert (counts["best_cover"], counts["allocate_batches"]) == (3, 3)
-        assert counts["_law"] >= 4 * m
-        assert counts["best_coords"] == (3 + 1 + 1 + 2) * junta
+        self.learn(name, self.noisy_source(), 1)
+        assert {fn: counts[fn] for fn in plan_once} == plan_once
+        assert counts["_law"] == 3 * 2 * m
+        assert counts["best_coords"] == (3 + 1 + 2 + 2) * junta
+        # another budget is another class: another plan, the same batches
+        report = self.learn(name, source, 1, n=4000)[1]
+        assert (counts["best_cover"], counts["check_cover"], counts["allocate_batches"]) == (2, 2, 2)
+        assert report.plan != reports[0].plan
+        assert report.cover == reports[0].cover
+        assert counts["_reduce_batch"] == m
+        assert counts["_law"] == 3 * 2 * m
 
     def test_errors_are_not_memoized(self, monkeypatch):
         source = make_realizable_source(pauli_matrix(P("3")))
@@ -680,7 +707,81 @@ class TestSeedInvariantMemo:
                 qld_learn(source, nodes, 10, 0.1, 0)
         monkeypatch.undo()
         assert qld_learn(source, nodes, 10, 0.1, 0)[1].cover.m == 3
-        # and so does a batch that cannot be measured jointly
+        # and so does a batch that cannot be measured jointly, on any source
+        for batch_source in (source, make_realizable_source(pauli_matrix(P("1")))):
+            for _ in range(2):
+                with pytest.raises(ValueError, match="commute"):
+                    batch_source._prepared_batch(bad.subsets[0])
+        assert simulator._checked_reduction.cache_info().currsize == 3
+
+    def test_class_cache_errors_are_not_cached(self, monkeypatch):
+        # n < m raises on every call, also on a fresh source of the same class
+        counts = collections.Counter()
+        self.count_calls(monkeypatch, counts, learner, "best_cover")
+        nodes = degree_set_upto(3, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="n >= number of cover subsets"):
+                qld_learn(self.noisy_source(), nodes, 5, 0.05, 0)
+        assert counts["best_cover"] == 2
+        assert learner._plan.cache_info().currsize == 0
+        # a non-commuting batch raises through the cached reduction each time
+        clash = DegreeSet.of(2, [P("10"), P("30")])
         for _ in range(2):
             with pytest.raises(ValueError, match="commute"):
-                source._prepared_batch(bad.subsets[0])
+                simulator._checked_reduction(clash)
+        assert simulator._checked_reduction.cache_info().currsize == 0
+
+    def test_concurrent_class_cache_misses_agree(self):
+        # the class caches take no lock: racing threads may build a value
+        # twice, which is harmless only because every build gives equal values
+        def values(i):
+            plan = learner._plan(degree_set_upto(4, 2), 500 + 100 * (i % 3), 0.05, "greedy")
+            reductions = [simulator._checked_reduction(b) for b in plan[0].subsets]
+            return plan, [(r.rank, r.columns.tolist(), [m.tolist() for m in r.masks]) for r in reductions]
+
+        expected = [values(i) for i in range(3)]
+        wrong = []
+
+        def work(t):
+            for i in range(40):
+                if (t + i) % 9 == 0:
+                    clear_class_caches()  # force concurrent misses
+                if values(i) != expected[i % 3]:
+                    wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not wrong
+        for cache in (learner._plan, simulator._checked_reduction):
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize
+
+    def test_cached_class_values_are_read_only(self):
+        source = self.noisy_source()
+        _, report = self.learn("junta", source, 1)
+        degree_set = degree_set_upto(3, 2)
+        assert degree_set is degree_set_upto(3, 2)
+        cover, plan = learner._plan(degree_set, 3000, 0.05, "greedy")
+        assert (cover, plan) == (report.cover, report.plan)
+        assert isinstance(degree_set.strings, tuple) and isinstance(plan.sizes, tuple)
+        for frozen in (degree_set, cover, plan):
+            with pytest.raises(AttributeError):
+                frozen.d = 0
+        for batch in cover.subsets:
+            reduction = simulator._checked_reduction(batch)
+            assert isinstance(reduction.generators, tuple)
+            for a in (reduction.columns, *reduction.masks):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[...] = 0
+            # the per-source tables share the cached columns
+            assert source._prepared_batch(batch).columns is reduction.columns

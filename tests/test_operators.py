@@ -18,7 +18,11 @@ from qfl.operators import (
 )
 from qfl.pauli import PauliString, full_degree_set, pauli_matrix
 
-from conftest import bell_states, random_density, random_hermitian
+from qfl.pauli import degree_set_classical_upto, synthesize
+from qfl.simulator import make_classical_source
+
+from conftest import bell_states, make_parity_source, random_density, random_hermitian
+from oracles import spectral_sign
 
 
 class TestEig:
@@ -75,6 +79,55 @@ class TestSign:
         g = sign_operator(random_hermitian(rng, n))
         assert np.abs(g @ g - np.eye(n)).max() <= 1e-8
         assert np.allclose(np.abs(np.linalg.eigvalsh(g)), 1.0)
+
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        assert a.dtype == b.dtype == np.complex128 and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+    def test_diagonal_sign_matches_spectral_path(self):
+        # differential: the entrywise sign of a diagonal against the spectral
+        # sign, bit for bit, with ties, zeros and entries at the tolerance
+        rng = np.random.default_rng(61)
+        edges = [0.0, -0.0, 1.0, -1.0, 1e-10, -1e-10, 1e-12, -1e-12, 2e-12, -2e-12, 1e-13, -1e-13]
+        for case in range(60):
+            n = (2, 3, 4, 8, 16, 64, 256)[case % 7] if case < 56 else 1024
+            diag = rng.normal(size=n)
+            if case % 4 == 1:
+                diag = rng.choice(edges, size=n)
+            elif case % 4 == 2:
+                diag = np.round(diag)  # many exact ties and zeros
+            elif case % 4 == 3:
+                diag = diag + 1e-12j * rng.normal(size=n)  # Hermitian within tolerance
+            h = np.diag(diag).astype(np.complex128)
+            self.assert_same_bits(sign_operator(h), spectral_sign(h))
+
+    def test_classical_optimum_sign_matches_spectral_path(self):
+        # the optimum of a classical source is the sign of a diagonal table
+        rng = np.random.default_rng(62)
+        for d in range(2, 9):
+            sources = [make_parity_source(d, (0, d - 1)),
+                       make_classical_source(rng.integers(0, 2, size=1 << d))]
+            for source in sources:
+                for k in range(min(d, 3) + 1):
+                    f = synthesize(source.exact_table(degree_set_classical_upto(d, k)))
+                    self.assert_same_bits(sign_operator(f), spectral_sign(f))
+
+    def test_nearly_diagonal_input_takes_the_spectral_path(self):
+        h = np.diag([1.0, -1.0, 2.0, -3.0]).astype(np.complex128)
+        h[0, 3] = h[3, 0] = 1e-300
+        self.assert_same_bits(sign_operator(h), spectral_sign(h))
+        h[0, 3] = h[3, 0] = 0.9
+        g = sign_operator(h)
+        assert np.abs(g @ g - np.eye(4)).max() <= 1e-8
+        assert g[0, 3] != 0.0
+
+    def test_diagonal_input_is_checked(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            sign_operator(np.diag([1.0 + 1e-3j, -1.0]))
+        with pytest.raises(ValueError, match="square"):
+            sign_operator(np.ones(3))
 
 
 class TestInnerProduct:

@@ -322,6 +322,34 @@ class TestDegreeSets:
         ds = DegreeSet.of(1, [PauliString((3,)), PauliString((3,))])
         assert len(ds) == 1
 
+    def test_equal_sets_hash_alike(self):
+        strings = [PauliString.from_digits(t) for t in ("03", "30", "33")]
+        a, b = DegreeSet.of(2, strings), DegreeSet.of(2, reversed(strings))
+        assert a is not b and a == b
+        # the generated dataclass hash, taken once at construction
+        assert hash(a) == hash(b) == hash((2, a.strings))
+        assert "_hash" not in repr(a)
+        assert a != DegreeSet.of(2, strings[:2])
+        assert a != DegreeSet(2, ())
+        assert DegreeSet(1, ()) != DegreeSet(2, ())
+
+    def test_degree_set_as_dict_key(self):
+        keyed = {degree_set_upto(3, 1): "k1", degree_set_classical_upto(3, 1): "z1"}
+        rebuilt = DegreeSet.of(3, list(degree_set_upto(3, 1))[::-1])
+        assert rebuilt is not degree_set_upto(3, 1)
+        assert keyed[rebuilt] == "k1"
+        assert keyed[DegreeSet.of(3, degree_set_classical_upto(3, 1))] == "z1"
+        assert len({degree_set_upto(2, 1), DegreeSet.of(2, degree_set_upto(2, 1)), degree_set_upto(2, 2)}) == 2
+
+    def test_degree_set_upto_is_built_once_per_class(self):
+        assert degree_set_upto(4, 2) is degree_set_upto(4, 2)
+        assert degree_set_upto(4, 2) is not degree_set_upto(4, 1)
+        assert degree_set_upto(4, 2) == DegreeSet.of(4, degree_set_upto(4, 2))
+        # a rejected class is rejected every time
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                degree_set_upto(2, 3)
+
 
 class TestRestriction:
     def _table(self):
