@@ -406,7 +406,8 @@ def check_sequential_batch_law():
         uniforms = streams.generator(0).random((n, len(batch)))
         sign = 1.0 if label == 1 else -1.0
         groups = [(state, sign, np.arange(n))]
-        outcomes = simulator.measure_batch_groups(groups, batch, uniforms)
+        prefixes = simulator.measure_batch_groups(groups, batch, uniforms)
+        outcomes = sign * simulator._checked_reduction(batch).eigenvalues[prefixes]
         stat = 0.0
         dof = 0
         for w, p in expected.items():

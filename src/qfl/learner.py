@@ -130,7 +130,7 @@ class Predictor:
 
 def build_predictor(table: FourierTable, degree_set: DegreeSet) -> Predictor:
     """Sign-operator predictor from estimated coefficients on a degree set."""
-    kept = {s: c for s, c in table.items() if s in degree_set}
+    kept = {s: c for s, c in table.coefficients.items() if s in degree_set}
     if not kept or all(c == 0.0 for c in kept.values()):
         n = 1 << degree_set.d
         return Predictor(np.eye(n, dtype=np.complex128), degenerate=True)
@@ -268,19 +268,39 @@ def fourier_estimation(
         raise ValueError("cannot estimate from zero samples")
     if any(size < 1 for size in plan.sizes):
         raise ValueError("every batch needs at least one sample")
-    d = cover.d
     estimates: dict[PauliString, float] = {}
     pos = 0
     for subset, size in zip(cover.subsets, plan.sizes):
         chunk = slice(pos, pos + size)
         pos += size
-        uniforms = rng.random((size, len(subset)))
-        groups = group_samples(source, bases[chunk], labels[chunk])
-        outcomes = measure_batch_groups(groups, source._prepared_batch(subset), uniforms)
-        means = outcomes.mean(axis=0)
-        for col, s in enumerate(subset):
-            estimates[s] = float(means[col])
-    return FourierTable(d, estimates)
+        means = _batch_means(
+            source, subset, bases[chunk], labels[chunk], rng.random((size, len(subset)))
+        )
+        estimates.update(zip(subset, means))
+    return FourierTable(cover.d, estimates)
+
+
+def _batch_means(
+    source: SampleSource, batch: DegreeSet, bases: np.ndarray, labels: np.ndarray, uniforms: np.ndarray
+) -> list[float]:
+    """The mean +-1 outcome of each string of the batch over the samples its
+    uniforms measure.
+
+    A sample of label sign c that ends the walk at eigenvalue prefix p shows
+    ``c E[p, l]`` on string l, with E the batch's eigenvalue table, so a
+    string's outcome sum is the count of samples per (label, p), label 1
+    less label 0, times E.  The sums are exact integers, so each mean is the
+    float the mean of the outcome matrix would give.  The batch's arrays
+    live in this call only, so they are freed before the next batch's
+    uniforms are drawn."""
+    prepared = source._prepared_batch(batch)
+    prefixes = measure_batch_groups(group_samples(source, bases, labels), prepared, uniforms)
+    eigenvalues = prepared.reduction.eigenvalues
+    width = len(eigenvalues)
+    prefixes += np.multiply(labels, width, dtype=np.int64)
+    counts = np.bincount(prefixes, minlength=2 * width)
+    sums = (counts[width:] - counts[:width]) @ eigenvalues
+    return (sums / len(labels)).tolist()
 
 
 # ---------------------------------------------------------------------------

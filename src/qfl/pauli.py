@@ -266,7 +266,8 @@ class FourierTable:
                 raise ValueError(f"coefficient at {s} is not finite: {c!r}")
 
     def items(self) -> list[tuple[PauliString, float]]:
-        return sorted(self.coefficients.items())
+        # strings order by their symbols, so the symbols key the sort
+        return sorted(self.coefficients.items(), key=lambda item: item[0].symbols)
 
     def get(self, s: PauliString, default: float = 0.0) -> float:
         return self.coefficients.get(s, default)

@@ -17,23 +17,28 @@ The joint outcome law of the batch on a state is the Walsh-Hadamard transform
 of the ``2^r`` expectations of generator products, each one O(2^d) gather
 over the state, so no ``2^m`` joint effects and no collapsed states are ever
 formed.  Each batch is checked and reduced once, in a bounded cache
-(:func:`_checked_reduction`), and a source keeps, per batch, outcome tables
-taken from the law of each conditional state
-(:meth:`SampleSource._prepared_batch`): per state, label sign, generator and
-prefix of earlier outcomes, the probability of outcome +1, and per dependent
-string whether its outcome is +1.  :func:`measure_batch_groups` then draws
-every sample's outcomes by the rule of sequential measurement with collapse,
-one generator at a time, with a gather from those tables and one comparison
-against the sample's uniform.
+(:func:`_checked_reduction`), which also keeps the batch's ``(2^r, m)``
+eigenvalue table ``E``: ``E[p, l]`` is the eigenvalue of string l once the
+generators showed the eigenvalue prefix p.  A source keeps, per batch, the
+generator probabilities taken from the prefix trees of the law of each
+conditional state (:meth:`SampleSource._prepared_batch`): per state, label
+sign, generator and prefix of earlier outcomes, the probability of outcome
++1.  :func:`measure_batch_groups` walks only the r generators, drawing every
+sample's outcome on each by the rule of sequential measurement with collapse,
+with one gather from that table and one comparison against the sample's
+uniform, and returns each sample's final prefix p.  A sample of label sign c
+shows outcome ``c E[p, l]`` on string l, so an estimate is one histogram of
+the samples over (label, p) times ``E``; no per-string table or per-sample
+outcome matrix is formed.
 
 Work that depends only on the measurement class is paid once per class, in
 bounded process-wide caches keyed by all of its inputs: the degree set
 (``pauli.degree_set_upto``), the checked cover and batch plan
-(``learner._plan``) and each batch's checked reduction.  Work that depends on
-the states is paid once per source and memoized on it: exact tables, the
-optimal loss, each batch's outcome tables and ``opt_k``.  So the seeds of one
-experiment point pay for the state work once, and a reloaded source of a
-known class pays only for its states.
+(``learner._plan``) and each batch's checked reduction and eigenvalue table.
+Work that depends on the states is paid once per source and memoized on it:
+exact tables, the optimal loss, each batch's generator probabilities and
+``opt_k``.  So the seeds of one experiment point pay for the state work once,
+and a reloaded source of a known class pays only for its states.
 
 Randomness: one master seed, with independent Philox substreams derived
 through `numpy.random.SeedSequence` spawn keys.  Identical seeds give
@@ -171,13 +176,13 @@ class SampleSource:
         """The value stored under ``key``, built by ``build()`` on its first use.
 
         The memo holds only values that depend on the source's states and
-        on no seed: exact tables, the optimal loss, each batch's outcome
-        tables and ``opt_k``, each computed once per source.  Work that
-        depends on the measurement class alone (degree sets, cover, plan and
-        batch reductions) is cached per class, outside the source.  A build
-        that raises stores nothing, so its checks run again on the next
-        call.  Builds hold a per-source lock, so concurrent runs build each
-        key once.
+        on no seed: exact tables, the optimal loss, each batch's generator
+        probabilities and ``opt_k``, each computed once per source.  Work
+        that depends on the measurement class alone (degree sets, cover,
+        plan, batch reductions and their eigenvalue tables) is cached per
+        class, outside the source.  A build that raises stores nothing, so
+        its checks run again on the next call.  Builds hold a per-source
+        lock, so concurrent runs build each key once.
         """
         with self._memo_lock:
             try:
@@ -195,9 +200,10 @@ class SampleSource:
         )
 
     def _prepared_batch(self, batch: DegreeSet) -> "_PreparedBatch":
-        """The commuting batch's outcome tables on ``rho0`` and ``rho1``
-        (states 0 and 1, by base), built once per source on the batch's
-        shared reduction."""
+        """The commuting batch's generator probabilities on ``rho0`` and
+        ``rho1`` (states 0 and 1, by base), built once per source from the
+        prefix trees of the batch's law on each; the reduction and its
+        eigenvalue table are the batch's shared ones."""
         return self._memoized(
             ("batch", batch), lambda: _prepare_batch(batch, (self.rho0, self.rho1))
         )
@@ -222,26 +228,42 @@ def make_realizable_source(f_op) -> SampleSource:
     The conditional states are the normalized eigenprojections (label 1 on the
     +1 side), which makes the feature marginal maximally mixed and the optimal
     loss zero.  An operator with an empty eigenspace yields a degenerate
-    source with the label probability pinned to 0 or 1.
+    source with the label probability pinned to 0 or 1.  A diagonal operator
+    (no nonzero entry off the diagonal), such as a classical embedding, is
+    squared and split entrywise, with the same bits as the spectral path.
     """
     f_op = require_hermitian(f_op)
     n = f_op.shape[0]
     d = n.bit_length() - 1
     if 1 << d != n:
         raise ValueError(f"operator dimension {n} is not a power of two")
-    defect = float(np.abs(f_op @ f_op - np.eye(n)).max())
+    diag = np.diagonal(f_op)
+    diagonal = np.count_nonzero(f_op) == np.count_nonzero(diag)
+    if diagonal:
+        defect = float(np.abs(diag * diag - 1.0).max())
+    else:
+        defect = float(np.abs(f_op @ f_op - np.eye(n)).max())
     if defect > SIGN_OPERATOR_TOL:
         raise ValueError(
             f"not a +-1 operator: max |F^2 - I| = {defect:.3e} > {SIGN_OPERATOR_TOL:.1e}"
         )
-    w, v = np.linalg.eigh(f_op)
-    plus = v[:, w > 0]
-    minus = v[:, w <= 0]
-    n_plus, n_minus = plus.shape[1], minus.shape[1]
+    if diagonal:
+        # the eigenvectors are basis states, split by the sign of their entry
+        plus = diag.real > 0
+        sides = (~plus, plus)
+        projections = [np.diag(side).astype(np.complex128) for side in sides]
+        counts = [int(np.count_nonzero(side)) for side in sides]
+    else:
+        w, v = np.linalg.eigh(f_op)
+        sides = (v[:, w <= 0], v[:, w > 0])
+        projections = [u @ u.conj().T for u in sides]
+        counts = [u.shape[1] for u in sides]
+    rho0, rho1 = (
+        proj / count if count else maximally_mixed(d) for proj, count in zip(projections, counts)
+    )
+    n_minus, n_plus = counts
     p1 = n_plus / n
     degenerate = n_plus == 0 or n_minus == 0
-    rho1 = plus @ plus.conj().T / n_plus if n_plus else maximally_mixed(d)
-    rho0 = minus @ minus.conj().T / n_minus if n_minus else maximally_mixed(d)
     return SampleSource(
         kind="realizable",
         d=d,
@@ -453,24 +475,43 @@ def _prefix_tree(law: np.ndarray) -> np.ndarray:
 class _Reduction:
     """A commuting batch checked and reduced over GF(2): its generators, the
     per-string ``(g, combo, sign)`` of :func:`_reduce_batch` as an ``(m, 3)``
-    int64 array ``columns``, and the :func:`_product_masks` of the
-    generators.  It depends on the batch alone, so one is shared by every
-    source; the arrays are read-only."""
+    int64 array ``columns``, the :func:`_product_masks` of the generators,
+    the batch column of each generator, in generator order, and the
+    :func:`_eigenvalue_table` of the strings.  It depends on the batch alone,
+    so one is shared by every source; the arrays are read-only."""
 
     generators: tuple[PauliString, ...]
     columns: np.ndarray
     masks: tuple[np.ndarray, np.ndarray, np.ndarray]
+    generator_columns: tuple[int, ...]
+    eigenvalues: np.ndarray
 
     @property
     def rank(self) -> int:
         return len(self.generators)
 
 
+def _eigenvalue_table(columns: np.ndarray, rank: int) -> np.ndarray:
+    """``E[p, l]``, the eigenvalue (+-1, int8) of string l on every sample
+    whose r generators showed the eigenvalue prefix p (bit g set when
+    generator g showed -1): ``(-1)^(bit g of p)`` for generator g, and
+    ``sign (-1)^parity(p & combo)`` for a string that is ``sign`` times the
+    product of the generators in ``combo``.  A sample of label sign c shows
+    outcome ``c E[p, l]`` on string l."""
+    g, combo, sign = columns.T
+    # a generator is the product of itself alone
+    combo = np.where(g >= 0, np.left_shift(1, np.maximum(g, 0)), combo)
+    prefixes = np.arange(1 << rank)[:, None]
+    return (sign * (1 - 2 * _parity(prefixes & combo))).astype(np.int8)
+
+
 # Most batches whose reduction is kept.  The largest possible entry, at
 # MAX_QUBITS = 12, is a batch of 2^12 commuting strings with r = 12
-# generators: about 1.3 MB for the batch it is keyed by plus 0.2 MB of
-# columns and masks, so the cache holds at most about 30 MB.  20 entries
-# hold a whole k = 2 cover up to d = 10 (at most 19 subsets).
+# generators: about 1.3 MB for the batch it is keyed by, 0.2 MB of columns
+# and masks and a 2^12 x 2^12 int8 eigenvalue table of 16 MB, so the cache
+# holds at most about 350 MB.  A k = 2 cover holds far less: up to d = 10 its
+# batches have at most 2^10 x 30 eigenvalues each, and 20 entries hold the
+# whole cover (at most 19 subsets).
 REDUCTION_CACHE_SIZE = 20
 
 
@@ -484,61 +525,50 @@ def _checked_reduction(batch: DegreeSet) -> _Reduction:
         raise ValueError("batch strings do not mutually commute; not jointly measurable")
     generators, columns, masks = _reduce_batch(batch)
     columns = np.array(columns, dtype=np.int64).reshape(-1, 3)
-    for a in (columns, *masks):
+    eigenvalues = _eigenvalue_table(columns, len(generators))
+    for a in (columns, eigenvalues, *masks):
         a.flags.writeable = False
-    return _Reduction(tuple(generators), columns, masks)
+    generator_columns = tuple(np.flatnonzero(columns[:, 0] >= 0).tolist())
+    return _Reduction(tuple(generators), columns, masks, generator_columns, eigenvalues)
 
 
 @dataclass(frozen=True)
 class _PreparedBatch:
-    """A commuting batch's reduction with its outcome tables on some states.
+    """A commuting batch's :class:`_Reduction` with the probabilities its
+    generators show on some states.
 
-    ``columns`` holds the per-string ``(g, combo, sign)`` of the batch's
-    :class:`_Reduction` and ``rank`` the generator count r.  A sample's
-    prefix p records the generators measured so far, bit g set when generator
-    g showed eigenvalue -1.  Every table has one row per state and label sign
-    c, row ``2 i + (c > 0)`` for state i, laid out like the state's
-    :func:`_prefix_tree`: after h generators a sample reads entry ``2^h + p``
-    of its row.  In ``probs`` that entry is the probability ``(1 + c t) / 2``
-    that generator h gives outcome +1, with t its mean on the law conditioned
-    on p, or NaN where p has no mass.  ``outcomes`` holds, for each dependent
-    string, the table of whether its outcome is +1, namely the label sign
-    times ``(-1)^(parity(p & combo) ^ (sign < 0))`` (None for generators).
+    A sample's prefix p records the generators measured so far, bit g set
+    when generator g showed eigenvalue -1.  ``probs`` has one row per state
+    and label sign c, row ``2 i + (c > 0)`` for state i, laid out like the
+    state's :func:`_prefix_tree`: after h generators a sample reads entry
+    ``2^h + p`` of its row, the probability ``(1 + c t) / 2`` that generator
+    h gives outcome +1, with t its mean on the law conditioned on p, or NaN
+    where p has no mass.  The strings' outcomes follow from the final prefix
+    through the reduction's eigenvalue table, so no per-string table is kept.
     """
 
-    rank: int
-    columns: np.ndarray
+    reduction: _Reduction
     probs: np.ndarray
-    outcomes: tuple[np.ndarray | None, ...]
 
 
 def _prepare_batch(batch: DegreeSet, states: Sequence[np.ndarray]) -> _PreparedBatch:
-    """Tabulate the outcomes of a jointly measurable batch from the prefix
-    trees of its law on each state; the check and the reduction come from
-    :func:`_checked_reduction`."""
+    """Tabulate the generator probabilities of a jointly measurable batch
+    from the prefix trees of its law on each state; the check and the
+    reduction come from :func:`_checked_reduction`."""
     reduction = _checked_reduction(batch)
     trees = np.stack([_prefix_tree(_law(state, reduction.masks)) for state in states])
-    probs = np.full((2 * len(states), trees.shape[1]), np.nan)
-    for g in range(reduction.rank):
-        level = slice(1 << g, 2 << g)
-        denom = trees[:, level]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (2.0 * trees[:, 2 << g: 3 << g] - denom) / denom
-        for row, c in ((0, -1.0), (1, 1.0)):
-            probs[row::2, level] = np.where(denom > 0.0, 0.5 * (1.0 + c * t), np.nan)
-    outcomes = []
-    h = 0  # generators before the column
-    for g, combo, sign in reduction.columns.tolist():
-        if g >= 0:
-            outcomes.append(None)
-            h += 1
-            continue
-        flip = (_parity(np.arange(1 << h) & combo) ^ (sign < 0)).astype(bool)
-        table = np.zeros(probs.shape, dtype=bool)
-        table[0::2, 1 << h: 2 << h] = flip
-        table[1::2, 1 << h: 2 << h] = ~flip
-        outcomes.append(table)
-    return _PreparedBatch(reduction.rank, reduction.columns, probs, tuple(outcomes))
+    size = trees.shape[1] // 2
+    # every inner node 2^g + p, and its child 2^(g+1) + p where generator g
+    # shows eigenvalue +1
+    levels = 1 << np.arange(reduction.rank)
+    node = np.arange(1, size)
+    denom = trees[:, node]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (2.0 * trees[:, node + np.repeat(levels, levels)] - denom) / denom
+    probs = np.full((2 * len(states), 2 * size), np.nan)
+    for row, c in ((0, -1.0), (1, 1.0)):
+        probs[row::2, 1:size] = np.where(denom > 0.0, 0.5 * (1.0 + c * t), np.nan)
+    return _PreparedBatch(reduction, probs)
 
 
 def measure_batch_groups(
@@ -547,7 +577,8 @@ def measure_batch_groups(
     uniforms: np.ndarray,
 ) -> np.ndarray:
     """Measure a commuting batch on groups of identical samples by sampling
-    its exact joint outcome law.
+    its exact joint outcome law, and return each sample's final eigenvalue
+    prefix.
 
     ``groups`` lists ``(state, label_sign, sample_indices)`` triples whose
     indices partition the rows of ``uniforms`` (one row per sample, one column
@@ -557,12 +588,17 @@ def measure_batch_groups(
     case each group names its state by its base, as :func:`group_samples`
     gives it.  The batch reduces to r <= d independent generators, and every
     other string is a fixed signed product of earlier generators, so its
-    outcome follows from theirs.  Sample ``i`` gets outcome +1 on a generator
-    column ``l`` exactly when ``uniforms[i, l]`` falls below ``(1 + c t) / 2``,
-    with ``c`` the label sign and ``t`` the generator's mean given the
-    sample's earlier outcomes; this is the rule of sequential measurement
-    with collapse.  Outcomes do not depend on how samples are grouped or
-    ordered.  Returns the +-1 outcome matrix.
+    outcome follows from theirs.  The walk visits only the generator
+    columns: sample ``i`` gets outcome +1 on a generator column ``l`` exactly
+    when ``uniforms[i, l]`` falls below ``(1 + c t) / 2``, with ``c`` the
+    label sign and ``t`` the generator's mean given the sample's earlier
+    outcomes; this is the rule of sequential measurement with collapse.  The
+    other columns' uniforms are drawn but not read.
+
+    Returns the int64 prefixes p, bit g set when generator g showed
+    eigenvalue -1; sample ``i`` shows outcome ``c E[p_i, l]`` on string l,
+    with E the reduction's :func:`_eigenvalue_table`.  Prefixes do not
+    depend on how samples are grouped or ordered.
     """
     if any(c not in (-1.0, 1.0) for _, c, _ in groups):
         raise ValueError("label signs must be +1 or -1")
@@ -576,12 +612,12 @@ def measure_batch_groups(
         batch = _prepare_batch(batch, states)
         groups = [(tree_index[id(state)], c, idx) for state, c, idx in groups]
     n_total, m = uniforms.shape
-    if m != len(batch.columns):
+    if m != len(batch.reduction.columns):
         raise ValueError("uniforms must have one column per batch string")
     if sum(len(idx) for _, _, idx in groups) != n_total:
         raise ValueError("the groups' sample indices must partition the rows of uniforms")
 
-    # each sample's entry in the tables, all rows laid end to end
+    # each sample's entry in the table, all rows laid end to end
     width = batch.probs.shape[1]
     index = np.empty(n_total, dtype=np.int64)
     positive = np.empty(n_total, dtype=bool)
@@ -589,12 +625,9 @@ def measure_batch_groups(
         index[idx] = (2 * state + (c > 0)) * width + 1
         positive[idx] = c > 0
     probs = batch.probs.ravel()
-    # hits[i, l] is set when sample i shows outcome +1 on string l
-    hits = np.empty((n_total, m), dtype=bool)
-    for col, (g, table) in enumerate(zip(batch.columns[:, 0].tolist(), batch.outcomes)):
-        if g < 0:
-            hits[:, col] = table.take(index)
-            continue
+    bit = np.empty(n_total, dtype=bool)
+    step = np.empty(n_total, dtype=np.int64)
+    for g, col in enumerate(batch.reduction.generator_columns):
         p = probs.take(index)
         # u < p equals u < clip(p, 0, 1) for u in [0, 1), once no p is NaN
         # (a prefix without mass) or below the floor
@@ -602,12 +635,15 @@ def measure_batch_groups(
             if np.isnan(p).any():
                 raise ValueError("a sample reached an outcome prefix of zero probability")
             _checked_probability(p)
-        took = np.less(uniforms[:, col], p, out=hits[:, col])
-        # down to level g + 1, with eigenvalue bit took ^ positive as bit g of p
-        index += np.where(took ^ positive, 2 << g, 1 << g)
-    outcomes = hits.view(np.int8) * np.int8(2)
-    outcomes -= np.int8(1)
-    return outcomes
+        # outcome +1 shows eigenvalue -1 under label sign -1, and +1 under +1
+        np.less(uniforms[:, col], p, out=bit)
+        bit ^= positive
+        # down to level g + 1, with the eigenvalue bit as bit g of p
+        np.left_shift(bit, g, out=step, dtype=np.int64)
+        index += step
+        index += 1 << g
+    index &= (width >> 1) - 1
+    return index
 
 
 # ---------------------------------------------------------------------------

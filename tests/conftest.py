@@ -39,6 +39,20 @@ def cold_class_caches():
     clear_class_caches()
 
 
+def expand_outcomes(groups, batch, prefixes) -> np.ndarray:
+    """The int8 +-1 outcome matrix of measured samples from their final
+    eigenvalue prefixes: row i is ``c_i E[p_i]``, with ``c_i`` the label sign
+    of sample i's group and E the batch's eigenvalue table."""
+    if isinstance(batch, simulator._PreparedBatch):
+        reduction = batch.reduction
+    else:
+        reduction = simulator._checked_reduction(batch)
+    signs = np.empty(len(prefixes), dtype=np.int8)
+    for _, c, idx in groups:
+        signs[idx] = c
+    return signs[:, None] * reduction.eigenvalues[prefixes]
+
+
 def joint_state(source: SampleSource) -> np.ndarray:
     """Dense feature-label average state, label qubit last (oracle helper)."""
     e0 = np.zeros((2, 2), dtype=complex)

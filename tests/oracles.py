@@ -4,17 +4,21 @@ Each oracle is the straightforward implementation a fast path replaced:
 per-string Pauli phases, matrices, traces, coefficients and synthesis, Pauli
 matrices as Kronecker products of single-qubit ones, dense single-state
 measurement, sequential measurement with dense post-measurement collapse,
-left and right Pauli application on dense matrices, pairwise commutation,
-cover search that builds and canonicalizes a ``Cover`` per candidate, integer
-batch allocation by a heap started from one sample per subset, junta
-subset selection by one k-qubit block per subset and on dense 2^d operators,
-and the spectral sign of any Hermitian matrix, diagonal or not.
+the joint-law sampler that walked every string of a batch through
+per-string outcome tables and averaged an outcome matrix, left and right
+Pauli application on dense matrices, the conditional states of a +-1
+operator from its eigendecomposition, pairwise commutation, cover search
+that builds and canonicalizes a ``Cover`` per candidate, integer batch
+allocation by a heap started from one sample per subset, junta subset
+selection by one k-qubit block per subset and on dense 2^d operators, and
+the spectral sign of any Hermitian matrix, diagonal or not.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +45,14 @@ from qfl.pauli import (
     _parity,
     synthesize,
 )
-from qfl.simulator import _checked_probability
+from qfl.simulator import (
+    PROB_HARD_FLOOR,
+    _checked_probability,
+    _checked_reduction,
+    _law,
+    _prefix_tree,
+    group_samples,
+)
 
 SINGLE_QUBIT = {
     0: np.eye(2, dtype=np.complex128),
@@ -216,6 +227,125 @@ def collapse_measure_batch_groups(
         signs = np.array(next_signs, dtype=float)
         index_sets = next_indices
     return outcomes
+
+
+@dataclass(frozen=True)
+class TableBatch:
+    """A batch's per-column tables on some states: ``probs`` as a prepared
+    batch lays it out, and for each dependent string the table of whether
+    its outcome is +1 (None for generators)."""
+
+    columns: np.ndarray
+    probs: np.ndarray
+    outcomes: tuple
+
+
+def table_prepare_batch(batch: DegreeSet, states: Sequence[np.ndarray]) -> TableBatch:
+    """Generator probabilities filled one generator level at a time, and a
+    bool table per dependent string: the label sign times
+    ``(-1)^(parity(p & combo) ^ (sign < 0))`` is +1."""
+    reduction = _checked_reduction(batch)
+    trees = np.stack([_prefix_tree(_law(state, reduction.masks)) for state in states])
+    probs = np.full((2 * len(states), trees.shape[1]), np.nan)
+    for g in range(reduction.rank):
+        level = slice(1 << g, 2 << g)
+        denom = trees[:, level]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (2.0 * trees[:, 2 << g: 3 << g] - denom) / denom
+        for row, c in ((0, -1.0), (1, 1.0)):
+            probs[row::2, level] = np.where(denom > 0.0, 0.5 * (1.0 + c * t), np.nan)
+    outcomes = []
+    h = 0  # generators before the column
+    for g, combo, sign in reduction.columns.tolist():
+        if g >= 0:
+            outcomes.append(None)
+            h += 1
+            continue
+        flip = (_parity(np.arange(1 << h) & combo) ^ (sign < 0)).astype(bool)
+        table = np.zeros(probs.shape, dtype=bool)
+        table[0::2, 1 << h: 2 << h] = flip
+        table[1::2, 1 << h: 2 << h] = ~flip
+        outcomes.append(table)
+    return TableBatch(reduction.columns, probs, tuple(outcomes))
+
+
+def table_measure_batch_groups(
+    groups: Sequence[tuple[np.ndarray, float, np.ndarray]],
+    batch: DegreeSet,
+    uniforms: np.ndarray,
+) -> np.ndarray:
+    """The +-1 outcome matrix of a commuting batch, walked string by string:
+    a generator column compares each sample's uniform with its gathered
+    probability and moves its prefix down a level, a dependent column
+    gathers its outcome table.  The law is taken once per distinct state
+    object."""
+    tree_index: dict[int, int] = {}
+    states = []
+    for state, _, _ in groups:
+        if id(state) not in tree_index:
+            tree_index[id(state)] = len(states)
+            states.append(state)
+    batch = table_prepare_batch(batch, states)
+    groups = [(tree_index[id(state)], c, idx) for state, c, idx in groups]
+    n_total, m = uniforms.shape
+    if m != len(batch.columns):
+        raise ValueError("uniforms must have one column per batch string")
+    width = batch.probs.shape[1]
+    index = np.empty(n_total, dtype=np.int64)
+    positive = np.empty(n_total, dtype=bool)
+    for state, c, idx in groups:
+        index[idx] = (2 * state + (c > 0)) * width + 1
+        positive[idx] = c > 0
+    probs = batch.probs.ravel()
+    hits = np.empty((n_total, m), dtype=bool)
+    for col, (g, table) in enumerate(zip(batch.columns[:, 0].tolist(), batch.outcomes)):
+        if g < 0:
+            hits[:, col] = table.take(index)
+            continue
+        p = probs.take(index)
+        if not np.minimum.reduce(p, initial=0.0) >= PROB_HARD_FLOOR:
+            if np.isnan(p).any():
+                raise ValueError("a sample reached an outcome prefix of zero probability")
+            _checked_probability(p)
+        took = np.less(uniforms[:, col], p, out=hits[:, col])
+        index += np.where(took ^ positive, 2 << g, 1 << g)
+    outcomes = hits.view(np.int8) * np.int8(2)
+    outcomes -= np.int8(1)
+    return outcomes
+
+
+def table_fourier_estimation(source, bases, labels, cover, plan, rng) -> FourierTable:
+    """Estimates as the means of each batch's outcome matrix, batch by batch
+    on consecutive slices of the samples, with one ``(size, m)`` block of
+    uniforms per batch."""
+    estimates = {}
+    pos = 0
+    for subset, size in zip(cover.subsets, plan.sizes):
+        chunk = slice(pos, pos + size)
+        pos += size
+        uniforms = rng.random((size, len(subset)))
+        groups = group_samples(source, bases[chunk], labels[chunk])
+        states = (source.rho0, source.rho1)
+        outcomes = table_measure_batch_groups(
+            [(states[base], c, idx) for base, c, idx in groups], subset, uniforms
+        )
+        means = outcomes.mean(axis=0)
+        for col, s in enumerate(subset):
+            estimates[s] = float(means[col])
+    return FourierTable(cover.d, estimates)
+
+
+def eigh_realizable_states(f_op) -> tuple[np.ndarray, np.ndarray]:
+    """``(rho0, rho1)`` of a +-1 operator as the normalized projections onto
+    its eigenvectors from ``eigh`` (the maximally mixed state for an empty
+    side), whatever the operator's structure."""
+    f_op = as_operator(f_op)
+    d = f_op.shape[0].bit_length() - 1
+    w, v = np.linalg.eigh(f_op)
+    states = []
+    for u in (v[:, w <= 0], v[:, w > 0]):
+        states.append(u @ u.conj().T / u.shape[1] if u.shape[1] else maximally_mixed(d))
+    return states[0], states[1]
 
 
 def pairwise_commutation(strings: Sequence[PauliString]) -> np.ndarray:

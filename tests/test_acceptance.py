@@ -53,7 +53,13 @@ from qfl.simulator import (
     measure_batch_groups,
 )
 
-from conftest import make_bell_source, make_parity_source, random_hermitian, random_string
+from conftest import (
+    expand_outcomes,
+    make_bell_source,
+    make_parity_source,
+    random_hermitian,
+    random_string,
+)
 from oracles import kron_pauli
 
 P = PauliString.from_digits
@@ -154,7 +160,8 @@ def test_criterion_05_sequential_batch_equivalence():
             g = g @ (plus if choice == 1 else minus)
         expected[w] = float(np.trace(g @ joint).real)
     uniforms = RandomStreams(515).generator(0).random((n, 2))
-    outcomes = measure_batch_groups([(source.rho0, -1.0, np.arange(n))], batch, uniforms)
+    groups = [(source.rho0, -1.0, np.arange(n))]
+    outcomes = expand_outcomes(groups, batch, measure_batch_groups(groups, batch, uniforms))
     stat = 0.0
     for w, p in expected.items():
         observed = int(np.sum((outcomes[:, 0] == w[0]) & (outcomes[:, 1] == w[1])))

@@ -5,6 +5,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,12 +55,21 @@ from qfl.simulator import (
 
 from conftest import (
     clear_class_caches,
+    expand_outcomes,
     joint_state,
     make_bell_source,
     make_parity_source,
+    random_density,
     random_hermitian,
 )
-from oracles import block, dense_best_coords, dense_subset_norms, subset_best_coords, subset_norms
+from oracles import (
+    block,
+    dense_best_coords,
+    dense_subset_norms,
+    subset_best_coords,
+    subset_norms,
+    table_fourier_estimation,
+)
 
 P = PauliString.from_digits
 
@@ -173,18 +183,79 @@ class TestFourierEstimation:
         pos = 0
         for subset, size in zip(cover.subsets, plan.sizes):
             uniforms = gen.random((size, len(subset)))
-            rows = [
-                measure_batch_groups(
-                    [((source.rho0, source.rho1)[bases[i]], 1.0 if labels[i] else -1.0, np.array([0]))],
-                    subset,
-                    uniforms[i - pos : i - pos + 1],
-                )[0]
-                for i in range(pos, pos + size)
-            ]
+            rows = []
+            for i in range(pos, pos + size):
+                group = [((source.rho0, source.rho1)[bases[i]], 1.0 if labels[i] else -1.0, np.array([0]))]
+                prefix = measure_batch_groups(group, subset, uniforms[i - pos : i - pos + 1])
+                rows.append(expand_outcomes(group, subset, prefix)[0])
             pos += size
             means = np.mean(rows, axis=0)
             for col, s in enumerate(subset):
                 assert table[s] == float(means[col])
+
+
+    def test_matches_table_engine(self):
+        # differential: estimates from the histogram of final prefixes
+        # against the means of the table engine's outcome matrix, bit for bit,
+        # on mixed states under label flips and on diagonal states
+        rng = np.random.default_rng(53)
+        for d in range(1, 6):
+            noisy = make_custom_source(0.4, random_density(rng, 1 << d), random_density(rng, 1 << d))
+            truth = rng.integers(0, 2, size=1 << d).tolist()
+            for source in (noisy.with_flip_rate(0.2), make_classical_source(truth)):
+                for k in sorted({1, min(2, d)}):
+                    cover, plan = learner._plan(degree_set_upto(d, k), 1500, 0.05, "greedy")
+                    for seed in (1, 2):
+                        streams = RandomStreams(seed)
+                        bases, labels = draw_samples(source, 1500, streams.generator(0))
+                        got = fourier_estimation(source, bases, labels, cover, plan, streams.generator(2))
+                        want = table_fourier_estimation(
+                            source, bases, labels, cover, plan, streams.generator(2)
+                        )
+                        assert got.coefficients == want.coefficients
+                        assert got.to_text() == want.to_text()
+
+    def test_estimation_allocates_no_outcome_matrix(self, monkeypatch):
+        # at d=6, k=2, n=2e4 each batch's work past its uniforms holds a few
+        # vectors per sample, whatever the batch's string count m, and the
+        # call holds one batch's uniforms at a time; an int8 (size, m) matrix
+        # would add m >= 16 bytes a sample on the largest batches
+        rng = np.random.default_rng(52)
+        source = make_noisy_source(sign_operator(random_hermitian(rng, 64)), 0.1)
+        n = 20_000
+        cover, plan = learner._plan(degree_set_upto(6, 2), n, 0.05, "greedy")
+        streams = RandomStreams(5)
+        bases, labels = draw_samples(source, n, streams.generator(0))
+        # builds the source's tables, which outlive the call
+        fourier_estimation(source, bases, labels, cover, plan, streams.generator(2))
+        calls = []
+        peaks = []
+        real = learner._batch_means
+
+        def traced(source, batch, bases, labels, uniforms):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = real(source, batch, bases, labels, uniforms)
+            peak = tracemalloc.get_traced_memory()[1]
+            peaks.append(peak)
+            calls.append((uniforms.shape, peak - before))
+            tracemalloc.reset_peak()
+            return out
+
+        monkeypatch.setattr(learner, "_batch_means", traced)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fourier_estimation(source, bases, labels, cover, plan, streams.generator(2))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(calls) == cover.m and max(m for (_, m), _ in calls) >= 16
+        for (size, m), extra in calls:
+            assert extra <= 48 * size + 4096, (size, m, extra)
+        largest = max(8 * size * m + 48 * size for (size, m), _ in calls)
+        assert max(peaks) - start <= largest + 8192
 
 
 class TestBuildPredictor:
@@ -670,13 +741,14 @@ class TestSeedInvariantMemo:
             self.count_calls(monkeypatch, counts, learner, fn)
         self.count_calls(monkeypatch, counts, simulator, "_law")
         self.count_calls(monkeypatch, counts, simulator, "_reduce_batch")
+        self.count_calls(monkeypatch, counts, simulator, "_eigenvalue_table")
         source = self.noisy_source()
         reports = [self.learn(name, source, seed)[1] for seed in (1, 2, 3)]
         m = reports[0].cover.m
         # the class work once; the law of every batch on each base once per
         # source; junta selects once per seed and scores opt_k once per source
         junta = name == "junta"
-        plan_once = dict(best_cover=1, check_cover=1, allocate_batches=1, _reduce_batch=m)
+        plan_once = dict(best_cover=1, check_cover=1, allocate_batches=1, _reduce_batch=m, _eigenvalue_table=m)
         assert counts == collections.Counter(**plan_once, best_coords=(3 + 1) * junta, _law=2 * m)
         # a source with another flip rate, and a reloaded source, share the
         # class: no search, check, allocation or reduction, but their own laws
@@ -690,7 +762,7 @@ class TestSeedInvariantMemo:
         assert (counts["best_cover"], counts["check_cover"], counts["allocate_batches"]) == (2, 2, 2)
         assert report.plan != reports[0].plan
         assert report.cover == reports[0].cover
-        assert counts["_reduce_batch"] == m
+        assert counts["_reduce_batch"] == counts["_eigenvalue_table"] == m
         assert counts["_law"] == 3 * 2 * m
 
     def test_errors_are_not_memoized(self, monkeypatch):
@@ -731,13 +803,35 @@ class TestSeedInvariantMemo:
                 simulator._checked_reduction(clash)
         assert simulator._checked_reduction.cache_info().currsize == 0
 
+    def test_failed_eigenvalue_table_is_not_cached(self, monkeypatch):
+        batch = DegreeSet.of(2, [P("11"), P("22"), P("33")])
+        source = make_bell_source()
+
+        def broken(columns, rank):
+            raise MemoryError("no room for the eigenvalue table")
+
+        monkeypatch.setattr(simulator, "_eigenvalue_table", broken)
+        for _ in range(2):
+            with pytest.raises(MemoryError):
+                source._prepared_batch(batch)
+        assert simulator._checked_reduction.cache_info().currsize == 0
+        assert source._memo == {}
+        monkeypatch.undo()
+        reduction = simulator._checked_reduction(batch)
+        assert source._prepared_batch(batch).reduction is reduction
+        # XX and YY generate; ZZ = -(XX)(YY)
+        assert reduction.eigenvalues.tolist() == [[1, 1, -1], [-1, 1, 1], [1, -1, 1], [-1, -1, -1]]
+
     def test_concurrent_class_cache_misses_agree(self):
         # the class caches take no lock: racing threads may build a value
         # twice, which is harmless only because every build gives equal values
         def values(i):
             plan = learner._plan(degree_set_upto(4, 2), 500 + 100 * (i % 3), 0.05, "greedy")
             reductions = [simulator._checked_reduction(b) for b in plan[0].subsets]
-            return plan, [(r.rank, r.columns.tolist(), [m.tolist() for m in r.masks]) for r in reductions]
+            return plan, [
+                (r.rank, r.columns.tolist(), [m.tolist() for m in r.masks], r.eigenvalues.tolist())
+                for r in reductions
+            ]
 
         expected = [values(i) for i in range(3)]
         wrong = []
@@ -779,9 +873,9 @@ class TestSeedInvariantMemo:
         for batch in cover.subsets:
             reduction = simulator._checked_reduction(batch)
             assert isinstance(reduction.generators, tuple)
-            for a in (reduction.columns, *reduction.masks):
+            for a in (reduction.columns, reduction.eigenvalues, *reduction.masks):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[...] = 0
             # the per-source tables share the cached columns
-            assert source._prepared_batch(batch).columns is reduction.columns
+            assert source._prepared_batch(batch).reduction is reduction

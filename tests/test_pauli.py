@@ -454,6 +454,18 @@ class TestTableSerialization:
         table = FourierTable(1, {PauliString((3,)): 1.0, PauliString((1,)): 2.0})
         assert [str(s) for s, _ in table.items()] == ["1", "3"]
 
+    def test_symbol_key_gives_the_string_order(self):
+        # items() sorts on the symbols; the strings' own ordering gives the
+        # same list, on random tables in random insertion order
+        rng = np.random.default_rng(80)
+        for d in range(1, 7):
+            for _ in range(5):
+                strings = {random_string(rng, d) for _ in range(int(rng.integers(1, 60)))}
+                order = rng.permutation(len(strings))
+                entries = list(strings)
+                table = FourierTable(d, {entries[i]: float(rng.normal()) for i in order})
+                assert table.items() == sorted(table.coefficients.items())
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             FourierTable(1, {PauliString((3,)): float("nan")})

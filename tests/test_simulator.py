@@ -24,6 +24,7 @@ from qfl.pauli import (
 )
 from qfl.simulator import (
     RandomStreams,
+    _checked_reduction,
     _prepare_batch,
     _reduce_batch,
     draw_samples,
@@ -42,8 +43,20 @@ from qfl.simulator import (
     save_matrix,
 )
 
-from conftest import joint_state, make_bell_source, make_parity_source, random_density
-from oracles import collapse_measure_batch_groups, measure
+from conftest import (
+    expand_outcomes,
+    joint_state,
+    make_bell_source,
+    make_parity_source,
+    random_density,
+)
+from oracles import (
+    collapse_measure_batch_groups,
+    eigh_realizable_states,
+    measure,
+    table_measure_batch_groups,
+    table_prepare_batch,
+)
 
 P = PauliString.from_digits
 
@@ -63,11 +76,16 @@ def joint_probabilities(sample_state, label, batch):
     return probs
 
 
+def measured(groups, batch, uniforms):
+    """The +-1 outcome matrix of the groups' samples."""
+    return expand_outcomes(groups, batch, measure_batch_groups(groups, batch, uniforms))
+
+
 def measure_one(state, label, batch, rng):
     """Outcomes of one sample measured as its own one-row group."""
     uniforms = rng.random(len(batch))[None, :]
     sign = 1.0 if label == 1 else -1.0
-    return measure_batch_groups([(state, sign, np.array([0]))], batch, uniforms)[0]
+    return measured([(state, sign, np.array([0]))], batch, uniforms)[0]
 
 
 class TestLabelingOperator:
@@ -302,9 +320,7 @@ class TestMeasureBatch:
         expected = joint_probabilities(source.rho1, 1, batch)
         n = 40_000
         uniforms = RandomStreams(12).generator(0).random((n, 2))
-        outcomes = measure_batch_groups(
-            [(source.rho1, 1.0, np.arange(n))], batch, uniforms
-        )
+        outcomes = measured([(source.rho1, 1.0, np.arange(n))], batch, uniforms)
         for w, p in expected.items():
             freq = np.mean((outcomes[:, 0] == w[0]) & (outcomes[:, 1] == w[1]))
             assert abs(freq - p) <= 4 * np.sqrt(max(p * (1 - p), 1e-4) / n)
@@ -316,7 +332,7 @@ class TestMeasureBatch:
         expected = joint_probabilities(state, 0, batch)
         n = 60_000
         uniforms = RandomStreams(14).generator(0).random((n, 3))
-        outcomes = measure_batch_groups([(state, -1.0, np.arange(n))], batch, uniforms)
+        outcomes = measured([(state, -1.0, np.arange(n))], batch, uniforms)
         for w, p in expected.items():
             freq = np.mean(
                 (outcomes[:, 0] == w[0]) & (outcomes[:, 1] == w[1]) & (outcomes[:, 2] == w[2])
@@ -385,7 +401,7 @@ class TestJointLawSampler:
                         groups = [(np.diag(np.diag(state)), c, idx) for state, c, idx in groups]
                     uniforms = rng.random((120, len(batch)))
                     assert np.array_equal(
-                        measure_batch_groups(groups, batch, uniforms),
+                        measured(groups, batch, uniforms),
                         collapse_measure_batch_groups(groups, batch, uniforms),
                     )
 
@@ -453,7 +469,7 @@ class TestJointLawSampler:
         n = 2000
         uniforms = rng.random((n, 4))
         groups = [(state, 1.0, np.arange(n // 2)), (state, -1.0, np.arange(n // 2, n))]
-        outcomes = measure_batch_groups(groups, batch, uniforms)
+        outcomes = measured(groups, batch, uniforms)
         c = np.where(np.arange(n) < n // 2, 1, -1)
         assert np.array_equal(outcomes[:, 0], c)
         assert np.array_equal(outcomes[:, 3], -c * outcomes[:, 1] * outcomes[:, 2])
@@ -478,7 +494,7 @@ class TestJointLawSampler:
         batch = DegreeSet.of(2, [P("30"), P("03"), P("33")])
         good = random_density(np.random.default_rng(43), 4)
         prepared = _prepare_batch(batch, (good, np.zeros((4, 4))))
-        assert not np.isnan(prepared.probs[:2, 1: 1 << prepared.rank]).any()
+        assert not np.isnan(prepared.probs[:2, 1: 1 << prepared.reduction.rank]).any()
         assert np.isnan(prepared.probs[2:]).all()
         uniforms = np.random.default_rng(44).random((6, 3))
         fine = [(0, -1.0, np.arange(3)), (0, 1.0, np.arange(3, 6))]
@@ -486,11 +502,21 @@ class TestJointLawSampler:
                               measure_batch_groups([(good, c, idx) for _, c, idx in fine], batch, uniforms))
         with pytest.raises(ValueError, match="zero probability"):
             measure_batch_groups(fine[:1] + [(1, 1.0, np.arange(3, 6))], prepared, uniforms)
+        # a basis state leaves prefixes without mass, which no sample
+        # reaches; the table engine agrees, and raises on the empty state too
+        pure = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+        assert np.isnan(_prepare_batch(batch, (pure,)).probs[:, 2:4]).any()
+        on_pure = [(pure, c, idx) for _, c, idx in fine]
+        assert np.array_equal(measured(on_pure, batch, uniforms),
+                              table_measure_batch_groups(on_pure, batch, uniforms))
+        with pytest.raises(ValueError, match="zero probability"):
+            table_measure_batch_groups(on_pure[:1] + [(np.zeros((4, 4)), 1.0, np.arange(3, 6))],
+                                       batch, uniforms)
         # a negative eigenvalue: outcome +1 has probability 1.5 under label
         # sign +1 and -0.5 under -1; only the samples of sign -1 raise
         broken = _prepare_batch(DegreeSet.of(1, [P("3")]), (np.diag([1.5, -0.5]).astype(complex),))
         assert broken.probs[:, 1].tolist() == [-0.5, 1.5]
-        ones = measure_batch_groups([(0, 1.0, np.arange(4))], broken, np.full((4, 1), 0.999))
+        ones = measured([(0, 1.0, np.arange(4))], broken, np.full((4, 1), 0.999))
         assert (ones == 1).all()
         with pytest.raises(ValueError, match="below"):
             measure_batch_groups([(0, 1.0, np.arange(3)), (0, -1.0, np.array([3]))],
@@ -511,6 +537,147 @@ class TestJointLawSampler:
             measure_batch_groups([(0, sign, np.arange(2))], prepared, np.zeros((2, 1)))
 
 
+def random_state(rng, n, rank):
+    """Density operator ``A A^dagger / tr`` of the given rank."""
+    a = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def string_of(d, x, z):
+    """The string with symplectic masks ``(x|z)``."""
+    bits = [(x >> (d - 1 - j) & 1, z >> (d - 1 - j) & 1) for j in range(d)]
+    return PauliString(tuple({(0, 0): 0, (1, 0): 1, (1, 1): 2, (0, 1): 3}[b] for b in bits))
+
+
+def random_batch(rng, d, r, products):
+    """A commuting batch of rank r: r random independent commuting strings,
+    ``products`` strings that multiply random subsets of them (the identity
+    for the empty subset) and, with probability 1/2 or when there is no other
+    string, the identity."""
+    gens = []
+    pivots = {}  # pivot bit -> vector, for the GF(2) rank
+    while len(gens) < r:
+        x, z = (int(v) for v in rng.integers(0, 1 << d, size=2))
+        # strings commute when their symplectic product is even
+        if any((bin(x & gz).count("1") + bin(z & gx).count("1")) % 2 for gx, gz in gens):
+            continue
+        v = (x << d) | z
+        while v and (v.bit_length() - 1) in pivots:
+            v ^= pivots[v.bit_length() - 1]
+        if v:
+            pivots[v.bit_length() - 1] = v
+            gens.append((x, z))
+    strings = [string_of(d, x, z) for x, z in gens]
+    for _ in range(products):
+        x = z = 0
+        for g, (gx, gz) in enumerate(gens):
+            if rng.random() < 0.5:
+                x, z = x ^ gx, z ^ gz
+        strings.append(string_of(d, x, z))
+    if not strings or rng.random() < 0.5:
+        strings.append(PauliString.identity(d))
+    return DegreeSet.of(d, strings)
+
+
+def random_groups(rng, d, n):
+    """One to four groups on one or two random states of random rank, some
+    pairs of groups sharing a state under both label signs, over a random
+    partition of n rows."""
+    states = [random_state(rng, 1 << d, int(rng.integers(1, (1 << d) + 1))) for _ in range(2)]
+    pairs = [(0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0)]
+    count = int(rng.integers(1, 5))
+    chosen = [pairs[i] for i in rng.choice(4, size=count, replace=False)]
+    cuts = np.sort(rng.choice(np.arange(1, n), size=count - 1, replace=False))
+    parts = np.split(rng.permutation(n), cuts)
+    return [(states[i], c, idx) for (i, c), idx in zip(chosen, parts)]
+
+
+class TestEigenvalueWalk:
+    def test_matches_table_engine(self):
+        # differential: the generator walk with its eigenvalue table against
+        # the per-column table engine it replaced, outcome for outcome
+        rng = np.random.default_rng(70)
+        negative = identity = flipped = 0
+        for d in range(1, 6):
+            for r in range(d + 1):
+                for _ in range(4):
+                    batch = random_batch(rng, d, r, int(rng.integers(0, 6)))
+                    reduction = _checked_reduction(batch)
+                    assert reduction.rank == r
+                    negative += int((reduction.columns[:, 2] < 0).sum())
+                    identity += PauliString.identity(d) in batch
+                    n = 80
+                    groups = random_groups(rng, d, n)
+                    flipped += len({id(state) for state, _, _ in groups}) < len(groups)
+                    uniforms = rng.random((n, len(batch)))
+                    prefixes = measure_batch_groups(groups, batch, uniforms)
+                    assert prefixes.dtype == np.int64
+                    assert prefixes.min() >= 0 and prefixes.max() < 1 << r
+                    outcomes = expand_outcomes(groups, batch, prefixes)
+                    want = table_measure_batch_groups(groups, batch, uniforms)
+                    assert outcomes.dtype == want.dtype == np.int8
+                    assert np.array_equal(outcomes, want)
+                    # the same samples through tables prepared on the states
+                    states = list({id(state): state for state, _, _ in groups}.values())
+                    by_index = [
+                        (next(i for i, st in enumerate(states) if st is state), c, idx)
+                        for state, c, idx in groups
+                    ]
+                    prepared = _prepare_batch(batch, states)
+                    assert prepared.probs.tobytes() == table_prepare_batch(batch, states).probs.tobytes()
+                    assert np.array_equal(measure_batch_groups(by_index, prepared, uniforms), prefixes)
+        # the cases cover strings of sign -1, the identity and label flips
+        assert negative > 0 and identity > 0 and flipped > 0
+
+    def test_eigenvalue_table_matches_dense_projections(self):
+        # E[p, l] is the eigenvalue of string l on the joint eigenspace where
+        # generator g has eigenvalue (-1)^(bit g of p)
+        rng = np.random.default_rng(71)
+        for d in range(1, 5):
+            for r in range(d + 1):
+                batch = random_batch(rng, d, r, 4)
+                reduction = _checked_reduction(batch)
+                table = reduction.eigenvalues
+                assert table.shape == (1 << r, len(batch)) and table.dtype == np.int8
+                for p in range(1 << r):
+                    proj = np.eye(1 << d, dtype=complex)
+                    for g, s in enumerate(reduction.generators):
+                        proj = proj @ (np.eye(1 << d) + (-1) ** (p >> g & 1) * pauli_matrix(s)) / 2
+                    for col, s in enumerate(batch):
+                        assert np.abs(pauli_matrix(s) @ proj - table[p, col] * proj).max() <= 1e-12
+                for g, col in enumerate(reduction.generator_columns):
+                    assert batch.strings[col] == reduction.generators[g]
+
+
+class TestRealizableDiagonal:
+    def test_diagonal_states_match_spectral_path(self):
+        # bit for bit against eigh, on truth tables of d = 1..8 including
+        # constant ones (a degenerate source) and nearly constant ones
+        rng = np.random.default_rng(74)
+        for d in range(1, 9):
+            tables = [[0] * (1 << d), [1] * (1 << d)]
+            tables += [(rng.random(1 << d) < q).astype(int).tolist() for q in (0.02, 0.5, 0.5, 0.98)]
+            for table in tables:
+                f_op = classical_embedding(table)
+                source = make_realizable_source(f_op)
+                rho0, rho1 = eigh_realizable_states(f_op)
+                assert source.rho0.tobytes() == rho0.tobytes()
+                assert source.rho1.tobytes() == rho1.tobytes()
+                assert source.degenerate == (len(set(table)) == 1)
+                assert source.p0 == 1.0 - sum(table) / len(table)
+
+    def test_checks_still_run(self):
+        with pytest.raises(ValueError, match=r"\+-1 operator"):
+            make_realizable_source(np.diag([1.0, -1.0, 1.0, 0.5]))
+        with pytest.raises(ValueError, match=r"\+-1 operator"):
+            make_realizable_source(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="Hermitian"):
+            make_realizable_source(np.diag([1.0, 1j]))
+        with pytest.raises(ValueError, match=r"\+-1 operator"):
+            make_realizable_source(0.9 * pauli_matrix(P("1")))
+
+
 class TestSourceMemo:
     def test_prepared_batch_matches_per_state_law(self):
         # differential: a source's prepared batch with groups named by base
@@ -525,7 +692,7 @@ class TestSourceMemo:
                 uniforms = rng.random((200, len(batch)))
                 prepared = source._prepared_batch(batch)
                 assert prepared is source._prepared_batch(batch)
-                assert prepared.rank == len(_reduce_batch(batch)[0])
+                assert prepared.reduction.rank == len(_reduce_batch(batch)[0])
                 assert np.array_equal(
                     measure_batch_groups(by_base, prepared, uniforms),
                     measure_batch_groups(by_state, batch, uniforms),
