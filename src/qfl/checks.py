@@ -1,13 +1,17 @@
 """Named invariant suites behind ``qfl verify``.
 
-The fast suite exercises the closed-form oracles at three qubits or fewer and
-finishes in well under a minute; the full suite adds the Monte-Carlo
-statistical checks.  Each check is a no-argument callable that raises
-:class:`CheckFailure` with a human-readable reason.
+The fast suite checks closed forms against independent oracles (dense
+algebra up to d = 4, Kronecker-product commutators up to d = 8, exhaustive
+enumeration and grid search) in about 6 s; the full suite adds the
+Monte-Carlo statistical checks, in about 7 s in all.  Each check is a
+no-argument callable that raises :class:`CheckFailure` with a human-readable
+reason.  Acceptance criteria 01-07 and 09-11 each run one of these checks,
+so their sizes, seeds and thresholds are defined here once.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -82,8 +86,9 @@ def make_parity_source(d: int, coords: tuple[int, ...]) -> simulator.SampleSourc
 # ---------------------------------------------------------------------------
 
 
-def check_pauli_orthonormality():
-    for d in (1, 2, 3):
+def check_fourier_correctness():
+    rng = np.random.default_rng(CHECK_SEED)
+    for d in (1, 2, 3, 4):
         mm = operators.maximally_mixed(d)
         mats = {s: pauli.pauli_matrix(s) for s in pauli.full_degree_set(d)}
         for s, a in mats.items():
@@ -94,23 +99,11 @@ def check_pauli_orthonormality():
                     abs(got - want) <= 1e-12,
                     f"<{s},{t}> = {got}, expected {want} (d={d})",
                 )
-
-
-def check_fourier_round_trip():
-    rng = np.random.default_rng(CHECK_SEED)
-    for d in (2, 3, 4):
-        a = random_hermitian(rng, 1 << d)
-        back = pauli.synthesize(pauli.fourier_transform(a, pauli.full_degree_set(d)))
-        err = float(np.abs(back - a).max())
-        _ensure(err <= 1e-8, f"round trip error {err:.3e} at d={d}")
-
-
-def check_fourier_parseval():
-    rng = np.random.default_rng(CHECK_SEED + 1)
-    for d in (2, 3):
         a = random_hermitian(rng, 1 << d)
         table = pauli.fourier_transform(a, pauli.full_degree_set(d))
-        norm_sq = operators.rho_norm(a, 2, operators.maximally_mixed(d)) ** 2
+        err = float(np.abs(pauli.synthesize(table) - a).max())
+        _ensure(err <= 1e-8, f"round trip error {err:.3e} at d={d}")
+        norm_sq = operators.rho_norm(a, 2, mm) ** 2
         _ensure(
             abs(table.power() - norm_sq) <= 1e-8,
             f"Parseval defect {abs(table.power() - norm_sq):.3e} at d={d}",
@@ -118,29 +111,39 @@ def check_fourier_parseval():
 
 
 def check_commutation_oracle():
+    # the oracle builds each matrix as a Kronecker product of single-qubit
+    # matrices, apart from the symplectic masks; two Pauli strings commute or
+    # anticommute, so their commutator is zero or twice a unitary, and
+    # applying it to the all-ones vector tells the two apart
+    single = (
+        np.eye(2),
+        np.array([[0, 1], [1, 0]]),
+        np.array([[0, -1j], [1j, 0]]),
+        np.diag([1, -1]),
+    )
+    pairs = [
+        (s, t)
+        for d in (1, 2, 3)
+        for s in pauli.full_degree_set(d)
+        for t in pauli.full_degree_set(d)
+    ]
     rng = np.random.default_rng(CHECK_SEED + 2)
-    for d in (1, 2):
-        for s in pauli.full_degree_set(d):
-            for t in pauli.full_degree_set(d):
-                dense = np.abs(
-                    pauli.pauli_matrix(s) @ pauli.pauli_matrix(t)
-                    - pauli.pauli_matrix(t) @ pauli.pauli_matrix(s)
-                ).max()
-                _ensure(
-                    compat.pauli_commute(s, t) == (dense <= 1e-12),
-                    f"commutation mismatch at ({s}, {t})",
-                )
-    for _ in range(200):
-        d = int(rng.integers(3, 7))
-        s, t = random_string(rng, d), random_string(rng, d)
-        dense = np.abs(
-            pauli.pauli_matrix(s) @ pauli.pauli_matrix(t)
-            - pauli.pauli_matrix(t) @ pauli.pauli_matrix(s)
-        ).max()
-        _ensure(
-            compat.pauli_commute(s, t) == (dense <= 1e-12),
-            f"commutation mismatch at ({s}, {t})",
-        )
+    sizes = rng.integers(3, 7, size=200).tolist() + [8] * 500
+    pairs += [(random_string(rng, d), random_string(rng, d)) for d in sizes]
+
+    @functools.cache
+    def factor(symbols):
+        return functools.reduce(operators.tensor, [single[v] for v in symbols])
+
+    def dense(s):
+        # a product of cached factors of at most four qubits each
+        return functools.reduce(operators.tensor, [factor(s.symbols[i:i + 4]) for i in range(0, s.d, 4)])
+
+    for s, t in pairs:
+        a, b = dense(s), dense(t)
+        ones = np.ones(len(a))
+        commute = np.abs(a @ (b @ ones) - b @ (a @ ones)).max() <= 1e-12
+        _ensure(compat.pauli_commute(s, t) == commute, f"commutation mismatch at ({s}, {t})")
 
 
 def check_eig_reconstruction():
@@ -233,8 +236,8 @@ def check_clique_witness():
 
 def check_cover_search():
     rng = np.random.default_rng(CHECK_SEED + 8)
-    for trial in range(5):
-        strings = {random_string(rng, 4) for _ in range(8)}
+    for trial in range(20):
+        strings = {random_string(rng, 4) for _ in range(int(rng.integers(4, 11)))}
         nodes = pauli.DegreeSet.of(4, strings)
         n, delta = 500, 0.1
         greedy = compat.best_cover(nodes, n, delta, "greedy")
@@ -260,12 +263,17 @@ def check_batch_allocation():
     n, delta = 1000, 0.05
     plan = compat.allocate_batches(n, cover, delta)
     got = compat.allocation_objective(plan.sizes, cover, delta)
-    best = math.inf
-    for x1 in range(1, n - 1):
-        for x2 in range(1, n - x1):
-            x3 = n - x1 - x2
-            best = min(best, compat.allocation_objective((x1, x2, x3), cover, delta))
+    # unit-resolution grid search over every split with x3 = n - x1 - x2 >= 1
+    w = compat.batch_weights(cover, delta)
+    x1, x2 = np.meshgrid(np.arange(1, n - 1), np.arange(1, n - 1), indexing="ij")
+    x3 = n - x1 - x2
+    with np.errstate(divide="ignore"):
+        grid = np.where(x3 >= 1, w[0] / x1 + w[1] / x2 + w[2] / x3, np.inf)
+    first = np.unravel_index(np.argmin(grid), grid.shape)
+    best, best_sizes = grid[first], tuple(int(x[first]) for x in (x1, x2, x3))
     _ensure(got <= best + 1e-9, f"allocation {plan.sizes} not optimal: {got} > {best}")
+    drift = max(abs(a - b) for a, b in zip(plan.sizes, best_sizes))
+    _ensure(drift <= 1, f"allocation {plan.sizes} drifts {drift} from the grid optimum {best_sizes}")
 
 
 def check_bell_example():
@@ -338,9 +346,7 @@ def check_junta_support():
 
 
 FAST_CHECKS: list[tuple[str, callable]] = [
-    ("pauli-orthonormality", check_pauli_orthonormality),
-    ("fourier-round-trip", check_fourier_round_trip),
-    ("fourier-parseval", check_fourier_parseval),
+    ("fourier-correctness", check_fourier_correctness),
     ("commutation-oracle", check_commutation_oracle),
     ("eig-reconstruction", check_eig_reconstruction),
     ("sign-involution", check_sign_involution),
@@ -404,10 +410,10 @@ def check_sequential_batch_law():
             expected[w] = float(np.trace(g @ joint).real)
         streams = simulator.RandomStreams(2024 + case_index)
         uniforms = streams.generator(0).random((n, len(batch)))
-        sign = 1.0 if label == 1 else -1.0
-        groups = [(state, sign, np.arange(n))]
-        prefixes = simulator.measure_batch_groups(groups, batch, uniforms)
-        outcomes = sign * simulator._checked_reduction(batch).eigenvalues[prefixes]
+        prepared = simulator._prepare_batch(batch, (state,))
+        samples = (np.zeros(n, dtype=np.int8), np.full(n, label, dtype=np.int8))
+        prefixes = simulator.measure_batch_groups(samples, prepared, uniforms)
+        outcomes = (2 * label - 1) * prepared.reduction.eigenvalues[prefixes]
         stat = 0.0
         dof = 0
         for w, p in expected.items():
@@ -448,7 +454,7 @@ def check_qld_parity():
     source = make_parity_source(4, (1, 2))
     degree_set = pauli.degree_set_classical_upto(4, 2)
     good = 0
-    for seed in range(5):
+    for seed in range(20):
         _, report = learner.qld_learn(source, degree_set, 50_000, 0.05, seed, opt_value=0.0)
         _ensure(
             report.exact_loss <= 5 * report.beta_measured + 1e-8,
@@ -456,13 +462,13 @@ def check_qld_parity():
         )
         if report.exact_loss <= 0.05:
             good += 1
-    _ensure(good >= 4, f"parity learned in only {good}/5 runs")
+    _ensure(good >= 18, f"parity learned in only {good}/20 runs")
 
 
 def check_junta_recovery():
     source = make_parity_source(5, (1, 3))
     good = 0
-    for seed in range(5):
+    for seed in range(20):
         _, report = learner.junta_learn(source, 2, 100_000, 0.05, seed)
         _ensure(
             report.exact_loss <= report.opt_value + 5 * math.sqrt(report.score) + 1e-8,
@@ -470,7 +476,7 @@ def check_junta_recovery():
         )
         if report.chosen_coords == (1, 3):
             good += 1
-    _ensure(good >= 4, f"planted junta recovered in only {good}/5 runs")
+    _ensure(good >= 18, f"planted junta recovered in only {good}/20 runs")
 
 
 def check_noisy_shrinkage():

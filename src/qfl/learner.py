@@ -49,7 +49,6 @@ from .simulator import (
     RandomStreams,
     SampleSource,
     draw_samples,
-    group_samples,
     measure_batch_groups,
 )
 
@@ -257,8 +256,8 @@ def fourier_estimation(
 
     The samples ``(bases, labels)`` are consumed in order, ``plan.sizes[j]``
     of them for subset ``j`` (shuffle beforehand if draw order matters).  Each
-    batch draws its block of uniforms in one call, one row per sample, so
-    outcomes are reproducible and independent of any grouping of samples.
+    batch draws its block of uniforms in one call, one row per sample, so a
+    sample's outcomes depend only on its base, label and row.
     """
     if len(plan.sizes) != cover.m:
         raise ValueError("plan does not align with the cover")
@@ -283,8 +282,9 @@ def fourier_estimation(
 def _batch_means(
     source: SampleSource, batch: DegreeSet, bases: np.ndarray, labels: np.ndarray, uniforms: np.ndarray
 ) -> list[float]:
-    """The mean +-1 outcome of each string of the batch over the samples its
-    uniforms measure.
+    """The mean +-1 outcome of each string of the batch over the samples
+    ``(bases, labels)``, measured by the rows of ``uniforms`` on the batch
+    the source prepared.
 
     A sample of label sign c that ends the walk at eigenvalue prefix p shows
     ``c E[p, l]`` on string l, with E the batch's eigenvalue table, so a
@@ -294,7 +294,7 @@ def _batch_means(
     live in this call only, so they are freed before the next batch's
     uniforms are drawn."""
     prepared = source._prepared_batch(batch)
-    prefixes = measure_batch_groups(group_samples(source, bases, labels), prepared, uniforms)
+    prefixes = measure_batch_groups((bases, labels), prepared, uniforms)
     eigenvalues = prepared.reduction.eigenvalues
     width = len(eigenvalues)
     prefixes += np.multiply(labels, width, dtype=np.int64)

@@ -23,13 +23,14 @@ generators showed the eigenvalue prefix p.  A source keeps, per batch, the
 generator probabilities taken from the prefix trees of the law of each
 conditional state (:meth:`SampleSource._prepared_batch`): per state, label
 sign, generator and prefix of earlier outcomes, the probability of outcome
-+1.  :func:`measure_batch_groups` walks only the r generators, drawing every
-sample's outcome on each by the rule of sequential measurement with collapse,
-with one gather from that table and one comparison against the sample's
-uniform, and returns each sample's final prefix p.  A sample of label sign c
-shows outcome ``c E[p, l]`` on string l, so an estimate is one histogram of
-the samples over (label, p) times ``E``; no per-string table or per-sample
-outcome matrix is formed.
++1.  :func:`measure_batch_groups` takes the sample arrays as they are: a
+sample's base and label name its row of that table.  It walks only the r
+generators, drawing every sample's outcome on each by the rule of
+sequential measurement with collapse, with one gather from the table and one
+comparison against the sample's uniform, and returns each sample's final
+prefix p.  A sample of label sign c shows outcome ``c E[p, l]`` on string l,
+so an estimate is one histogram of the samples over (label, p) times ``E``;
+no per-string table or per-sample outcome matrix is formed.
 
 Work that depends only on the measurement class is paid once per class, in
 bounded process-wide caches keyed by all of its inputs: the degree set
@@ -345,19 +346,6 @@ def draw_samples(
     return bases, labels
 
 
-def group_samples(source: SampleSource, bases: np.ndarray, labels: np.ndarray) -> list[tuple]:
-    """``(base, label_sign, sample_indices)`` for each ``(base, label)`` pair
-    that occurs, in pair order; the label sign ``-(-1)^label`` is +1 for label 1."""
-    key = 2 * bases + labels
-    groups = []
-    for base in (0, 1):
-        for label, sign in ((0, -1.0), (1, 1.0)):
-            idx = np.flatnonzero(key == 2 * base + label)
-            if idx.size:
-                groups.append((base, sign, idx))
-    return groups
-
-
 def estimation_observable(s: PauliString) -> tuple[np.ndarray, np.ndarray]:
     """Joint-system projective pair estimating one expansion coefficient.
 
@@ -572,62 +560,55 @@ def _prepare_batch(batch: DegreeSet, states: Sequence[np.ndarray]) -> _PreparedB
 
 
 def measure_batch_groups(
-    groups: Sequence[tuple],
-    batch: DegreeSet | _PreparedBatch,
+    samples: tuple[np.ndarray, np.ndarray],
+    prepared: _PreparedBatch,
     uniforms: np.ndarray,
 ) -> np.ndarray:
-    """Measure a commuting batch on groups of identical samples by sampling
-    its exact joint outcome law, and return each sample's final eigenvalue
+    """Measure a prepared commuting batch on labeled samples by sampling its
+    exact joint outcome law, and return each sample's final eigenvalue
     prefix.
 
-    ``groups`` lists ``(state, label_sign, sample_indices)`` triples whose
-    indices partition the rows of ``uniforms`` (one row per sample, one column
-    per batch string); label signs are +1 or -1.  ``batch`` is either the
-    batch itself, whose law is then taken once per distinct state object, or
-    a batch a source prepared (:meth:`SampleSource._prepared_batch`), in which
-    case each group names its state by its base, as :func:`group_samples`
-    gives it.  The batch reduces to r <= d independent generators, and every
-    other string is a fixed signed product of earlier generators, so its
-    outcome follows from theirs.  The walk visits only the generator
-    columns: sample ``i`` gets outcome +1 on a generator column ``l`` exactly
-    when ``uniforms[i, l]`` falls below ``(1 + c t) / 2``, with ``c`` the
-    label sign and ``t`` the generator's mean given the sample's earlier
-    outcomes; this is the rule of sequential measurement with collapse.  The
-    other columns' uniforms are drawn but not read.
+    ``samples`` is ``(bases, labels)``: sample ``i`` is in the state of index
+    ``bases[i]`` among those ``prepared`` was built on (a source's batch,
+    :meth:`SampleSource._prepared_batch`, has ``rho0`` and ``rho1``), and
+    has label 0 or 1, label sign ``c = 2 label - 1``.  ``uniforms`` has one
+    row per sample and one column per batch string.  The batch reduces to
+    r <= d independent generators, and every other string is a fixed signed
+    product of earlier generators, so its outcome follows from theirs.  The
+    walk visits only the generator columns: sample ``i`` gets outcome +1 on
+    a generator column ``l`` exactly when ``uniforms[i, l]`` falls below
+    ``(1 + c t) / 2``, with ``t`` the generator's mean given the sample's
+    earlier outcomes; this is the rule of sequential measurement with
+    collapse.  The other columns' uniforms are drawn but not read.
 
     Returns the int64 prefixes p, bit g set when generator g showed
     eigenvalue -1; sample ``i`` shows outcome ``c E[p_i, l]`` on string l,
-    with E the reduction's :func:`_eigenvalue_table`.  Prefixes do not
-    depend on how samples are grouped or ordered.
+    with E the reduction's :func:`_eigenvalue_table`.  A sample's prefix
+    depends only on its base, label and row of uniforms.
     """
-    if any(c not in (-1.0, 1.0) for _, c, _ in groups):
-        raise ValueError("label signs must be +1 or -1")
-    if not isinstance(batch, _PreparedBatch):
-        tree_index: dict[int, int] = {}
-        states = []
-        for state, _, _ in groups:
-            if id(state) not in tree_index:
-                tree_index[id(state)] = len(states)
-                states.append(state)
-        batch = _prepare_batch(batch, states)
-        groups = [(tree_index[id(state)], c, idx) for state, c, idx in groups]
+    bases, labels = (np.asarray(a) for a in samples)
     n_total, m = uniforms.shape
-    if m != len(batch.reduction.columns):
+    if m != len(prepared.reduction.columns):
         raise ValueError("uniforms must have one column per batch string")
-    if sum(len(idx) for _, _, idx in groups) != n_total:
-        raise ValueError("the groups' sample indices must partition the rows of uniforms")
+    if not len(bases) == len(labels) == n_total:
+        raise ValueError("bases, labels and the rows of uniforms must have the same length")
+    positive = labels == 1
+    if not (positive | (labels == 0)).all():
+        raise ValueError("labels must be 0 or 1")
+    probs = prepared.probs
+    if not (np.min(bases, initial=0) >= 0 and np.max(bases, initial=0) < len(probs) // 2):
+        raise ValueError(f"bases must lie in [0, {len(probs) // 2}), the prepared states")
 
     # each sample's entry in the table, all rows laid end to end
-    width = batch.probs.shape[1]
-    index = np.empty(n_total, dtype=np.int64)
-    positive = np.empty(n_total, dtype=bool)
-    for state, c, idx in groups:
-        index[idx] = (2 * state + (c > 0)) * width + 1
-        positive[idx] = c > 0
-    probs = batch.probs.ravel()
+    width = probs.shape[1]
+    index = np.multiply(bases, 2, dtype=np.int64)
+    index += positive
+    index *= width
+    index += 1
+    probs = probs.ravel()
     bit = np.empty(n_total, dtype=bool)
     step = np.empty(n_total, dtype=np.int64)
-    for g, col in enumerate(batch.reduction.generator_columns):
+    for g, col in enumerate(prepared.reduction.generator_columns):
         p = probs.take(index)
         # u < p equals u < clip(p, 0, 1) for u in [0, 1), once no p is NaN
         # (a prefix without mass) or below the floor

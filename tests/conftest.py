@@ -39,18 +39,24 @@ def cold_class_caches():
     clear_class_caches()
 
 
-def expand_outcomes(groups, batch, prefixes) -> np.ndarray:
-    """The int8 +-1 outcome matrix of measured samples from their final
-    eigenvalue prefixes: row i is ``c_i E[p_i]``, with ``c_i`` the label sign
-    of sample i's group and E the batch's eigenvalue table."""
-    if isinstance(batch, simulator._PreparedBatch):
-        reduction = batch.reduction
-    else:
-        reduction = simulator._checked_reduction(batch)
-    signs = np.empty(len(prefixes), dtype=np.int8)
-    for _, c, idx in groups:
-        signs[idx] = c
-    return signs[:, None] * reduction.eigenvalues[prefixes]
+def measure_groups(groups, batch, uniforms) -> tuple[np.ndarray, np.ndarray]:
+    """Measure ``(state, label_sign, sample_indices)`` groups, the form the
+    dense oracles take, through the engine's sample arrays: the batch is
+    prepared on the groups' distinct state objects in order of first use,
+    a sample's base is its state's index and its label is 1 where its label
+    sign is +1.  Returns the final prefixes and the int8 +-1 outcome matrix,
+    row i ``c_i E[p_i]`` with E the batch's eigenvalue table."""
+    n = len(uniforms)
+    bases = np.full(n, -1, dtype=np.int64)
+    labels = np.zeros(n, dtype=np.int8)
+    states: dict[int, tuple[int, np.ndarray]] = {}
+    for state, c, idx in groups:
+        bases[idx] = states.setdefault(id(state), (len(states), state))[0]
+        labels[idx] = c > 0
+    prepared = simulator._prepare_batch(batch, [state for _, state in states.values()])
+    prefixes = simulator.measure_batch_groups((bases, labels), prepared, uniforms)
+    signs = 2 * labels - 1
+    return prefixes, signs[:, None] * prepared.reduction.eigenvalues[prefixes]
 
 
 def joint_state(source: SampleSource) -> np.ndarray:

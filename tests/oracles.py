@@ -5,7 +5,8 @@ per-string Pauli phases, matrices, traces, coefficients and synthesis, Pauli
 matrices as Kronecker products of single-qubit ones, dense single-state
 measurement, sequential measurement with dense post-measurement collapse,
 the joint-law sampler that walked every string of a batch through
-per-string outcome tables and averaged an outcome matrix, left and right
+per-string outcome tables and averaged an outcome matrix (both on samples
+split into ``(state, label_sign, indices)`` groups), left and right
 Pauli application on dense matrices, the conditional states of a +-1
 operator from its eigendecomposition, pairwise commutation, cover search
 that builds and canonicalizes a ``Cover`` per candidate, integer batch
@@ -51,7 +52,6 @@ from qfl.simulator import (
     _checked_reduction,
     _law,
     _prefix_tree,
-    group_samples,
 )
 
 SINGLE_QUBIT = {
@@ -314,6 +314,20 @@ def table_measure_batch_groups(
     return outcomes
 
 
+def sample_groups(states, bases: np.ndarray, labels: np.ndarray) -> list[tuple]:
+    """The samples ``(bases, labels)`` as the group-form engines take them:
+    ``(states[base], label_sign, sample_indices)`` for each ``(base, label)``
+    pair that occurs, in pair order, label sign ``2 label - 1``."""
+    key = 2 * bases.astype(np.int64) + labels
+    groups = []
+    for base in range(len(states)):
+        for label in (0, 1):
+            idx = np.flatnonzero(key == 2 * base + label)
+            if idx.size:
+                groups.append((states[base], 2.0 * label - 1.0, idx))
+    return groups
+
+
 def table_fourier_estimation(source, bases, labels, cover, plan, rng) -> FourierTable:
     """Estimates as the means of each batch's outcome matrix, batch by batch
     on consecutive slices of the samples, with one ``(size, m)`` block of
@@ -324,11 +338,8 @@ def table_fourier_estimation(source, bases, labels, cover, plan, rng) -> Fourier
         chunk = slice(pos, pos + size)
         pos += size
         uniforms = rng.random((size, len(subset)))
-        groups = group_samples(source, bases[chunk], labels[chunk])
-        states = (source.rho0, source.rho1)
-        outcomes = table_measure_batch_groups(
-            [(states[base], c, idx) for base, c, idx in groups], subset, uniforms
-        )
+        groups = sample_groups((source.rho0, source.rho1), bases[chunk], labels[chunk])
+        outcomes = table_measure_batch_groups(groups, subset, uniforms)
         means = outcomes.mean(axis=0)
         for col, s in enumerate(subset):
             estimates[s] = float(means[col])

@@ -50,15 +50,14 @@ from qfl.simulator import (
     make_custom_source,
     make_noisy_source,
     make_realizable_source,
-    measure_batch_groups,
 )
 
 from conftest import (
     clear_class_caches,
-    expand_outcomes,
     joint_state,
     make_bell_source,
     make_parity_source,
+    measure_groups,
     random_density,
     random_hermitian,
 )
@@ -186,8 +185,7 @@ class TestFourierEstimation:
             rows = []
             for i in range(pos, pos + size):
                 group = [((source.rho0, source.rho1)[bases[i]], 1.0 if labels[i] else -1.0, np.array([0]))]
-                prefix = measure_batch_groups(group, subset, uniforms[i - pos : i - pos + 1])
-                rows.append(expand_outcomes(group, subset, prefix)[0])
+                rows.append(measure_groups(group, subset, uniforms[i - pos : i - pos + 1])[1][0])
             pos += size
             means = np.mean(rows, axis=0)
             for col, s in enumerate(subset):

@@ -29,7 +29,6 @@ from qfl.simulator import (
     _reduce_batch,
     draw_samples,
     estimation_observable,
-    group_samples,
     joint_law,
     labeling_operator,
     load_source,
@@ -44,16 +43,17 @@ from qfl.simulator import (
 )
 
 from conftest import (
-    expand_outcomes,
     joint_state,
     make_bell_source,
     make_parity_source,
+    measure_groups,
     random_density,
 )
 from oracles import (
     collapse_measure_batch_groups,
     eigh_realizable_states,
     measure,
+    sample_groups,
     table_measure_batch_groups,
     table_prepare_batch,
 )
@@ -78,7 +78,7 @@ def joint_probabilities(sample_state, label, batch):
 
 def measured(groups, batch, uniforms):
     """The +-1 outcome matrix of the groups' samples."""
-    return expand_outcomes(groups, batch, measure_batch_groups(groups, batch, uniforms))
+    return measure_groups(groups, batch, uniforms)[1]
 
 
 def measure_one(state, label, batch, rng):
@@ -340,19 +340,18 @@ class TestMeasureBatch:
             assert abs(freq - p) <= 4 * np.sqrt(max(p * (1 - p), 1e-4) / n)
 
     def test_grouped_equals_per_sample(self):
-        source = make_bell_source()
-        batch = DegreeSet.of(2, [P("30"), P("03")])
+        source = make_noisy_source(pauli_matrix(P("30")), 0.3)
+        prepared = source._prepared_batch(DegreeSet.of(2, [P("30"), P("03")]))
         n = 500
+        bases, labels = draw_samples(source, n, RandomStreams(15).generator(1))
+        assert len(set(zip(bases.tolist(), labels.tolist()))) == 4
         uniforms = RandomStreams(15).generator(0).random((n, 2))
-        grouped = measure_batch_groups(
-            [(source.rho0, -1.0, np.arange(n))], batch, uniforms
-        )
-        singles = np.empty_like(grouped)
+        whole = measure_batch_groups((bases, labels), prepared, uniforms)
+        singles = np.empty_like(whole)
         for i in range(n):
-            singles[i] = measure_batch_groups(
-                [(source.rho0, -1.0, np.array([0]))], batch, uniforms[i : i + 1]
-            )[0]
-        assert np.array_equal(grouped, singles)
+            one = slice(i, i + 1)
+            singles[i] = measure_batch_groups((bases[one], labels[one]), prepared, uniforms[one])[0]
+        assert np.array_equal(whole, singles)
 
     def test_transcript_determinism(self):
         source = make_parity_source(3, (0, 2))
@@ -360,21 +359,6 @@ class TestMeasureBatch:
         a = measure_one(source.rho1, 1, batch, RandomStreams(16).generator(2))
         b = measure_one(source.rho1, 1, batch, RandomStreams(16).generator(2))
         assert np.array_equal(a, b)
-
-    def test_group_samples_by_base_and_label(self):
-        source = make_noisy_source(pauli_matrix(P("3")), 0.3)
-        bases, labels = draw_samples(source, 400, RandomStreams(17).generator(0))
-        groups = group_samples(source, bases, labels)
-        # all four (base, label) pairs occur, each exactly once, in pair order
-        assert len(groups) == 4
-        for (got, sign, idx), (base, label) in zip(groups, [(0, 0), (0, 1), (1, 0), (1, 1)]):
-            assert got == base
-            assert sign == (1.0 if label == 1 else -1.0)
-            assert np.all(bases[idx] == base) and np.all(labels[idx] == label)
-        assert np.array_equal(np.sort(np.concatenate([g[2] for g in groups])), np.arange(400))
-        noiseless = make_bell_source()
-        bases, labels = draw_samples(noiseless, 40, RandomStreams(17).generator(0))
-        assert len(group_samples(noiseless, bases, labels)) == 2
 
 
 def k2_cliques(d):
@@ -433,14 +417,15 @@ class TestJointLawSampler:
         n = 60
         groups = four_groups(rng, d, n)
         uniforms = rng.random((n, len(batch)))
-        whole = measure_batch_groups(groups, batch, uniforms)
-        # split every group in two, copy its state, and shuffle the pieces
+        whole = measure_groups(groups, batch, uniforms)[0]
+        # split every group in two, copy its state, and shuffle the pieces,
+        # which renumbers the bases
         pieces = []
         for state, sign, idx in groups:
             cut = int(rng.integers(1, len(idx)))
             pieces += [(state.copy(), sign, idx[:cut]), (state, sign, idx[cut:])]
         order = rng.permutation(len(pieces))
-        split = measure_batch_groups([pieces[i] for i in order], batch, uniforms)
+        split = measure_groups([pieces[i] for i in order], batch, uniforms)[0]
         assert np.array_equal(whole, split)
 
     def test_reduction_matches_dense_products(self):
@@ -478,16 +463,17 @@ class TestJointLawSampler:
         assert np.array_equal(outcomes, collapse_measure_batch_groups(groups, batch, uniforms))
 
     def test_zero_mass_prefix_raises(self):
-        batch = DegreeSet.of(1, [P("3")])
+        prepared = _prepare_batch(DegreeSet.of(1, [P("3")]), (np.zeros((2, 2)),))
+        samples = (np.zeros(3, dtype=np.int8), np.ones(3, dtype=np.int8))
         with pytest.raises(ValueError, match="zero probability"):
-            measure_batch_groups([(np.zeros((2, 2)), 1.0, np.arange(3))], batch, np.zeros((3, 1)))
+            measure_batch_groups(samples, prepared, np.zeros((3, 1)))
 
     def test_probability_below_floor_raises(self):
         # a "state" with a negative eigenvalue gives a negative branch probability
-        state = np.diag([1.5, -0.5]).astype(complex)
-        batch = DegreeSet.of(1, [P("3")])
+        prepared = _prepare_batch(DegreeSet.of(1, [P("3")]), (np.diag([1.5, -0.5]).astype(complex),))
+        samples = (np.zeros(2, dtype=np.int8), np.zeros(2, dtype=np.int8))
         with pytest.raises(ValueError, match="below"):
-            measure_batch_groups([(state, -1.0, np.arange(2))], batch, np.zeros((2, 1)))
+            measure_batch_groups(samples, prepared, np.zeros((2, 1)))
 
     def test_table_path_errors_only_for_samples_that_reach_them(self):
         # state 1 has no mass at all, so every entry of its rows is NaN
@@ -497,11 +483,12 @@ class TestJointLawSampler:
         assert not np.isnan(prepared.probs[:2, 1: 1 << prepared.reduction.rank]).any()
         assert np.isnan(prepared.probs[2:]).all()
         uniforms = np.random.default_rng(44).random((6, 3))
-        fine = [(0, -1.0, np.arange(3)), (0, 1.0, np.arange(3, 6))]
-        assert np.array_equal(measure_batch_groups(fine, prepared, uniforms),
-                              measure_batch_groups([(good, c, idx) for _, c, idx in fine], batch, uniforms))
+        labels = np.array([0, 0, 0, 1, 1, 1], dtype=np.int8)
+        fine = [(good, -1.0, np.arange(3)), (good, 1.0, np.arange(3, 6))]
+        on_good = measure_batch_groups((np.zeros(6, dtype=np.int8), labels), prepared, uniforms)
+        assert np.array_equal(on_good, measure_groups(fine, batch, uniforms)[0])
         with pytest.raises(ValueError, match="zero probability"):
-            measure_batch_groups(fine[:1] + [(1, 1.0, np.arange(3, 6))], prepared, uniforms)
+            measure_batch_groups((np.array([0, 0, 0, 1, 1, 1]), labels), prepared, uniforms)
         # a basis state leaves prefixes without mass, which no sample
         # reaches; the table engine agrees, and raises on the empty state too
         pure = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
@@ -516,25 +503,39 @@ class TestJointLawSampler:
         # sign +1 and -0.5 under -1; only the samples of sign -1 raise
         broken = _prepare_batch(DegreeSet.of(1, [P("3")]), (np.diag([1.5, -0.5]).astype(complex),))
         assert broken.probs[:, 1].tolist() == [-0.5, 1.5]
-        ones = measured([(0, 1.0, np.arange(4))], broken, np.full((4, 1), 0.999))
-        assert (ones == 1).all()
+        bases = np.zeros(4, dtype=np.int8)
+        ones = measure_batch_groups((bases, np.ones(4, dtype=np.int8)), broken, np.full((4, 1), 0.999))
+        assert (broken.reduction.eigenvalues[ones] == 1).all()
         with pytest.raises(ValueError, match="below"):
-            measure_batch_groups([(0, 1.0, np.arange(3)), (0, -1.0, np.array([3]))],
+            measure_batch_groups((bases, np.array([1, 1, 1, 0], dtype=np.int8)),
                                  broken, np.full((4, 1), 0.999))
 
-    def test_groups_must_cover_every_row(self):
-        batch = DegreeSet.of(1, [P("3")])
-        with pytest.raises(ValueError, match="partition"):
-            measure_batch_groups([(maximally_mixed(1), 1.0, np.arange(2))], batch, np.zeros((3, 1)))
+    def test_samples_must_cover_every_row(self):
+        # each row of uniforms is one sample, with one base and one label,
+        # so no row can be left out or measured twice
+        prepared = make_bell_source()._prepared_batch(DegreeSet.of(2, [P("30")]))
+        zeros = np.zeros(3, dtype=np.int8)
+        for samples in ((zeros, zeros[:2]), (zeros[:2], zeros), (zeros[:2], zeros[:2])):
+            with pytest.raises(ValueError, match="same length"):
+                measure_batch_groups(samples, prepared, np.zeros((3, 1)))
+        with pytest.raises(ValueError, match="same length"):
+            measure_batch_groups((zeros, zeros), prepared, np.zeros((4, 1)))
 
     @pytest.mark.parametrize("sign", [0.5, 0.0, -2.0, 3, float("nan")])
     def test_label_sign_must_be_unit(self, sign):
-        batch = DegreeSet.of(1, [P("3")])
-        with pytest.raises(ValueError, match="label signs"):
-            measure_batch_groups([(maximally_mixed(1), sign, np.arange(2))], batch, np.zeros((2, 1)))
+        # label sign 2 label - 1 is +-1 exactly when the label is 0 or 1
         prepared = make_bell_source()._prepared_batch(DegreeSet.of(2, [P("30")]))
-        with pytest.raises(ValueError, match="label signs"):
-            measure_batch_groups([(0, sign, np.arange(2))], prepared, np.zeros((2, 1)))
+        labels = np.full(2, (1 + sign) / 2)
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            measure_batch_groups((np.zeros(2, dtype=np.int8), labels), prepared, np.zeros((2, 1)))
+
+    def test_bases_must_name_prepared_states(self):
+        # a source's batch is prepared on two states; take would wrap base -1
+        prepared = make_bell_source()._prepared_batch(DegreeSet.of(2, [P("30")]))
+        for base in (-1, 2, 127):
+            bases = np.array([0, base, 1], dtype=np.int8)
+            with pytest.raises(ValueError, match="bases must lie in"):
+                measure_batch_groups((bases, np.zeros(3, dtype=np.int8)), prepared, np.zeros((3, 1)))
 
 
 def random_state(rng, n, rank):
@@ -611,22 +612,15 @@ class TestEigenvalueWalk:
                     groups = random_groups(rng, d, n)
                     flipped += len({id(state) for state, _, _ in groups}) < len(groups)
                     uniforms = rng.random((n, len(batch)))
-                    prefixes = measure_batch_groups(groups, batch, uniforms)
+                    prefixes, outcomes = measure_groups(groups, batch, uniforms)
                     assert prefixes.dtype == np.int64
                     assert prefixes.min() >= 0 and prefixes.max() < 1 << r
-                    outcomes = expand_outcomes(groups, batch, prefixes)
                     want = table_measure_batch_groups(groups, batch, uniforms)
                     assert outcomes.dtype == want.dtype == np.int8
                     assert np.array_equal(outcomes, want)
-                    # the same samples through tables prepared on the states
                     states = list({id(state): state for state, _, _ in groups}.values())
-                    by_index = [
-                        (next(i for i, st in enumerate(states) if st is state), c, idx)
-                        for state, c, idx in groups
-                    ]
                     prepared = _prepare_batch(batch, states)
                     assert prepared.probs.tobytes() == table_prepare_batch(batch, states).probs.tobytes()
-                    assert np.array_equal(measure_batch_groups(by_index, prepared, uniforms), prefixes)
         # the cases cover strings of sign -1, the identity and label flips
         assert negative > 0 and identity > 0 and flipped > 0
 
@@ -680,22 +674,21 @@ class TestRealizableDiagonal:
 
 class TestSourceMemo:
     def test_prepared_batch_matches_per_state_law(self):
-        # differential: a source's prepared batch with groups named by base
-        # against the law taken per distinct state object
+        # differential: a source's prepared batch on its sample arrays
+        # against the batch prepared on the groups' states
         rng = np.random.default_rng(42)
         for d in range(1, 5):
             source = make_custom_source(0.4, random_density(rng, 1 << d), random_density(rng, 1 << d))
             bases, labels = draw_samples(source, 200, RandomStreams(d).generator(0))
-            by_base = group_samples(source, bases, labels)
-            by_state = [((source.rho0, source.rho1)[b], c, idx) for b, c, idx in by_base]
+            by_state = sample_groups((source.rho0, source.rho1), bases, labels)
             for batch in k2_cliques(d):
                 uniforms = rng.random((200, len(batch)))
                 prepared = source._prepared_batch(batch)
                 assert prepared is source._prepared_batch(batch)
                 assert prepared.reduction.rank == len(_reduce_batch(batch)[0])
                 assert np.array_equal(
-                    measure_batch_groups(by_base, prepared, uniforms),
-                    measure_batch_groups(by_state, batch, uniforms),
+                    measure_batch_groups((bases, labels), prepared, uniforms),
+                    measure_groups(by_state, batch, uniforms)[0],
                 )
 
     def test_with_flip_rate_starts_empty(self):
