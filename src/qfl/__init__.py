@@ -59,6 +59,7 @@ from .simulator import (
     make_noisy_source,
     make_realizable_source,
     measure_batch_groups,
+    prepare_batches,
 )
 from .learner import (
     LearnReport,

@@ -410,7 +410,7 @@ def check_sequential_batch_law():
             expected[w] = float(np.trace(g @ joint).real)
         streams = simulator.RandomStreams(2024 + case_index)
         uniforms = streams.generator(0).random((n, len(batch)))
-        prepared = simulator._prepare_batch(batch, (state,))
+        prepared = simulator.prepare_batches((batch,), (state,))[0]
         samples = (np.zeros(n, dtype=np.int8), np.full(n, label, dtype=np.int8))
         prefixes = simulator.measure_batch_groups(samples, prepared, uniforms)
         outcomes = (2 * label - 1) * prepared.reduction.eigenvalues[prefixes]

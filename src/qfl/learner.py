@@ -48,6 +48,7 @@ from .simulator import (
     STREAM_TEST,
     RandomStreams,
     SampleSource,
+    _PreparedBatch,
     draw_samples,
     measure_batch_groups,
 )
@@ -257,7 +258,10 @@ def fourier_estimation(
     The samples ``(bases, labels)`` are consumed in order, ``plan.sizes[j]``
     of them for subset ``j`` (shuffle beforehand if draw order matters).  Each
     batch draws its block of uniforms in one call, one row per sample, so a
-    sample's outcomes depend only on its base, label and row.
+    sample's outcomes depend only on its base, label and row.  The source's
+    prepared batches of the whole cover are asked for once, before any
+    sample is measured, so a cold source builds them all from one Pauli
+    spectrum per state.
     """
     if len(plan.sizes) != cover.m:
         raise ValueError("plan does not align with the cover")
@@ -269,31 +273,28 @@ def fourier_estimation(
         raise ValueError("every batch needs at least one sample")
     estimates: dict[PauliString, float] = {}
     pos = 0
-    for subset, size in zip(cover.subsets, plan.sizes):
+    prepared = source._prepared_batches(cover.subsets)
+    for subset, batch, size in zip(cover.subsets, prepared, plan.sizes):
         chunk = slice(pos, pos + size)
         pos += size
-        means = _batch_means(
-            source, subset, bases[chunk], labels[chunk], rng.random((size, len(subset)))
-        )
+        means = _batch_means(batch, bases[chunk], labels[chunk], rng.random((size, len(subset))))
         estimates.update(zip(subset, means))
     return FourierTable(cover.d, estimates)
 
 
 def _batch_means(
-    source: SampleSource, batch: DegreeSet, bases: np.ndarray, labels: np.ndarray, uniforms: np.ndarray
+    prepared: _PreparedBatch, bases: np.ndarray, labels: np.ndarray, uniforms: np.ndarray
 ) -> list[float]:
-    """The mean +-1 outcome of each string of the batch over the samples
-    ``(bases, labels)``, measured by the rows of ``uniforms`` on the batch
-    the source prepared.
+    """The mean +-1 outcome of each string of the prepared batch over the
+    samples ``(bases, labels)``, measured by the rows of ``uniforms``.
 
     A sample of label sign c that ends the walk at eigenvalue prefix p shows
     ``c E[p, l]`` on string l, with E the batch's eigenvalue table, so a
     string's outcome sum is the count of samples per (label, p), label 1
     less label 0, times E.  The sums are exact integers, so each mean is the
-    float the mean of the outcome matrix would give.  The batch's arrays
+    float the mean of the outcome matrix would give.  The walk's arrays
     live in this call only, so they are freed before the next batch's
     uniforms are drawn."""
-    prepared = source._prepared_batch(batch)
     prefixes = measure_batch_groups((bases, labels), prepared, uniforms)
     eigenvalues = prepared.reduction.eigenvalues
     width = len(eigenvalues)

@@ -126,7 +126,8 @@ def rho_inner_product(a, b, rho) -> complex:
     rho = as_operator(rho)
     if not (a.shape == b.shape == rho.shape):
         raise ValueError(f"dimension mismatch: {a.shape}, {b.shape}, {rho.shape}")
-    return complex(np.einsum("ji,jk,ki->", a.conj(), b, rho))
+    # tr(a^dagger M) is the conjugate dot product of a and M = b rho
+    return complex(np.vdot(a, b @ rho))
 
 
 def rho_norm(a, q: int, rho) -> float | np.ndarray:

@@ -8,6 +8,14 @@ action in the package goes through this module: traces against many strings
 (:func:`pauli_traces`, hence expansion coefficients) and dense synthesis cost
 O(2^d) per string instead of a dense matrix product.
 
+The traces of an operator m against all strings form its Pauli spectrum
+``S[x, z] = sum_j (-1)^{parity(j & z)} m[j, j ^ x]``, with
+``tr(sigma^s m) = i^{n_Y} S[x, z]``: row x is the Walsh-Hadamard transform
+(:func:`walsh_hadamard`) of the x-diagonal ``m[j, j ^ x]``, O(d 2^d) for all
+``2^d`` strings of that row.  :func:`spectral_traces` reads many strings off
+the rows they share; :func:`pauli_traces` gathers each string alone and
+stays the path of expansion coefficients.
+
 Bit convention: qubit ``j`` (0-based, leftmost symbol) is the most significant
 bit of a basis index, matching the ``numpy.kron`` composition order used by
 :func:`qfl.operators.tensor`.
@@ -27,7 +35,7 @@ import numpy as np
 from .operators import MAX_QUBITS
 
 COEFFICIENT_IMAG_TOL = 1e-8
-# Most entries gathered at once by pauli_traces and synthesize.
+# Most entries gathered at once by pauli_traces, spectral_traces and synthesize.
 TRACE_BLOCK = 1 << 18
 # Most (d, k) classes whose degree_set_upto is kept.
 DEGREE_SET_CACHE_SIZE = 16
@@ -145,6 +153,47 @@ def pauli_traces(m: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray) -> 
         sums = np.where(odd[j & z[block, None]], -vals, vals).sum(axis=1)
         out[block] = _I_POWERS[k[block]] * sums
     return out
+
+
+def walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """In place, the unnormalized Walsh-Hadamard transform
+    ``sum_j (-1)^{parity(j & b)} a[..., j]`` along the last axis of a
+    C-contiguous array whose last axis has a power-of-two length, by one
+    butterfly per bit; returns ``a``.  Every entry takes the same operations
+    however many rows are stacked."""
+    if not a.flags.c_contiguous:
+        raise ValueError("walsh_hadamard transforms C-contiguous arrays in place")
+    h = 1
+    while h < a.shape[-1]:
+        v = a.reshape(-1, 2, h)
+        top = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        np.subtract(top, v[:, 1], out=v[:, 1])
+        h *= 2
+    return a
+
+
+def spectral_traces(m: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Complex ``tr(P_t m)`` for every string t given by its masks, read off
+    the Pauli spectrum of m: ``i^{k_t} S[x_t, z_t]``.
+
+    Only the spectrum rows the strings use are computed, each one O(d 2^d)
+    Walsh-Hadamard transform of an x-diagonal of m however many strings read
+    it, in blocks of at most ``TRACE_BLOCK`` entries; a block keeps only the
+    entries its strings name, so no ``4^d`` array is formed.  The sums run in
+    another order than :func:`pauli_traces`, so the two agree to rounding.
+    """
+    n = m.shape[0]
+    j = np.arange(n)
+    flat = m.ravel()
+    rows, slot = np.unique(x, return_inverse=True)
+    out = np.empty(len(x), dtype=np.complex128)
+    per_block = max(1, TRACE_BLOCK // n)
+    for lo in range(0, len(rows), per_block):
+        spectrum = walsh_hadamard(flat[j * n + (j ^ rows[lo: lo + per_block, None])])
+        t = np.flatnonzero((slot >= lo) & (slot < lo + per_block))
+        out[t] = spectrum[slot[t] - lo, z[t]]
+    return _I_POWERS[k] * out
 
 
 def pauli_matrix(s: PauliString) -> np.ndarray:
@@ -392,16 +441,23 @@ def _full_masks(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _accumulate(c: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
     """``sum_t c[..., t] P_t`` as dense ``(..., n, n)`` operators, from the
-    strings' masks, adding one string at a time in the given order; the
-    phases are taken in blocks of at most ``TRACE_BLOCK`` entries."""
+    strings' masks.  String t fills the entries ``(j ^ x_t, j)``, so each
+    string's phase row is added, in the given order, to one row per distinct
+    x mask, which starts from zero, and each row is scattered once: every
+    entry is the same sequential sum as adding the strings one by one into
+    the output.  The rows take at most the output's size; the phases are
+    taken in blocks of at most ``TRACE_BLOCK`` entries."""
     out = np.zeros(c.shape[:-1] + (n, n), dtype=np.complex128)
     idx = np.arange(n)
-    rows = max(1, TRACE_BLOCK // (out.size // n))
-    for lo in range(0, len(x), rows):
-        block = slice(lo, lo + rows)
+    xs, slot = np.unique(x, return_inverse=True)
+    rows = np.zeros(c.shape[:-1] + (len(xs), n), dtype=np.complex128)
+    per_block = max(1, TRACE_BLOCK // (out.size // n))
+    for lo in range(0, len(x), per_block):
+        block = slice(lo, lo + per_block)
         phases = c[..., block, None] * (_I_POWERS[k[block], None] * (1.0 - 2.0 * _parity(idx & z[block, None])))
-        for t, xt in enumerate(x[block]):
-            out[..., idx ^ xt, idx] += phases[..., t, :]
+        for t, row in enumerate(slot[block].tolist()):
+            rows[..., row, :] += phases[..., t, :]
+    out[..., xs[:, None] ^ idx, idx] = rows
     return out
 
 

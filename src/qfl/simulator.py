@@ -14,17 +14,20 @@ Measurements are simulated exactly.  A batch of mutually commuting strings
 reduces over GF(2), in its symplectic ``(x|z)`` form, to r <= d independent
 generators; every other string is a signed product of earlier generators.
 The joint outcome law of the batch on a state is the Walsh-Hadamard transform
-of the ``2^r`` expectations of generator products, each one O(2^d) gather
-over the state, so no ``2^m`` joint effects and no collapsed states are ever
-formed.  Each batch is checked and reduced once, in a bounded cache
+of the ``2^r`` expectations of generator products, so no ``2^m`` joint
+effects and no collapsed states are ever formed.  The expectations of every
+batch of a cover are read off one Pauli spectrum per state
+(:func:`qfl.pauli.spectral_traces`), O(d 4^d) at most however many products
+the cover has.  Each batch is checked and reduced once, in a bounded cache
 (:func:`_checked_reduction`), which also keeps the batch's ``(2^r, m)``
 eigenvalue table ``E``: ``E[p, l]`` is the eigenvalue of string l once the
 generators showed the eigenvalue prefix p.  A source keeps, per batch, the
-generator probabilities taken from the prefix trees of the law of each
-conditional state (:meth:`SampleSource._prepared_batch`): per state, label
-sign, generator and prefix of earlier outcomes, the probability of outcome
-+1.  :func:`measure_batch_groups` takes the sample arrays as they are: a
-sample's base and label name its row of that table.  It walks only the r
+generator probabilities taken from the prefix marginals of the law of each
+conditional state (:func:`prepare_batches`, through
+:meth:`SampleSource._prepared_batches`): per state, label sign, generator and
+prefix of earlier outcomes, the probability of outcome +1.
+:func:`measure_batch_groups` takes the sample arrays as they are: a sample's
+base and label name its row of that table.  It walks only the r
 generators, drawing every sample's outcome on each by the rule of
 sequential measurement with collapse, with one gather from the table and one
 comparison against the sample's uniform, and returns each sample's final
@@ -73,8 +76,9 @@ from .pauli import (
     _parity,
     parse_truth_table,
     pauli_matrix,
-    pauli_traces,
+    spectral_traces,
     synthesize,
+    walsh_hadamard,
 )
 from .compatibility import is_clique
 
@@ -183,7 +187,9 @@ class SampleSource:
         plan, batch reductions and their eigenvalue tables) is cached per
         class, outside the source.  A build that raises stores nothing, so
         its checks run again on the next call.  Builds hold a per-source
-        lock, so concurrent runs build each key once.
+        lock, so concurrent runs build each key once.  Prepared batches are
+        stored by :meth:`_prepared_batches`, several at once, under the
+        same lock.
         """
         with self._memo_lock:
             try:
@@ -200,14 +206,23 @@ class SampleSource:
             ("exact_table", key), lambda: fourier_transform(self.labeling_xop, key, d=self.d)
         )
 
+    def _prepared_batches(self, batches: Sequence[DegreeSet]) -> list["_PreparedBatch"]:
+        """The commuting batches' generator probabilities on ``rho0`` and
+        ``rho1`` (states 0 and 1, by base), in batch order, each memoized
+        once per source under its batch.  The batches not built yet are
+        prepared together by one :func:`prepare_batches` call, so they share
+        one Pauli spectrum per state; if it raises, none is stored.  The
+        reductions and eigenvalue tables are the batches' shared ones."""
+        with self._memo_lock:
+            missing = [b for b in dict.fromkeys(batches) if ("batch", b) not in self._memo]
+            if missing:
+                built = prepare_batches(missing, (self.rho0, self.rho1))
+                self._memo.update((("batch", b), prepared) for b, prepared in zip(missing, built))
+            return [self._memo["batch", b] for b in batches]
+
     def _prepared_batch(self, batch: DegreeSet) -> "_PreparedBatch":
-        """The commuting batch's generator probabilities on ``rho0`` and
-        ``rho1`` (states 0 and 1, by base), built once per source from the
-        prefix trees of the batch's law on each; the reduction and its
-        eigenvalue table are the batch's shared ones."""
-        return self._memoized(
-            ("batch", batch), lambda: _prepare_batch(batch, (self.rho0, self.rho1))
-        )
+        """:meth:`_prepared_batches` of one batch."""
+        return self._prepared_batches((batch,))[0]
 
     def with_flip_rate(self, eta: float) -> "SampleSource":
         """Same draw distribution with the label-flip rate replaced by ``eta``,
@@ -422,43 +437,6 @@ def _product_masks(generators: Sequence[PauliString]) -> tuple[np.ndarray, np.nd
     return x, z, k % 4
 
 
-def _law(state: np.ndarray, masks: tuple) -> np.ndarray:
-    """``2^-r sum_T (-1)^{|b & T|} tr(state P_T)`` for every b, from the
-    generator-product masks, by an in-place Walsh-Hadamard butterfly."""
-    a = pauli_traces(state, *masks).real.copy()
-    h = 1
-    while h < len(a):
-        v = a.reshape(-1, 2, h)
-        top = v[:, 0].copy()
-        v[:, 0] += v[:, 1]
-        np.subtract(top, v[:, 1], out=v[:, 1])
-        h *= 2
-    a /= len(a)
-    return a
-
-
-def joint_law(state, generators: Sequence[PauliString]) -> np.ndarray:
-    """Joint outcome law of mutually commuting, independent strings on a state.
-
-    Entry ``b`` is the probability that generator ``g`` shows eigenvalue
-    ``(-1)^{bit g of b}``, namely ``2^-r sum_T (-1)^{|b & T|} tr(state P_T)``
-    over the ``2^r`` generator products ``P_T``.
-    """
-    return _law(np.asarray(state, dtype=np.complex128), _product_masks(generators))
-
-
-def _prefix_tree(law: np.ndarray) -> np.ndarray:
-    """Prefix marginals of a law over r bits, level g at offset ``2^g``:
-    ``tree[2^g + p]`` is the mass whose low g bits equal p."""
-    size = len(law)
-    tree = np.empty(2 * size)
-    tree[size:] = law
-    for g in range(size.bit_length() - 2, -1, -1):
-        level = tree[2 << g: 4 << g]
-        tree[1 << g: 2 << g] = level[: 1 << g] + level[1 << g:]
-    return tree
-
-
 @dataclass(frozen=True)
 class _Reduction:
     """A commuting batch checked and reduced over GF(2): its generators, the
@@ -527,36 +505,65 @@ class _PreparedBatch:
 
     A sample's prefix p records the generators measured so far, bit g set
     when generator g showed eigenvalue -1.  ``probs`` has one row per state
-    and label sign c, row ``2 i + (c > 0)`` for state i, laid out like the
-    state's :func:`_prefix_tree`: after h generators a sample reads entry
-    ``2^h + p`` of its row, the probability ``(1 + c t) / 2`` that generator
-    h gives outcome +1, with t its mean on the law conditioned on p, or NaN
-    where p has no mass.  The strings' outcomes follow from the final prefix
-    through the reduction's eigenvalue table, so no per-string table is kept.
+    and label sign c, row ``2 i + (c > 0)`` for state i, of ``2^(r+1)``
+    entries laid out like a prefix tree of the state's law: after h
+    generators a sample reads entry ``2^h + p`` of its row, the probability
+    ``(1 + c t) / 2`` that generator h gives outcome +1, with t its mean on
+    the law conditioned on p, or NaN where p has no mass.  The strings'
+    outcomes follow from the final prefix through the reduction's eigenvalue
+    table, so no per-string table is kept.
     """
 
     reduction: _Reduction
     probs: np.ndarray
 
 
-def _prepare_batch(batch: DegreeSet, states: Sequence[np.ndarray]) -> _PreparedBatch:
-    """Tabulate the generator probabilities of a jointly measurable batch
-    from the prefix trees of its law on each state; the check and the
-    reduction come from :func:`_checked_reduction`."""
-    reduction = _checked_reduction(batch)
-    trees = np.stack([_prefix_tree(_law(state, reduction.masks)) for state in states])
-    size = trees.shape[1] // 2
-    # every inner node 2^g + p, and its child 2^(g+1) + p where generator g
-    # shows eigenvalue +1
-    levels = 1 << np.arange(reduction.rank)
-    node = np.arange(1, size)
-    denom = trees[:, node]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (2.0 * trees[:, node + np.repeat(levels, levels)] - denom) / denom
-    probs = np.full((2 * len(states), 2 * size), np.nan)
-    for row, c in ((0, -1.0), (1, 1.0)):
-        probs[row::2, 1:size] = np.where(denom > 0.0, 0.5 * (1.0 + c * t), np.nan)
-    return _PreparedBatch(reduction, probs)
+def prepare_batches(batches: Sequence[DegreeSet], states: Sequence[np.ndarray]) -> list[_PreparedBatch]:
+    """Tabulate the generator probabilities of jointly measurable batches on
+    each state, in batch order; the checks and reductions come from
+    :func:`_checked_reduction`.
+
+    A batch's law on a state is ``2^-r sum_T (-1)^{|b & T|} tr(state P_T)``
+    over its ``2^r`` generator products ``P_T``.  All batches' traces on a
+    state are read off one Pauli spectrum (:func:`spectral_traces`).  The
+    batches of each rank r are then transformed, marginalized over their
+    outcome prefixes and tabulated together as stacked
+    ``(batches, states, 2^r)`` arrays, every entry by the same operations
+    as a batch alone.
+    """
+    reductions = [_checked_reduction(batch) for batch in batches]
+    if not reductions:
+        return []
+    x, z, k = (np.concatenate(parts) for parts in zip(*(r.masks for r in reductions)))
+    traces = np.stack([spectral_traces(state, x, z, k).real for state in states])
+    offsets = np.cumsum([0] + [1 << r.rank for r in reductions])
+    prepared: list = [None] * len(reductions)
+    for rank in sorted({r.rank for r in reductions}):
+        members = [i for i, r in enumerate(reductions) if r.rank == rank]
+        size = 1 << rank
+        laws = np.stack([traces[:, offsets[i]: offsets[i] + size] for i in members])
+        walsh_hadamard(laws)
+        laws /= size
+        # prefix marginals, level g at offset 2^g: entry 2^g + p is the mass
+        # whose low g bits equal p
+        trees = np.empty(laws.shape[:-1] + (2 * size,))
+        trees[..., size:] = laws
+        for g in range(rank - 1, -1, -1):
+            level = trees[..., 2 << g: 4 << g]
+            trees[..., 1 << g: 2 << g] = level[..., : 1 << g] + level[..., 1 << g:]
+        # every inner node 2^g + p, and its child 2^(g+1) + p where generator
+        # g shows eigenvalue +1
+        levels = 1 << np.arange(rank)
+        node = np.arange(1, size)
+        denom = trees[..., node]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (2.0 * trees[..., node + np.repeat(levels, levels)] - denom) / denom
+        probs = np.full((len(members), 2 * len(states), 2 * size), np.nan)
+        for row, c in ((0, -1.0), (1, 1.0)):
+            probs[:, row::2, 1:size] = np.where(denom > 0.0, 0.5 * (1.0 + c * t), np.nan)
+        for i, table in zip(members, probs):
+            prepared[i] = _PreparedBatch(reductions[i], table)
+    return prepared
 
 
 def measure_batch_groups(
@@ -570,7 +577,7 @@ def measure_batch_groups(
 
     ``samples`` is ``(bases, labels)``: sample ``i`` is in the state of index
     ``bases[i]`` among those ``prepared`` was built on (a source's batch,
-    :meth:`SampleSource._prepared_batch`, has ``rho0`` and ``rho1``), and
+    :meth:`SampleSource._prepared_batches`, has ``rho0`` and ``rho1``), and
     has label 0 or 1, label sign ``c = 2 label - 1``.  ``uniforms`` has one
     row per sample and one column per batch string.  The batch reduces to
     r <= d independent generators, and every other string is a fixed signed

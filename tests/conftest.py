@@ -53,7 +53,7 @@ def measure_groups(groups, batch, uniforms) -> tuple[np.ndarray, np.ndarray]:
     for state, c, idx in groups:
         bases[idx] = states.setdefault(id(state), (len(states), state))[0]
         labels[idx] = c > 0
-    prepared = simulator._prepare_batch(batch, [state for _, state in states.values()])
+    prepared = simulator.prepare_batches((batch,), [state for _, state in states.values()])[0]
     prefixes = simulator.measure_batch_groups((bases, labels), prepared, uniforms)
     signs = 2 * labels - 1
     return prefixes, signs[:, None] * prepared.reduction.eigenvalues[prefixes]

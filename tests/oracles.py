@@ -1,7 +1,9 @@
 """Dense oracles that fast paths in ``qfl`` are tested against.
 
 Each oracle is the straightforward implementation a fast path replaced:
-per-string Pauli phases, matrices, traces, coefficients and synthesis, Pauli
+per-string Pauli phases, matrices, traces, coefficients and synthesis (dense
+accumulation of one string at a time), a batch's joint law from one trace
+gather per generator product, and its prefix marginals, Pauli
 matrices as Kronecker products of single-qubit ones, dense single-state
 measurement, sequential measurement with dense post-measurement collapse,
 the joint-law sampler that walked every string of a batch through
@@ -40,18 +42,20 @@ from qfl.compatibility import (
 from qfl.learner import COORD_TIE_RTOL
 from qfl.operators import SIGN_ZERO_TOL, as_operator, hermitian_eig, maximally_mixed, rho_norm
 from qfl.pauli import (
+    TRACE_BLOCK,
+    _I_POWERS,
     DegreeSet,
     FourierTable,
     PauliString,
     _parity,
+    pauli_traces,
     synthesize,
 )
 from qfl.simulator import (
     PROB_HARD_FLOOR,
     _checked_probability,
     _checked_reduction,
-    _law,
-    _prefix_tree,
+    _product_masks,
 )
 
 SINGLE_QUBIT = {
@@ -105,6 +109,59 @@ def string_synthesize(table: FourierTable) -> np.ndarray:
     for s, c in table.items():
         out[idx ^ s.x_mask, idx] += c * phase_vector(s)
     return out
+
+
+def string_accumulate(c: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
+    """``sum_t c[..., t] P_t`` as dense ``(..., n, n)`` operators, adding one
+    string at a time, in the given order, straight into the output; the
+    phases are taken in blocks of at most ``TRACE_BLOCK`` entries."""
+    out = np.zeros(c.shape[:-1] + (n, n), dtype=np.complex128)
+    idx = np.arange(n)
+    rows = max(1, TRACE_BLOCK // (out.size // n))
+    for lo in range(0, len(x), rows):
+        block = slice(lo, lo + rows)
+        phases = c[..., block, None] * (_I_POWERS[k[block], None] * (1.0 - 2.0 * _parity(idx & z[block, None])))
+        for t, xt in enumerate(x[block]):
+            out[..., idx ^ xt, idx] += phases[..., t, :]
+    return out
+
+
+def trace_law(state: np.ndarray, masks: tuple) -> np.ndarray:
+    """``2^-r sum_T (-1)^{|b & T|} tr(state P_T)`` for every b, from the
+    generator-product masks: one trace gather per product, then an in-place
+    Walsh-Hadamard butterfly."""
+    a = pauli_traces(state, *masks).real.copy()
+    h = 1
+    while h < len(a):
+        v = a.reshape(-1, 2, h)
+        top = v[:, 0].copy()
+        v[:, 0] += v[:, 1]
+        np.subtract(top, v[:, 1], out=v[:, 1])
+        h *= 2
+    a /= len(a)
+    return a
+
+
+def joint_law(state, generators: Sequence[PauliString]) -> np.ndarray:
+    """Joint outcome law of mutually commuting, independent strings on a state.
+
+    Entry ``b`` is the probability that generator ``g`` shows eigenvalue
+    ``(-1)^{bit g of b}``, namely ``2^-r sum_T (-1)^{|b & T|} tr(state P_T)``
+    over the ``2^r`` generator products ``P_T``.
+    """
+    return trace_law(np.asarray(state, dtype=np.complex128), _product_masks(generators))
+
+
+def prefix_tree(law: np.ndarray) -> np.ndarray:
+    """Prefix marginals of a law over r bits, level g at offset ``2^g``:
+    ``tree[2^g + p]`` is the mass whose low g bits equal p."""
+    size = len(law)
+    tree = np.empty(2 * size)
+    tree[size:] = law
+    for g in range(size.bit_length() - 2, -1, -1):
+        level = tree[2 << g: 4 << g]
+        tree[1 << g: 2 << g] = level[: 1 << g] + level[1 << g:]
+    return tree
 
 
 def measure(state, effects: Sequence[np.ndarray], rng: np.random.Generator) -> tuple[int, np.ndarray]:
@@ -241,11 +298,12 @@ class TableBatch:
 
 
 def table_prepare_batch(batch: DegreeSet, states: Sequence[np.ndarray]) -> TableBatch:
-    """Generator probabilities filled one generator level at a time, and a
-    bool table per dependent string: the label sign times
+    """Generator probabilities filled one generator level at a time from each
+    state's :func:`trace_law`, one trace gather per generator product, and a bool
+    table per dependent string: the label sign times
     ``(-1)^(parity(p & combo) ^ (sign < 0))`` is +1."""
     reduction = _checked_reduction(batch)
-    trees = np.stack([_prefix_tree(_law(state, reduction.masks)) for state in states])
+    trees = np.stack([prefix_tree(trace_law(state, reduction.masks)) for state in states])
     probs = np.full((2 * len(states), trees.shape[1]), np.nan)
     for g in range(reduction.rank):
         level = slice(1 << g, 2 << g)

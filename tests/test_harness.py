@@ -146,7 +146,7 @@ class TestRunConfig:
 
     def test_eta_sweep_searches_its_cover_once(self, tmp_path, monkeypatch):
         # three points, three sources, one measurement class: one search, one
-        # reduction per batch, and each source's own laws
+        # reduction per batch, and one spectrum of each of its own states
         config = write_d4_config(
             tmp_path, "algorithm = qld\nk = 2\nn = 3000\neta = 0.05, 0.1, 0.2\nseeds = 1, 2\n"
         )
@@ -163,12 +163,12 @@ class TestRunConfig:
 
         count(learner, "best_cover")
         count(simulator, "_reduce_batch")
-        count(simulator, "_law")
+        count(simulator, "spectral_traces")
         serial, summary = run_config(config, out_dir=tmp_path / "serial")
         points = json.loads(summary.read_text())["points"]
         assert [p["params"]["eta"] for p in points] == [0.05, 0.1, 0.2]
         m = points[0]["m"]
-        assert calls == {"best_cover": 1, "_reduce_batch": m, "_law": 3 * 2 * m}
+        assert calls == {"best_cover": 1, "_reduce_batch": m, "spectral_traces": 3 * 2}
         cover = learner._plan(degree_set_upto(4, 2), 3000, 0.05, "greedy")[0]
         assert all(p["r"] == [len(_reduce_batch(b)[0]) for b in cover.subsets] for p in points)
         # a pool of three runs the class's three sources to the same bytes

@@ -230,11 +230,11 @@ class TestFourierEstimation:
         peaks = []
         real = learner._batch_means
 
-        def traced(source, batch, bases, labels, uniforms):
+        def traced(prepared, bases, labels, uniforms):
             peaks.append(tracemalloc.get_traced_memory()[1])
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            out = real(source, batch, bases, labels, uniforms)
+            out = real(prepared, bases, labels, uniforms)
             peak = tracemalloc.get_traced_memory()[1]
             peaks.append(peak)
             calls.append((uniforms.shape, peak - before))
@@ -737,23 +737,24 @@ class TestSeedInvariantMemo:
         counts = collections.Counter()
         for fn in ("best_cover", "check_cover", "allocate_batches", "best_coords"):
             self.count_calls(monkeypatch, counts, learner, fn)
-        self.count_calls(monkeypatch, counts, simulator, "_law")
+        self.count_calls(monkeypatch, counts, simulator, "spectral_traces")
         self.count_calls(monkeypatch, counts, simulator, "_reduce_batch")
         self.count_calls(monkeypatch, counts, simulator, "_eigenvalue_table")
         source = self.noisy_source()
         reports = [self.learn(name, source, seed)[1] for seed in (1, 2, 3)]
         m = reports[0].cover.m
-        # the class work once; the law of every batch on each base once per
-        # source; junta selects once per seed and scores opt_k once per source
+        # the class work once; one Pauli spectrum of each base per source,
+        # for the laws of all batches; junta selects once per seed and scores
+        # opt_k once per source
         junta = name == "junta"
         plan_once = dict(best_cover=1, check_cover=1, allocate_batches=1, _reduce_batch=m, _eigenvalue_table=m)
-        assert counts == collections.Counter(**plan_once, best_coords=(3 + 1) * junta, _law=2 * m)
+        assert counts == collections.Counter(**plan_once, best_coords=(3 + 1) * junta, spectral_traces=2)
         # a source with another flip rate, and a reloaded source, share the
-        # class: no search, check, allocation or reduction, but their own laws
+        # class: no search, check, allocation or reduction, but their own spectra
         self.learn(name, source.with_flip_rate(0.2), 1)
         self.learn(name, self.noisy_source(), 1)
         assert {fn: counts[fn] for fn in plan_once} == plan_once
-        assert counts["_law"] == 3 * 2 * m
+        assert counts["spectral_traces"] == 3 * 2
         assert counts["best_coords"] == (3 + 1 + 2 + 2) * junta
         # another budget is another class: another plan, the same batches
         report = self.learn(name, source, 1, n=4000)[1]
@@ -761,7 +762,7 @@ class TestSeedInvariantMemo:
         assert report.plan != reports[0].plan
         assert report.cover == reports[0].cover
         assert counts["_reduce_batch"] == counts["_eigenvalue_table"] == m
-        assert counts["_law"] == 3 * 2 * m
+        assert counts["spectral_traces"] == 3 * 2
 
     def test_errors_are_not_memoized(self, monkeypatch):
         source = make_realizable_source(pauli_matrix(P("3")))

@@ -22,8 +22,10 @@ from qfl.pauli import (
     pauli_masks,
     pauli_matrix,
     pauli_traces,
+    spectral_traces,
     synthesize,
     synthesize_stack,
+    walsh_hadamard,
 )
 
 from conftest import random_hermitian, random_string
@@ -35,6 +37,7 @@ from oracles import (
     pauli_apply_right,
     pauli_expectation,
     string_coefficients,
+    string_accumulate,
     string_matrix,
     string_synthesize,
 )
@@ -168,6 +171,28 @@ class TestKernel:
         monkeypatch.setattr(pauli_module, "TRACE_BLOCK", 40)
         assert synthesize_stack(coeffs, d).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_accumulate_matches_per_string_loop(self, d, monkeypatch):
+        # bit for bit, signed zeros too: strings sharing a few x masks, the
+        # identity and repeated strings, in random order, alone and stacked
+        import qfl.pauli as pauli_module
+
+        rng = np.random.default_rng(60 + d)
+        count = 3 * (d + 2)
+        x = rng.choice(rng.integers(0, 1 << d, size=3), size=count)
+        z = rng.integers(0, 1 << d, size=count)
+        k = rng.integers(0, 4, size=count)
+        x[0] = z[0] = k[0] = 0
+        x[1], z[1], k[1] = x[2], z[2], k[2]
+        order = rng.permutation(count)
+        x, z, k = x[order], z[order], k[order]
+        for c in (rng.normal(size=count), rng.normal(size=(2, 3, count))):
+            c[..., 0] = 0.0
+            want = string_accumulate(c, x, z, k, 1 << d).tobytes()
+            for block in (1 << 18, 40):
+                monkeypatch.setattr(pauli_module, "TRACE_BLOCK", block)
+                assert pauli_module._accumulate(c, x, z, k, 1 << d).tobytes() == want
+
     @pytest.mark.parametrize("d", range(1, 9))
     def test_fourier_transform_matches_per_string_traces(self, d):
         rng = np.random.default_rng(80 + d)
@@ -203,6 +228,46 @@ class TestKernel:
             traces = pauli_traces(m, *pauli_masks(strings))
             want = np.array([np.trace(kron_pauli(s) @ m) for s in strings])
             assert np.abs(traces - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_spectral_traces_match_gathers(self, d):
+        # every string up to d = 5, sampled strings beyond, on dense and
+        # diagonal Hermitian operators
+        rng = np.random.default_rng(40 + d)
+        n = 1 << d
+        if d <= 5:
+            masks = pauli_masks(full_degree_set(d))
+        else:
+            masks = pauli_masks({random_string(rng, d) for _ in range(300)})
+        for m in (random_hermitian(rng, n), np.diag(rng.normal(size=n)).astype(complex)):
+            got = spectral_traces(m, *masks)
+            assert got.dtype == np.complex128 and got.shape == masks[0].shape
+            assert np.abs(got - pauli_traces(m, *masks)).max() <= 1e-12
+
+    @pytest.mark.parametrize("block", [1, 24, 100])
+    def test_spectral_traces_blocks_give_the_same_bits(self, block, monkeypatch):
+        import qfl.pauli as pauli_module
+
+        rng = np.random.default_rng(49)
+        m = random_hermitian(rng, 32)
+        # strings in random order, several per spectrum row
+        x, z, k = (rng.integers(0, hi, size=200) for hi in (32, 32, 4))
+        want = spectral_traces(m, x, z, k).tobytes()
+        monkeypatch.setattr(pauli_module, "TRACE_BLOCK", block)
+        assert spectral_traces(m, x, z, k).tobytes() == want
+        assert spectral_traces(m, x[:0], z[:0], k[:0]).shape == (0,)
+
+    def test_walsh_hadamard(self):
+        rng = np.random.default_rng(48)
+        a = rng.normal(size=(3, 2, 16))
+        signs = 1.0 - 2.0 * np.array(
+            [[bin(j & b).count("1") % 2 for j in range(16)] for b in range(16)]
+        )
+        want = a @ signs.T
+        assert walsh_hadamard(a) is a
+        assert np.abs(a - want).max() <= 1e-12
+        with pytest.raises(ValueError, match="C-contiguous"):
+            walsh_hadamard(np.zeros((16, 4)).T)
 
     def test_residue_names_first_bad_string(self):
         bad = np.zeros((4, 4), dtype=complex)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfl import learner
 from qfl.compatibility import Cover, best_cover
 from qfl.operators import maximally_mixed, partial_trace_label, validate_povm
 from qfl.pauli import (
@@ -25,11 +26,9 @@ from qfl.pauli import (
 from qfl.simulator import (
     RandomStreams,
     _checked_reduction,
-    _prepare_batch,
     _reduce_batch,
     draw_samples,
     estimation_observable,
-    joint_law,
     labeling_operator,
     load_source,
     make_classical_source,
@@ -39,6 +38,7 @@ from qfl.simulator import (
     matrix_from_text,
     matrix_to_text,
     measure_batch_groups,
+    prepare_batches,
     save_matrix,
 )
 
@@ -52,6 +52,7 @@ from conftest import (
 from oracles import (
     collapse_measure_batch_groups,
     eigh_realizable_states,
+    joint_law,
     measure,
     sample_groups,
     table_measure_batch_groups,
@@ -74,6 +75,11 @@ def joint_probabilities(sample_state, label, batch):
             g = g @ (plus if choice == 1 else minus)
         probs[w] = float(np.trace(g @ joint).real)
     return probs
+
+
+def prepare_batch(batch, states):
+    """The prepared batch of one batch on the states."""
+    return prepare_batches((batch,), states)[0]
 
 
 def measured(groups, batch, uniforms):
@@ -463,14 +469,14 @@ class TestJointLawSampler:
         assert np.array_equal(outcomes, collapse_measure_batch_groups(groups, batch, uniforms))
 
     def test_zero_mass_prefix_raises(self):
-        prepared = _prepare_batch(DegreeSet.of(1, [P("3")]), (np.zeros((2, 2)),))
+        prepared = prepare_batch(DegreeSet.of(1, [P("3")]), (np.zeros((2, 2)),))
         samples = (np.zeros(3, dtype=np.int8), np.ones(3, dtype=np.int8))
         with pytest.raises(ValueError, match="zero probability"):
             measure_batch_groups(samples, prepared, np.zeros((3, 1)))
 
     def test_probability_below_floor_raises(self):
         # a "state" with a negative eigenvalue gives a negative branch probability
-        prepared = _prepare_batch(DegreeSet.of(1, [P("3")]), (np.diag([1.5, -0.5]).astype(complex),))
+        prepared = prepare_batch(DegreeSet.of(1, [P("3")]), (np.diag([1.5, -0.5]).astype(complex),))
         samples = (np.zeros(2, dtype=np.int8), np.zeros(2, dtype=np.int8))
         with pytest.raises(ValueError, match="below"):
             measure_batch_groups(samples, prepared, np.zeros((2, 1)))
@@ -479,7 +485,7 @@ class TestJointLawSampler:
         # state 1 has no mass at all, so every entry of its rows is NaN
         batch = DegreeSet.of(2, [P("30"), P("03"), P("33")])
         good = random_density(np.random.default_rng(43), 4)
-        prepared = _prepare_batch(batch, (good, np.zeros((4, 4))))
+        prepared = prepare_batch(batch, (good, np.zeros((4, 4))))
         assert not np.isnan(prepared.probs[:2, 1: 1 << prepared.reduction.rank]).any()
         assert np.isnan(prepared.probs[2:]).all()
         uniforms = np.random.default_rng(44).random((6, 3))
@@ -492,7 +498,7 @@ class TestJointLawSampler:
         # a basis state leaves prefixes without mass, which no sample
         # reaches; the table engine agrees, and raises on the empty state too
         pure = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
-        assert np.isnan(_prepare_batch(batch, (pure,)).probs[:, 2:4]).any()
+        assert np.isnan(prepare_batch(batch, (pure,)).probs[:, 2:4]).any()
         on_pure = [(pure, c, idx) for _, c, idx in fine]
         assert np.array_equal(measured(on_pure, batch, uniforms),
                               table_measure_batch_groups(on_pure, batch, uniforms))
@@ -501,7 +507,7 @@ class TestJointLawSampler:
                                        batch, uniforms)
         # a negative eigenvalue: outcome +1 has probability 1.5 under label
         # sign +1 and -0.5 under -1; only the samples of sign -1 raise
-        broken = _prepare_batch(DegreeSet.of(1, [P("3")]), (np.diag([1.5, -0.5]).astype(complex),))
+        broken = prepare_batch(DegreeSet.of(1, [P("3")]), (np.diag([1.5, -0.5]).astype(complex),))
         assert broken.probs[:, 1].tolist() == [-0.5, 1.5]
         bases = np.zeros(4, dtype=np.int8)
         ones = measure_batch_groups((bases, np.ones(4, dtype=np.int8)), broken, np.full((4, 1), 0.999))
@@ -594,6 +600,94 @@ def random_groups(rng, d, n):
     return [(states[i], c, idx) for (i, c), idx in zip(chosen, parts)]
 
 
+def stabilizer_state(rng, batch):
+    """A pure joint eigenvector of the d generators of a rank-d batch: the
+    batch's outcomes are determined on it, so every outcome prefix but one
+    has no mass.  Its entries are 0 or of modulus 2^-d."""
+    d = batch.d
+    proj = np.eye(1 << d, dtype=complex)
+    for s in _checked_reduction(batch).generators:
+        proj = proj @ (np.eye(1 << d) + rng.choice((-1, 1)) * pauli_matrix(s)) / 2
+    return proj
+
+
+def dyadic_diagonal_state(rng, d):
+    """The uniform mixture of 2^j random basis states, as a classical parity
+    source's states are: every trace sum of it is exact."""
+    j = int(rng.integers(0, d + 1))
+    diag = np.zeros(1 << d)
+    diag[rng.choice(1 << d, size=1 << j, replace=False)] = 2.0**-j
+    return np.diag(diag).astype(complex)
+
+
+def assert_matches_trace_oracle(batches, states, exact):
+    """``prepare_batches`` of all batches at once against the per-product
+    trace oracle, batch by batch: the rows of each state marked exact bit
+    for bit, every other row within 1e-14 with NaN at the same entries.  The
+    spectrum sums the traces in another order than one gather per product,
+    so only exact sums give the same bits."""
+    prepared = prepare_batches(batches, states)
+    assert [p.reduction for p in prepared] == [_checked_reduction(b) for b in batches]
+    for batch, got in zip(batches, prepared):
+        want = table_prepare_batch(batch, states).probs
+        assert got.probs.shape == want.shape
+        for i, bits in enumerate(exact):
+            rows = slice(2 * i, 2 * i + 2)
+            if bits:
+                assert got.probs[rows].tobytes() == want[rows].tobytes()
+            else:
+                assert np.array_equal(np.isnan(got.probs[rows]), np.isnan(want[rows]))
+                assert np.nan_to_num(np.abs(got.probs[rows] - want[rows])).max() <= 1e-14
+
+
+class TestPrepareBatches:
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_matches_trace_oracle(self, d):
+        # every rank 0..d twice, in one call, on dense mixed and pure states,
+        # a pure state with zero-mass prefixes, and diagonal states
+        rng = np.random.default_rng(120 + d)
+        batches = list(dict.fromkeys(
+            random_batch(rng, d, r, int(rng.integers(0, 6))) for r in [*range(d + 1)] * 2
+        ))
+        full_rank = next(b for b in batches if _checked_reduction(b).rank == d)
+        basis = np.zeros((1 << d, 1 << d), dtype=complex)
+        basis[-1, -1] = 1.0
+        states = [
+            random_state(rng, 1 << d, 1 << d),
+            random_state(rng, 1 << d, 1),
+            stabilizer_state(rng, full_rank),
+            dyadic_diagonal_state(rng, d),
+            basis,
+            np.diag(rng.dirichlet(np.ones(1 << d))).astype(complex),
+        ]
+        assert_matches_trace_oracle(batches, states, exact=[False, False, False, True, True, False])
+        # past one qubit, the stabilizer state leaves prefixes without mass
+        inner = prepare_batches([full_rank], states)[0].probs[4:6, 1: 1 << d]
+        assert d == 1 or np.isnan(inner).any()
+
+    def test_parity_source_is_bit_for_bit(self):
+        source = make_parity_source(5, (0, 3))
+        batches = learner._plan(degree_set_upto(5, 2), 2000, 0.05, "greedy")[0].subsets
+        assert_matches_trace_oracle(batches, (source.rho0, source.rho1), exact=[True, True])
+
+    def test_batches_prepared_together_or_alone_agree(self):
+        # a source prepares what its memo lacks in one call; every batch gets
+        # the same table as alone, and a memoized batch is not built again
+        rng = np.random.default_rng(130)
+        source = make_custom_source(0.3, random_density(rng, 16), random_density(rng, 16))
+        batches = [random_batch(rng, 4, r, 3) for r in (2, 4, 2, 0)]
+        first = source._prepared_batch(batches[1])
+        together = source._prepared_batches(batches + batches[:1])
+        assert together[1] is first and together[4] is together[0]
+        for batch, got in zip(batches, together):
+            alone = prepare_batch(batch, (source.rho0, source.rho1))
+            assert got.probs.tobytes() == alone.probs.tobytes()
+        assert prepare_batches([], (source.rho0,)) == []
+        with pytest.raises(ValueError, match="commute"):
+            source._prepared_batches([batches[2], DegreeSet.of(4, [P("1000"), P("3000")])])
+        assert len(source._memo) == 4
+
+
 class TestEigenvalueWalk:
     def test_matches_table_engine(self):
         # differential: the generator walk with its eigenvalue table against
@@ -619,8 +713,7 @@ class TestEigenvalueWalk:
                     assert outcomes.dtype == want.dtype == np.int8
                     assert np.array_equal(outcomes, want)
                     states = list({id(state): state for state, _, _ in groups}.values())
-                    prepared = _prepare_batch(batch, states)
-                    assert prepared.probs.tobytes() == table_prepare_batch(batch, states).probs.tobytes()
+                    assert_matches_trace_oracle([batch], states, exact=[False] * len(states))
         # the cases cover strings of sign -1, the identity and label flips
         assert negative > 0 and identity > 0 and flipped > 0
 
