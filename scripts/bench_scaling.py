@@ -19,7 +19,7 @@ runs in a fresh process and records, in seconds:
 - ``warm_s``: the median of the calls at seeds 2 and 3 on the same source;
 - ``peak_rss_mb``: the cell process's peak resident set.
 
-A cell that does not finish within ``--budget`` seconds is recorded as
+A cell that does not finish within ``BUDGET_S`` seconds is recorded as
 skipped, and so are the larger d of that learner.  ``--src`` names the
 ``src`` directory whose ``qfl`` is measured (default: this checkout's), so
 one script times two checkouts alike.  Each invocation stores its cells
@@ -49,6 +49,8 @@ WORKLOAD_SEED = 1
 COLD_SEED = 1
 WARM_SEEDS = (2, 3)
 PREPARE_REPEATS = 3
+DIMS = range(4, 12)
+BUDGET_S = 120.0
 
 
 def _parse_args(argv):
@@ -56,15 +58,14 @@ def _parse_args(argv):
     p.add_argument("--label", required=True, help="name the cells are stored under")
     p.add_argument("--src", default=str(ROOT / "src"), help="src directory of the qfl to time")
     p.add_argument("--out", default=str(ROOT / "BENCH_scaling.json"))
-    p.add_argument("--dims", default="4-11", help="qubit counts, as lo-hi")
-    p.add_argument("--budget", type=float, default=120.0, help="seconds a cell may take")
     p.add_argument("--cell", default=None, help=argparse.SUPPRESS)
     return p.parse_args(argv)
 
 
 def _prepare(source, batches) -> None:
     """Every batch's generator probabilities on the source's states, through
-    the cover-form call where the checkout has one."""
+    the cover-form call where the checkout has one.  Checkouts up to 4f533e8,
+    the recorded "before" run, have only the one-batch ``_prepared_batch``."""
     prepare_all = getattr(source, "_prepared_batches", None)
     if prepare_all is not None:
         prepare_all(batches)
@@ -140,12 +141,11 @@ def _environment() -> dict:
 
 
 def _run_grid(args) -> list[dict]:
-    lo, hi = (int(v) for v in args.dims.split("-"))
     env = dict(os.environ, PYTHONPATH=args.src)
     cells = []
     for name in LEARNERS:
         over = False
-        for d in range(lo, hi + 1):
+        for d in DIMS:
             if over:
                 cells.append({"learner": name, "d": d, "skipped": "a smaller d was over budget"})
                 continue
@@ -153,10 +153,10 @@ def _run_grid(args) -> list[dict]:
                    "--cell", f"{name}:{d}"]
             try:
                 out = subprocess.run(cmd, env=env, capture_output=True, text=True,
-                                     timeout=args.budget, check=True)
+                                     timeout=BUDGET_S, check=True)
             except subprocess.TimeoutExpired:
                 over = True
-                cells.append({"learner": name, "d": d, "skipped": f"over the {args.budget:g}-s budget"})
+                cells.append({"learner": name, "d": d, "skipped": f"over the {BUDGET_S:g}-s budget"})
                 continue
             cell = json.loads(out.stdout.strip().splitlines()[-1])
             print(json.dumps(cell), flush=True)
@@ -180,7 +180,8 @@ def main(argv=None) -> None:
     record = json.loads(out.read_text()) if out.exists() else {
         "grid": {"learners": list(LEARNERS), "k": K, "n": N, "delta": DELTA,
                  "workload_seed": WORKLOAD_SEED, "cold_seed": COLD_SEED,
-                 "warm_seeds": list(WARM_SEEDS), "prepare_repeats": PREPARE_REPEATS},
+                 "warm_seeds": list(WARM_SEEDS), "prepare_repeats": PREPARE_REPEATS,
+                 "dims": list(DIMS), "budget_s": BUDGET_S},
         "runs": [],
     }
     record["runs"] = [r for r in record["runs"] if r["label"] != args.label] + [run]

@@ -14,7 +14,11 @@ The traces of an operator m against all strings form its Pauli spectrum
 (:func:`walsh_hadamard`) of the x-diagonal ``m[j, j ^ x]``, O(d 2^d) for all
 ``2^d`` strings of that row.  :func:`spectral_traces` reads many strings off
 the rows they share; :func:`pauli_traces` gathers each string alone and
-stays the path of expansion coefficients.
+stays the path of expansion coefficients.  The split exists only to keep the
+exact tables' bits until a golden comparator that accepts rounding-level
+changes lands (ROADMAP); the two should then collapse to one path, chosen,
+if at all, by strings per row (a row costs O(d 2^d), a gather O(2^d)), which
+has not been measured.
 
 Bit convention: qubit ``j`` (0-based, leftmost symbol) is the most significant
 bit of a basis index, matching the ``numpy.kron`` composition order used by
@@ -445,19 +449,23 @@ def _accumulate(c: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray, n: i
     string's phase row is added, in the given order, to one row per distinct
     x mask, which starts from zero, and each row is scattered once: every
     entry is the same sequential sum as adding the strings one by one into
-    the output.  The rows take at most the output's size; the phases are
-    taken in blocks of at most ``TRACE_BLOCK`` entries."""
+    the output.  The distinct x masks are taken in groups of at most
+    ``TRACE_BLOCK`` row entries, and each group's strings' phases in blocks
+    of as many, so besides the output only one group's rows are held."""
     out = np.zeros(c.shape[:-1] + (n, n), dtype=np.complex128)
     idx = np.arange(n)
     xs, slot = np.unique(x, return_inverse=True)
-    rows = np.zeros(c.shape[:-1] + (len(xs), n), dtype=np.complex128)
     per_block = max(1, TRACE_BLOCK // (out.size // n))
-    for lo in range(0, len(x), per_block):
-        block = slice(lo, lo + per_block)
-        phases = c[..., block, None] * (_I_POWERS[k[block], None] * (1.0 - 2.0 * _parity(idx & z[block, None])))
-        for t, row in enumerate(slot[block].tolist()):
-            rows[..., row, :] += phases[..., t, :]
-    out[..., xs[:, None] ^ idx, idx] = rows
+    for lo in range(0, len(xs), per_block):
+        group = xs[lo: lo + per_block]
+        rows = np.zeros(c.shape[:-1] + (len(group), n), dtype=np.complex128)
+        members = np.flatnonzero((slot >= lo) & (slot < lo + per_block))
+        for b in range(0, len(members), per_block):
+            t = members[b: b + per_block]
+            phases = c[..., t, None] * (_I_POWERS[k[t], None] * (1.0 - 2.0 * _parity(idx & z[t, None])))
+            for i, row in enumerate((slot[t] - lo).tolist()):
+                rows[..., row, :] += phases[..., i, :]
+        out[..., group[:, None] ^ idx, idx] = rows
     return out
 
 

@@ -220,10 +220,6 @@ class SampleSource:
                 self._memo.update((("batch", b), prepared) for b, prepared in zip(missing, built))
             return [self._memo["batch", b] for b in batches]
 
-    def _prepared_batch(self, batch: DegreeSet) -> "_PreparedBatch":
-        """:meth:`_prepared_batches` of one batch."""
-        return self._prepared_batches((batch,))[0]
-
     def with_flip_rate(self, eta: float) -> "SampleSource":
         """Same draw distribution with the label-flip rate replaced by ``eta``,
         as a new source with an empty memo."""

@@ -782,7 +782,7 @@ class TestSeedInvariantMemo:
         for batch_source in (source, make_realizable_source(pauli_matrix(P("1")))):
             for _ in range(2):
                 with pytest.raises(ValueError, match="commute"):
-                    batch_source._prepared_batch(bad.subsets[0])
+                    batch_source._prepared_batches((bad.subsets[0],))
         assert simulator._checked_reduction.cache_info().currsize == 3
 
     def test_class_cache_errors_are_not_cached(self, monkeypatch):
@@ -812,12 +812,12 @@ class TestSeedInvariantMemo:
         monkeypatch.setattr(simulator, "_eigenvalue_table", broken)
         for _ in range(2):
             with pytest.raises(MemoryError):
-                source._prepared_batch(batch)
+                source._prepared_batches((batch,))
         assert simulator._checked_reduction.cache_info().currsize == 0
         assert source._memo == {}
         monkeypatch.undo()
         reduction = simulator._checked_reduction(batch)
-        assert source._prepared_batch(batch).reduction is reduction
+        assert source._prepared_batches((batch,))[0].reduction is reduction
         # XX and YY generate; ZZ = -(XX)(YY)
         assert reduction.eigenvalues.tolist() == [[1, 1, -1], [-1, 1, 1], [1, -1, 1], [-1, -1, -1]]
 
@@ -877,4 +877,4 @@ class TestSeedInvariantMemo:
                 with pytest.raises(ValueError):
                     a[...] = 0
             # the per-source tables share the cached columns
-            assert source._prepared_batch(batch).reduction is reduction
+            assert source._prepared_batches((batch,))[0].reduction is reduction

@@ -347,7 +347,7 @@ class TestMeasureBatch:
 
     def test_grouped_equals_per_sample(self):
         source = make_noisy_source(pauli_matrix(P("30")), 0.3)
-        prepared = source._prepared_batch(DegreeSet.of(2, [P("30"), P("03")]))
+        prepared = source._prepared_batches((DegreeSet.of(2, [P("30"), P("03")]),))[0]
         n = 500
         bases, labels = draw_samples(source, n, RandomStreams(15).generator(1))
         assert len(set(zip(bases.tolist(), labels.tolist()))) == 4
@@ -519,7 +519,7 @@ class TestJointLawSampler:
     def test_samples_must_cover_every_row(self):
         # each row of uniforms is one sample, with one base and one label,
         # so no row can be left out or measured twice
-        prepared = make_bell_source()._prepared_batch(DegreeSet.of(2, [P("30")]))
+        prepared = make_bell_source()._prepared_batches((DegreeSet.of(2, [P("30")]),))[0]
         zeros = np.zeros(3, dtype=np.int8)
         for samples in ((zeros, zeros[:2]), (zeros[:2], zeros), (zeros[:2], zeros[:2])):
             with pytest.raises(ValueError, match="same length"):
@@ -530,14 +530,14 @@ class TestJointLawSampler:
     @pytest.mark.parametrize("sign", [0.5, 0.0, -2.0, 3, float("nan")])
     def test_label_sign_must_be_unit(self, sign):
         # label sign 2 label - 1 is +-1 exactly when the label is 0 or 1
-        prepared = make_bell_source()._prepared_batch(DegreeSet.of(2, [P("30")]))
+        prepared = make_bell_source()._prepared_batches((DegreeSet.of(2, [P("30")]),))[0]
         labels = np.full(2, (1 + sign) / 2)
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
             measure_batch_groups((np.zeros(2, dtype=np.int8), labels), prepared, np.zeros((2, 1)))
 
     def test_bases_must_name_prepared_states(self):
         # a source's batch is prepared on two states; take would wrap base -1
-        prepared = make_bell_source()._prepared_batch(DegreeSet.of(2, [P("30")]))
+        prepared = make_bell_source()._prepared_batches((DegreeSet.of(2, [P("30")]),))[0]
         for base in (-1, 2, 127):
             bases = np.array([0, base, 1], dtype=np.int8)
             with pytest.raises(ValueError, match="bases must lie in"):
@@ -676,7 +676,7 @@ class TestPrepareBatches:
         rng = np.random.default_rng(130)
         source = make_custom_source(0.3, random_density(rng, 16), random_density(rng, 16))
         batches = [random_batch(rng, 4, r, 3) for r in (2, 4, 2, 0)]
-        first = source._prepared_batch(batches[1])
+        first = source._prepared_batches((batches[1],))[0]
         together = source._prepared_batches(batches + batches[:1])
         assert together[1] is first and together[4] is together[0]
         for batch, got in zip(batches, together):
@@ -776,8 +776,8 @@ class TestSourceMemo:
             by_state = sample_groups((source.rho0, source.rho1), bases, labels)
             for batch in k2_cliques(d):
                 uniforms = rng.random((200, len(batch)))
-                prepared = source._prepared_batch(batch)
-                assert prepared is source._prepared_batch(batch)
+                prepared = source._prepared_batches((batch,))[0]
+                assert prepared is source._prepared_batches((batch,))[0]
                 assert prepared.reduction.rank == len(_reduce_batch(batch)[0])
                 assert np.array_equal(
                     measure_batch_groups((bases, labels), prepared, uniforms),
@@ -787,7 +787,7 @@ class TestSourceMemo:
     def test_with_flip_rate_starts_empty(self):
         source = make_parity_source(2, (0, 1))
         batch = DegreeSet.of(2, [P("33")])
-        source._prepared_batch(batch)
+        source._prepared_batches((batch,))
         source.exact_table(degree_set_upto(2, 1))
         assert len(source._memo) == 2
         assert source.with_flip_rate(0.1)._memo == {}
