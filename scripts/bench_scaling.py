@@ -62,18 +62,6 @@ def _parse_args(argv):
     return p.parse_args(argv)
 
 
-def _prepare(source, batches) -> None:
-    """Every batch's generator probabilities on the source's states, through
-    the cover-form call where the checkout has one.  Checkouts up to 4f533e8,
-    the recorded "before" run, have only the one-batch ``_prepared_batch``."""
-    prepare_all = getattr(source, "_prepared_batches", None)
-    if prepare_all is not None:
-        prepare_all(batches)
-    else:
-        for batch in batches:
-            source._prepared_batch(batch)
-
-
 def run_cell(learner_name: str, d: int) -> dict:
     """Measure one cell in this process; ``qfl`` must already be importable."""
     from qfl import learner, simulator
@@ -114,7 +102,7 @@ def run_cell(learner_name: str, d: int) -> dict:
     for _ in range(PREPARE_REPEATS):
         fresh = source.with_flip_rate(source.flip_rate)
         start = time.perf_counter()
-        _prepare(fresh, report.cover.subsets)
+        fresh._prepared_batches(report.cover.subsets)
         prepare.append(time.perf_counter() - start)
 
     return {

@@ -72,10 +72,8 @@ from .learner import (
     junta_error_bound,
     junta_learn,
     opt_k,
-    popt_lower_bound,
     qld_error_bound,
     qld_learn,
-    u_function,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

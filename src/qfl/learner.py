@@ -74,13 +74,6 @@ def chernoff_band(n: int, delta: float, count: int = 1) -> float:
     return math.sqrt(8.0 / n * math.log(2.0 * count / delta))
 
 
-def u_function(x: float) -> float:
-    """The cubic ``x^3 + 3/2 x^2 + 5/4 x``; bounded by ``4x`` on [0, 1]."""
-    if x < 0:
-        raise ValueError("u_function is defined for x >= 0")
-    return x**3 + 1.5 * x**2 + 1.25 * x
-
-
 def qld_error_bound(opt: float, eps: float, beta: float) -> float:
     """Loss guarantee ``2 opt + 2 eps + 5 beta`` of the low-degree predictor."""
     if min(opt, eps, beta) < 0:
@@ -93,16 +86,6 @@ def junta_error_bound(opt_k: float, eps_prime: float) -> float:
     if min(opt_k, eps_prime) < 0:
         raise ValueError("bound arguments must be nonnegative")
     return opt_k + 5.0 * math.sqrt(eps_prime)
-
-
-def popt_lower_bound(table: FourierTable, degree_set: DegreeSet, eps: float = 0.0) -> float:
-    """Lower bound ``1/2 - 1/2 ||sum_{s in A} f_s sigma^s||_1,mm - eps`` on the
-    optimal loss of any class concentrated on the degree set."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    restricted = table.restricted_to_strings(degree_set)
-    op = synthesize(FourierTable(table.d, dict(restricted.items())))
-    return 0.5 - 0.5 * rho_norm(op, 1, maximally_mixed(table.d)) - eps
 
 
 # ---------------------------------------------------------------------------

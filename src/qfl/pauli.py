@@ -5,20 +5,15 @@ A Pauli string is a word over ``{0, 1, 2, 3}`` (identity, X, Y, Z) of length
 the computational basis given by its symplectic masks (:func:`pauli_masks`),
 ``sigma^s |j> = i^{n_Y} (-1)^{parity(j & z)} |j ^ x>``.  Every use of that
 action in the package goes through this module: traces against many strings
-(:func:`pauli_traces`, hence expansion coefficients) and dense synthesis cost
+(:func:`spectral_traces`, hence expansion coefficients) and dense synthesis,
 O(2^d) per string instead of a dense matrix product.
 
 The traces of an operator m against all strings form its Pauli spectrum
 ``S[x, z] = sum_j (-1)^{parity(j & z)} m[j, j ^ x]``, with
 ``tr(sigma^s m) = i^{n_Y} S[x, z]``: row x is the Walsh-Hadamard transform
 (:func:`walsh_hadamard`) of the x-diagonal ``m[j, j ^ x]``, O(d 2^d) for all
-``2^d`` strings of that row.  :func:`spectral_traces` reads many strings off
-the rows they share; :func:`pauli_traces` gathers each string alone and
-stays the path of expansion coefficients.  The split exists only to keep the
-exact tables' bits until a golden comparator that accepts rounding-level
-changes lands (ROADMAP); the two should then collapse to one path, chosen,
-if at all, by strings per row (a row costs O(d 2^d), a gather O(2^d)), which
-has not been measured.
+``2^d`` strings of that row, and :func:`spectral_traces` reads many strings
+off the rows they share.
 
 Bit convention: qubit ``j`` (0-based, leftmost symbol) is the most significant
 bit of a basis index, matching the ``numpy.kron`` composition order used by
@@ -39,7 +34,7 @@ import numpy as np
 from .operators import MAX_QUBITS
 
 COEFFICIENT_IMAG_TOL = 1e-8
-# Most entries gathered at once by pauli_traces, spectral_traces and synthesize.
+# Most entries gathered at once by spectral_traces and synthesize.
 TRACE_BLOCK = 1 << 18
 # Most (d, k) classes whose degree_set_upto is kept.
 DEGREE_SET_CACHE_SIZE = 16
@@ -141,24 +136,6 @@ def pauli_masks(strings: Iterable[PauliString]) -> tuple[np.ndarray, np.ndarray,
     return x, z, k
 
 
-def pauli_traces(m: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Complex ``tr(P_t m)`` for every string t given by its masks, one O(2^d)
-    gather each, taken in blocks of at most ``TRACE_BLOCK`` entries to bound
-    memory."""
-    n = m.shape[0]
-    j = np.arange(n)
-    odd = _parity(j).astype(bool)
-    flat = m.ravel()
-    out = np.empty(len(x), dtype=np.complex128)
-    rows = max(1, TRACE_BLOCK // n)
-    for lo in range(0, len(x), rows):
-        block = slice(lo, lo + rows)
-        vals = flat[j * n + (j ^ x[block, None])]
-        sums = np.where(odd[j & z[block, None]], -vals, vals).sum(axis=1)
-        out[block] = _I_POWERS[k[block]] * sums
-    return out
-
-
 def walsh_hadamard(a: np.ndarray) -> np.ndarray:
     """In place, the unnormalized Walsh-Hadamard transform
     ``sum_j (-1)^{parity(j & b)} a[..., j]`` along the last axis of a
@@ -184,8 +161,7 @@ def spectral_traces(m: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray) 
     Only the spectrum rows the strings use are computed, each one O(d 2^d)
     Walsh-Hadamard transform of an x-diagonal of m however many strings read
     it, in blocks of at most ``TRACE_BLOCK`` entries; a block keeps only the
-    entries its strings name, so no ``4^d`` array is formed.  The sums run in
-    another order than :func:`pauli_traces`, so the two agree to rounding.
+    entries its strings name, so no ``4^d`` array is formed.
     """
     n = m.shape[0]
     j = np.arange(n)
@@ -399,7 +375,7 @@ def fourier_transform(a: np.ndarray, strings: Iterable[PauliString], *, d: int |
     n = 1 << d
     if a.shape != (n, n) or any(s.d != d for s in strings):
         raise ValueError(f"operator shape {a.shape} does not match the strings' d={d}")
-    vals = pauli_traces(a, *pauli_masks(strings)) / n
+    vals = spectral_traces(a, *pauli_masks(strings)) / n
     bad = np.flatnonzero(np.abs(vals.imag) > COEFFICIENT_IMAG_TOL)
     if bad.size:
         raise ValueError(

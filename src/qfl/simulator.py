@@ -237,43 +237,41 @@ def _mixture_is_maximally_mixed(p0: float, rho0: np.ndarray, rho1: np.ndarray, d
 def make_realizable_source(f_op) -> SampleSource:
     """Source whose label is a deterministic function of a +-1 operator's eigenspace.
 
-    The conditional states are the normalized eigenprojections (label 1 on the
-    +1 side), which makes the feature marginal maximally mixed and the optimal
-    loss zero.  An operator with an empty eigenspace yields a degenerate
-    source with the label probability pinned to 0 or 1.  A diagonal operator
-    (no nonzero entry off the diagonal), such as a classical embedding, is
-    squared and split entrywise, with the same bits as the spectral path.
+    The conditional states are the normalized eigenprojections of F, read
+    off the operator itself: ``rho1 = (I + F)/(2 n_+)`` (label 1 on the +1
+    side) and ``rho0 = (I - F)/(2 n_-)``, where ``n_+ = (2^d + tr F)/2`` and
+    ``n_- = 2^d - n_+`` are the eigenspaces' dimensions.  This makes the
+    feature marginal maximally mixed and the optimal loss zero.  An operator
+    with an empty eigenspace yields a degenerate source with the label
+    probability pinned to 0 or 1.  ``F^2 = I`` is checked entrywise for a
+    diagonal operator (no nonzero entry off the diagonal), such as a
+    classical embedding, and by a dense product otherwise.
     """
     f_op = require_hermitian(f_op)
     n = f_op.shape[0]
     d = n.bit_length() - 1
     if 1 << d != n:
         raise ValueError(f"operator dimension {n} is not a power of two")
+    eye = np.eye(n, dtype=np.complex128)
     diag = np.diagonal(f_op)
-    diagonal = np.count_nonzero(f_op) == np.count_nonzero(diag)
-    if diagonal:
+    if np.count_nonzero(f_op) == np.count_nonzero(diag):
         defect = float(np.abs(diag * diag - 1.0).max())
     else:
-        defect = float(np.abs(f_op @ f_op - np.eye(n)).max())
+        defect = float(np.abs(f_op @ f_op - eye).max())
     if defect > SIGN_OPERATOR_TOL:
         raise ValueError(
             f"not a +-1 operator: max |F^2 - I| = {defect:.3e} > {SIGN_OPERATOR_TOL:.1e}"
         )
-    if diagonal:
-        # the eigenvectors are basis states, split by the sign of their entry
-        plus = diag.real > 0
-        sides = (~plus, plus)
-        projections = [np.diag(side).astype(np.complex128) for side in sides]
-        counts = [int(np.count_nonzero(side)) for side in sides]
-    else:
-        w, v = np.linalg.eigh(f_op)
-        sides = (v[:, w <= 0], v[:, w > 0])
-        projections = [u @ u.conj().T for u in sides]
-        counts = [u.shape[1] for u in sides]
-    rho0, rho1 = (
-        proj / count if count else maximally_mixed(d) for proj, count in zip(projections, counts)
-    )
-    n_minus, n_plus = counts
+    # tr F = n_+ - n_-, to within the tolerance on each of the n eigenvalues
+    half_plus = (n + float(diag.real.sum())) / 2.0
+    n_plus = round(half_plus)
+    if abs(half_plus - n_plus) > n * SIGN_OPERATOR_TOL:
+        raise ValueError(
+            f"not a +-1 operator: (2^d + tr F)/2 = {half_plus!r} is not an eigenspace dimension"
+        )
+    n_minus = n - n_plus
+    rho0 = (eye - f_op) / (2 * n_minus) if n_minus else maximally_mixed(d)
+    rho1 = (eye + f_op) / (2 * n_plus) if n_plus else maximally_mixed(d)
     p1 = n_plus / n
     degenerate = n_plus == 0 or n_minus == 0
     return SampleSource(

@@ -1,20 +1,24 @@
 """Dense oracles that fast paths in ``qfl`` are tested against.
 
 Each oracle is the straightforward implementation a fast path replaced:
-per-string Pauli phases, matrices, traces, coefficients and synthesis (dense
-accumulation of one string at a time), a batch's joint law from one trace
-gather per generator product, and its prefix marginals, Pauli
-matrices as Kronecker products of single-qubit ones, dense single-state
-measurement, sequential measurement with dense post-measurement collapse,
-the joint-law sampler that walked every string of a batch through
-per-string outcome tables and averaged an outcome matrix (both on samples
-split into ``(state, label_sign, indices)`` groups), left and right
-Pauli application on dense matrices, the conditional states of a +-1
-operator from its eigendecomposition, pairwise commutation, cover search
+per-string Pauli phases, matrices, traces (one gather per string),
+coefficients and synthesis (dense accumulation of one string at a time), a
+batch's joint law from one trace gather per generator product, and its
+prefix marginals, Pauli matrices as Kronecker products of single-qubit ones,
+dense single-state measurement, sequential measurement with dense
+post-measurement collapse, the joint-law sampler that walked every string
+of a batch through per-string outcome tables and averaged an outcome matrix
+(both on samples split into ``(state, label_sign, indices)`` groups), left
+and right Pauli application on dense matrices, the conditional states of a
++-1 operator from its eigendecomposition, pairwise commutation, cover search
 that builds and canonicalizes a ``Cover`` per candidate, integer batch
 allocation by a heap started from one sample per subset, junta subset
 selection by one k-qubit block per subset and on dense 2^d operators, and
 the spectral sign of any Hermitian matrix, diagonal or not.
+
+It also holds two of the paper's closed forms that only tests evaluate: the
+cubic :func:`u_function` and :func:`popt_lower_bound`, the lower bound on the
+optimal loss of a class concentrated on a degree set.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ from qfl.pauli import (
     FourierTable,
     PauliString,
     _parity,
-    pauli_traces,
     synthesize,
 )
 from qfl.simulator import (
@@ -123,6 +126,24 @@ def string_accumulate(c: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray
         phases = c[..., block, None] * (_I_POWERS[k[block], None] * (1.0 - 2.0 * _parity(idx & z[block, None])))
         for t, xt in enumerate(x[block]):
             out[..., idx ^ xt, idx] += phases[..., t, :]
+    return out
+
+
+def pauli_traces(m: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Complex ``tr(P_t m)`` for every string t given by its masks, one O(2^d)
+    gather each, taken in blocks of at most ``TRACE_BLOCK`` entries to bound
+    memory."""
+    n = m.shape[0]
+    j = np.arange(n)
+    odd = _parity(j).astype(bool)
+    flat = m.ravel()
+    out = np.empty(len(x), dtype=np.complex128)
+    rows = max(1, TRACE_BLOCK // n)
+    for lo in range(0, len(x), rows):
+        block = slice(lo, lo + rows)
+        vals = flat[j * n + (j ^ x[block, None])]
+        sums = np.where(odd[j & z[block, None]], -vals, vals).sum(axis=1)
+        out[block] = _I_POWERS[k[block]] * sums
     return out
 
 
@@ -415,6 +436,23 @@ def eigh_realizable_states(f_op) -> tuple[np.ndarray, np.ndarray]:
     for u in (v[:, w <= 0], v[:, w > 0]):
         states.append(u @ u.conj().T / u.shape[1] if u.shape[1] else maximally_mixed(d))
     return states[0], states[1]
+
+
+def u_function(x: float) -> float:
+    """The cubic ``x^3 + 3/2 x^2 + 5/4 x``; bounded by ``4x`` on [0, 1]."""
+    if x < 0:
+        raise ValueError("u_function is defined for x >= 0")
+    return x**3 + 1.5 * x**2 + 1.25 * x
+
+
+def popt_lower_bound(table: FourierTable, degree_set: DegreeSet, eps: float = 0.0) -> float:
+    """Lower bound ``1/2 - 1/2 ||sum_{s in A} f_s sigma^s||_1,mm - eps`` on the
+    optimal loss of any class concentrated on the degree set."""
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
+    restricted = table.restricted_to_strings(degree_set)
+    op = synthesize(FourierTable(table.d, dict(restricted.items())))
+    return 0.5 - 0.5 * rho_norm(op, 1, maximally_mixed(table.d)) - eps
 
 
 def pairwise_commutation(strings: Sequence[PauliString]) -> np.ndarray:

@@ -23,10 +23,8 @@ from qfl.learner import (
     junta_error_bound,
     junta_learn,
     opt_k,
-    popt_lower_bound,
     qld_error_bound,
     qld_learn,
-    u_function,
 )
 from qfl.operators import maximally_mixed, rho_norm, sign_operator, validate_povm
 from qfl.pauli import (
@@ -65,9 +63,11 @@ from oracles import (
     block,
     dense_best_coords,
     dense_subset_norms,
+    popt_lower_bound,
     subset_best_coords,
     subset_norms,
     table_fourier_estimation,
+    u_function,
 )
 
 P = PauliString.from_digits
@@ -671,9 +671,9 @@ class TestJuntaLearn:
 
         source = make_parity_source(3, (0, 2))
         calls = []
-        real = pauli_module.pauli_traces
+        real = pauli_module.spectral_traces
         monkeypatch.setattr(
-            pauli_module, "pauli_traces", lambda m, x, z, k: calls.append(len(x)) or real(m, x, z, k)
+            pauli_module, "spectral_traces", lambda m, x, z, k: calls.append(len(x)) or real(m, x, z, k)
         )
         _, report = junta_learn(source, 2, 2000, 0.05, 4)
         assert report.opt_value == pytest.approx(0.0, abs=1e-12)

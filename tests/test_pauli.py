@@ -21,7 +21,6 @@ from qfl.pauli import (
     full_degree_set,
     pauli_masks,
     pauli_matrix,
-    pauli_traces,
     spectral_traces,
     synthesize,
     synthesize_stack,
@@ -36,6 +35,7 @@ from oracles import (
     pauli_apply_left,
     pauli_apply_right,
     pauli_expectation,
+    pauli_traces,
     string_coefficients,
     string_accumulate,
     string_matrix,
@@ -195,11 +195,21 @@ class TestKernel:
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_fourier_transform_matches_per_string_traces(self, d):
+        # bit for bit where every trace sum is exact (+-1 diagonal and dyadic
+        # operators); on a random operator the sums run in another order, so
+        # the two agree to rounding of the coefficient scale
         rng = np.random.default_rng(80 + d)
-        a = random_hermitian(rng, 1 << d)
+        n = 1 << d
         strings = self._strings(rng, d)
-        table = fourier_transform(a, strings)
-        assert table.coefficients == string_coefficients(a, strings)
+        ints = rng.integers(-8, 9, size=(2, n, n))
+        dyadic = ints[0] + 1j * ints[1]
+        for a in (np.diag(rng.choice([-1.0, 1.0], size=n)), (dyadic + dyadic.conj().T) / 4):
+            assert fourier_transform(a, strings).coefficients == string_coefficients(a, strings)
+        a = random_hermitian(rng, n)
+        got = fourier_transform(a, strings)
+        want = string_coefficients(a, strings)
+        scale = max(abs(v) for v in want.values())
+        assert max(abs(got[s] - want[s]) for s in strings) <= 1e-14 * scale
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_pauli_matrix_matches_per_string_matrix(self, d):
@@ -218,6 +228,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("block", [1 << 18, 24])
     def test_traces_match_kron_trace(self, block, monkeypatch):
+        # the spectrum in blocks of the given size, and the per-string oracle
         import qfl.pauli as pauli_module
 
         monkeypatch.setattr(pauli_module, "TRACE_BLOCK", block)
@@ -225,9 +236,9 @@ class TestKernel:
         for d in range(1, 6):
             m = rng.normal(size=(1 << d, 1 << d)) + 1j * rng.normal(size=(1 << d, 1 << d))
             strings = self._strings(rng, d)
-            traces = pauli_traces(m, *pauli_masks(strings))
             want = np.array([np.trace(kron_pauli(s) @ m) for s in strings])
-            assert np.abs(traces - want).max() <= 1e-12
+            for traces in (spectral_traces, pauli_traces):
+                assert np.abs(traces(m, *pauli_masks(strings)) - want).max() <= 1e-12
 
     @pytest.mark.parametrize("d", range(1, 8))
     def test_spectral_traces_match_gathers(self, d):

@@ -1,5 +1,6 @@
 """Sample sources, the labeling operator, and the measurement engine."""
 
+import functools
 import itertools
 import sys
 import threading
@@ -763,6 +764,41 @@ class TestRealizableDiagonal:
             make_realizable_source(np.diag([1.0, 1j]))
         with pytest.raises(ValueError, match=r"\+-1 operator"):
             make_realizable_source(0.9 * pauli_matrix(P("1")))
+
+
+class TestRealizableStates:
+    def test_states_match_eigh_projections(self):
+        # differential against the normalized eigenvector projections, for
+        # d = 1..8: random non-diagonal +-1 operators of several balances,
+        # their noisy sources, and the degenerate F = +-I
+        rng = np.random.default_rng(76)
+        for d in range(1, 9):
+            n = 1 << d
+            cases = [(np.eye(n), n), (-np.eye(n), 0)]
+            for n_plus in sorted({1, int(rng.integers(0, n + 1)), n // 2, n - 1}):
+                q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                signs = np.where(np.arange(n) < n_plus, 1.0, -1.0)
+                f_op = (q * signs) @ q.conj().T
+                cases.append(((f_op + f_op.conj().T) / 2, n_plus))
+            for f_op, n_plus in cases:
+                rho0, rho1 = eigh_realizable_states(f_op)
+                for source in (make_realizable_source(f_op), make_noisy_source(f_op, 0.1)):
+                    assert np.abs(source.rho0 - rho0).max() <= 1e-14
+                    assert np.abs(source.rho1 - rho1).max() <= 1e-14
+                    assert source.p0 == 1.0 - n_plus / n
+                    assert source.degenerate == (n_plus in (0, n))
+                    assert source.maximally_mixed
+
+    def test_eigenspace_dimension_is_checked(self):
+        # a shifted reflection passes the entrywise F^2 check, since its
+        # entries are small, but its trace puts n_+ off an integer
+        h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+        f_op = functools.reduce(np.kron, [h] * 8)
+        shifted = f_op + 7e-8 * np.eye(256)
+        assert np.abs(shifted @ shifted - np.eye(256)).max() <= 1e-8
+        make_realizable_source(f_op)
+        with pytest.raises(ValueError, match="eigenspace dimension"):
+            make_realizable_source(shifted)
 
 
 class TestSourceMemo:
