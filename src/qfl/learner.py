@@ -112,9 +112,14 @@ class Predictor:
 
 
 def build_predictor(table: FourierTable, degree_set: DegreeSet) -> Predictor:
-    """Sign-operator predictor from estimated coefficients on a degree set."""
-    kept = {s: c for s, c in table.coefficients.items() if s in degree_set}
-    if not kept or all(c == 0.0 for c in kept.values()):
+    """Sign-operator predictor from estimated coefficients on a degree set.
+
+    Only the nonzero coefficients are synthesized: a zero one adds +-0.0 to
+    entries that start at +0.0 and are never -0.0, so it changes no bit of
+    ``g_op``.  A table with none is degenerate.
+    """
+    kept = {s: c for s, c in table.coefficients.items() if c != 0.0 and s in degree_set}
+    if not kept:
         n = 1 << degree_set.d
         return Predictor(np.eye(n, dtype=np.complex128), degenerate=True)
     f_hat = synthesize(FourierTable(degree_set.d, kept))

@@ -54,7 +54,12 @@ def hermiticity_defect(a: np.ndarray) -> float:
 
 
 def require_hermitian(a, *, stack: bool = False) -> np.ndarray:
-    a = as_operator(a, stack=stack)
+    return _check_hermitian(as_operator(a, stack=stack))
+
+
+def _check_hermitian(a: np.ndarray) -> np.ndarray:
+    """:func:`require_hermitian` of a matrix or stack that already passed
+    :func:`as_operator`."""
     defect = hermiticity_defect(a)
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian: max deviation {defect:.3e} > {HERMITICITY_TOL:.1e}")
@@ -79,6 +84,19 @@ class Spectrum:
         return (v * self.eigenvalues[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
+def _is_diagonal(a: np.ndarray) -> bool:
+    """True when no entry of the square matrix ``a`` off its diagonal is
+    nonzero (-0.0 counts as zero, NaN does not).  A first row with such an
+    entry answers at once, so most dense inputs never pay a pass over the
+    matrix."""
+    n = a.shape[0]
+    if a[0, 1:].any():
+        return False
+    # laid out flat, the n entries between consecutive diagonal entries are
+    # exactly the off-diagonal ones
+    return not a.ravel()[1:].reshape(n - 1, n + 1)[:, :n].any()
+
+
 def hermitian_eig(h, *, stack: bool = False) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix with descending eigenvalues;
     with ``stack``, of each matrix of an ``(S, n, n)`` stack, bit for bit as
@@ -87,7 +105,11 @@ def hermitian_eig(h, *, stack: bool = False) -> Spectrum:
     Raises RuntimeError if the underlying solver fails to converge; the error
     message carries the hermiticity defect of the input as a diagnostic.
     """
-    h = require_hermitian(h, stack=stack)
+    return _eigh(require_hermitian(h, stack=stack))
+
+
+def _eigh(h: np.ndarray) -> Spectrum:
+    """:func:`hermitian_eig` of an input already checked Hermitian."""
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -109,10 +131,10 @@ def sign_operator(h) -> np.ndarray:
     the same tie rule and the same bits as the spectral path.
     """
     h = require_hermitian(h)
-    diag = np.diagonal(h)
-    if np.count_nonzero(h) == np.count_nonzero(diag):
+    if _is_diagonal(h):
+        diag = np.diagonal(h)
         return np.diag(np.where(diag.real < -SIGN_ZERO_TOL, -1.0, 1.0)).astype(np.complex128)
-    spec = hermitian_eig(h)
+    spec = _eigh(h)
     signs = np.where(spec.eigenvalues < -SIGN_ZERO_TOL, -1.0, 1.0)
     v = spec.eigenvectors
     out = (v * signs) @ v.conj().T
@@ -146,7 +168,7 @@ def rho_norm(a, q: int, rho) -> float | np.ndarray:
         val = np.einsum("ij,jk,ki->", a, a, rho).real
         return float(np.sqrt(max(val, 0.0)))
     if q == 1:
-        spec = hermitian_eig(a, stack=stack)
+        spec = _eigh(a)
         v = spec.eigenvectors
         # weights[i] = <v_i| rho |v_i>, through one matrix product
         weights = (v.conj() * (rho @ v)).sum(axis=-2).real

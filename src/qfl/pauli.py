@@ -13,7 +13,10 @@ The traces of an operator m against all strings form its Pauli spectrum
 ``tr(sigma^s m) = i^{n_Y} S[x, z]``: row x is the Walsh-Hadamard transform
 (:func:`walsh_hadamard`) of the x-diagonal ``m[j, j ^ x]``, O(d 2^d) for all
 ``2^d`` strings of that row, and :func:`spectral_traces` reads many strings
-off the rows they share.
+off the rows they share.  A diagonal operator, such as a classical embedding
+or a state of a classical source, has one nonzero row, x = 0: its spectrum
+is the transform of its diagonal, and every string that flips a bit has
+trace zero.
 
 Bit convention: qubit ``j`` (0-based, leftmost symbol) is the most significant
 bit of a basis index, matching the ``numpy.kron`` composition order used by
@@ -31,7 +34,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .operators import MAX_QUBITS
+from .operators import MAX_QUBITS, _is_diagonal
 
 COEFFICIENT_IMAG_TOL = 1e-8
 # Most entries gathered at once by spectral_traces and synthesize.
@@ -161,9 +164,18 @@ def spectral_traces(m: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray) 
     Only the spectrum rows the strings use are computed, each one O(d 2^d)
     Walsh-Hadamard transform of an x-diagonal of m however many strings read
     it, in blocks of at most ``TRACE_BLOCK`` entries; a block keeps only the
-    entries its strings name, so no ``4^d`` array is formed.
+    entries its strings name, so no ``4^d`` array is formed.  A diagonal m
+    (no nonzero entry off the diagonal) transforms row 0 alone: every other
+    string's trace is an exact zero.
     """
     n = m.shape[0]
+    if _is_diagonal(m):
+        # every x-diagonal but the main one is zero, and so is its spectrum row
+        out = np.zeros(len(x), dtype=np.complex128)
+        main = np.flatnonzero(x == 0)
+        if main.size:
+            out[main] = walsh_hadamard(np.diagonal(m).copy())[z[main]]
+        return _I_POWERS[k] * out
     j = np.arange(n)
     flat = m.ravel()
     rows, slot = np.unique(x, return_inverse=True)

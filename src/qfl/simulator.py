@@ -10,6 +10,12 @@ source exposes as a dense operator.
 Samples are two int8 arrays, ``(bases, labels)``: the base picks ``rho0`` or
 ``rho1`` and the label differs from it only under label flips.
 
+A realizable source takes its states from a +-1 operator F.  When F is
+diagonal, as for a classical labeling, every check and split runs on its
+``2^d`` diagonal and only the two states are dense; they are diagonal too,
+so their Pauli spectra (and the labeling operator's) are one transformed
+row, x = 0.
+
 Measurements are simulated exactly.  A batch of mutually commuting strings
 reduces over GF(2), in its symplectic ``(x|z)`` form, to r <= d independent
 generators; every other string is a signed product of earlier generators.
@@ -61,9 +67,10 @@ import numpy as np
 
 from .operators import (
     MAX_QUBITS,
+    _check_hermitian,
+    _is_diagonal,
     as_operator,
     maximally_mixed,
-    require_hermitian,
     validate_density,
 )
 from .pauli import (
@@ -230,8 +237,11 @@ class SampleSource:
 
 
 def _mixture_is_maximally_mixed(p0: float, rho0: np.ndarray, rho1: np.ndarray, d: int) -> bool:
+    """Whether ``p0 rho0 + (1 - p0) rho1`` is ``I / 2^d`` to ``MARGINAL_TOL``;
+    the states are dense, or the diagonals of two diagonal states."""
     mix = p0 * rho0 + (1.0 - p0) * rho1
-    return bool(np.abs(mix - maximally_mixed(d)).max() <= MARGINAL_TOL)
+    target = maximally_mixed(d) if mix.ndim == 2 else 1.0 / (1 << d)
+    return bool(np.abs(mix - target).max() <= MARGINAL_TOL)
 
 
 def make_realizable_source(f_op) -> SampleSource:
@@ -243,45 +253,52 @@ def make_realizable_source(f_op) -> SampleSource:
     ``n_- = 2^d - n_+`` are the eigenspaces' dimensions.  This makes the
     feature marginal maximally mixed and the optimal loss zero.  An operator
     with an empty eigenspace yields a degenerate source with the label
-    probability pinned to 0 or 1.  ``F^2 = I`` is checked entrywise for a
-    diagonal operator (no nonzero entry off the diagonal), such as a
-    classical embedding, and by a dense product otherwise.
+    probability pinned to 0 or 1.  A diagonal operator (no nonzero entry off
+    the diagonal), such as a classical embedding, is checked (Hermitian,
+    ``F^2 = I``, the trace), split and tested for a maximally mixed marginal
+    on its ``2^d`` diagonal, and only the two states are formed as dense
+    matrices, with the same bytes as the dense construction; any other
+    operator is checked with one dense product for ``F^2 = I``.
     """
-    f_op = require_hermitian(f_op)
+    f_op = as_operator(f_op)
     n = f_op.shape[0]
+    diagonal = _is_diagonal(f_op)
+    f = np.diagonal(f_op) if diagonal else f_op
+    # as n blocks of 1 x 1, a diagonal has the Hermitian defect of its matrix
+    _check_hermitian(f[:, None, None] if diagonal else f)
     d = n.bit_length() - 1
     if 1 << d != n:
         raise ValueError(f"operator dimension {n} is not a power of two")
-    eye = np.eye(n, dtype=np.complex128)
-    diag = np.diagonal(f_op)
-    if np.count_nonzero(f_op) == np.count_nonzero(diag):
-        defect = float(np.abs(diag * diag - 1.0).max())
-    else:
-        defect = float(np.abs(f_op @ f_op - eye).max())
+    # the identity, as a matrix or as a diagonal
+    one = np.ones(n, dtype=np.complex128) if diagonal else np.eye(n, dtype=np.complex128)
+    defect = float(np.abs((f * f if diagonal else f @ f) - one).max())
     if defect > SIGN_OPERATOR_TOL:
         raise ValueError(
             f"not a +-1 operator: max |F^2 - I| = {defect:.3e} > {SIGN_OPERATOR_TOL:.1e}"
         )
     # tr F = n_+ - n_-, to within the tolerance on each of the n eigenvalues
-    half_plus = (n + float(diag.real.sum())) / 2.0
+    half_plus = (n + float(np.diagonal(f_op).real.sum())) / 2.0
     n_plus = round(half_plus)
     if abs(half_plus - n_plus) > n * SIGN_OPERATOR_TOL:
         raise ValueError(
             f"not a +-1 operator: (2^d + tr F)/2 = {half_plus!r} is not an eigenspace dimension"
         )
     n_minus = n - n_plus
-    rho0 = (eye - f_op) / (2 * n_minus) if n_minus else maximally_mixed(d)
-    rho1 = (eye + f_op) / (2 * n_plus) if n_plus else maximally_mixed(d)
+    # an empty side gets the maximally mixed state I / 2^d
+    rho0 = (one - f) / (2 * n_minus) if n_minus else one / n
+    rho1 = (one + f) / (2 * n_plus) if n_plus else one / n
     p1 = n_plus / n
-    degenerate = n_plus == 0 or n_minus == 0
+    maximally = _mixture_is_maximally_mixed(1.0 - p1, rho0, rho1, d)
+    if diagonal:
+        rho0, rho1 = np.diag(rho0), np.diag(rho1)
     return SampleSource(
         kind="realizable",
         d=d,
         p0=1.0 - p1,
         rho0=rho0,
         rho1=rho1,
-        maximally_mixed=_mixture_is_maximally_mixed(1.0 - p1, rho0, rho1, d),
-        degenerate=degenerate,
+        maximally_mixed=maximally,
+        degenerate=n_plus == 0 or n_minus == 0,
     )
 
 

@@ -10,11 +10,12 @@ post-measurement collapse, the joint-law sampler that walked every string
 of a batch through per-string outcome tables and averaged an outcome matrix
 (both on samples split into ``(state, label_sign, indices)`` groups), left
 and right Pauli application on dense matrices, the conditional states of a
-+-1 operator from its eigendecomposition, pairwise commutation, cover search
-that builds and canonicalizes a ``Cover`` per candidate, integer batch
-allocation by a heap started from one sample per subset, junta subset
-selection by one k-qubit block per subset and on dense 2^d operators, and
-the spectral sign of any Hermitian matrix, diagonal or not.
++-1 operator from its eigendecomposition, a realizable source checked and
+built on the dense operator however sparse it is, pairwise commutation,
+cover search that builds and canonicalizes a ``Cover`` per candidate,
+integer batch allocation by a heap started from one sample per subset, junta
+subset selection by one k-qubit block per subset and on dense 2^d operators,
+and the spectral sign of any Hermitian matrix, diagonal or not.
 
 It also holds two of the paper's closed forms that only tests evaluate: the
 cubic :func:`u_function` and :func:`popt_lower_bound`, the lower bound on the
@@ -44,7 +45,14 @@ from qfl.compatibility import (
     pauli_commute,
 )
 from qfl.learner import COORD_TIE_RTOL
-from qfl.operators import SIGN_ZERO_TOL, as_operator, hermitian_eig, maximally_mixed, rho_norm
+from qfl.operators import (
+    SIGN_ZERO_TOL,
+    as_operator,
+    hermitian_eig,
+    maximally_mixed,
+    require_hermitian,
+    rho_norm,
+)
 from qfl.pauli import (
     TRACE_BLOCK,
     _I_POWERS,
@@ -55,7 +63,10 @@ from qfl.pauli import (
     synthesize,
 )
 from qfl.simulator import (
+    MARGINAL_TOL,
     PROB_HARD_FLOOR,
+    SIGN_OPERATOR_TOL,
+    SampleSource,
     _checked_probability,
     _checked_reduction,
     _product_masks,
@@ -436,6 +447,39 @@ def eigh_realizable_states(f_op) -> tuple[np.ndarray, np.ndarray]:
     for u in (v[:, w <= 0], v[:, w > 0]):
         states.append(u @ u.conj().T / u.shape[1] if u.shape[1] else maximally_mixed(d))
     return states[0], states[1]
+
+
+def dense_realizable_source(f_op) -> SampleSource:
+    """:func:`qfl.simulator.make_realizable_source` computed on the dense
+    matrix for every operator: the Hermitian check, ``F^2 = I`` by one
+    product, ``n_+ = (2^d + tr F)/2``, the states ``(I -+ F)/(2 n_-+)`` (the
+    maximally mixed state for an empty side) and the test of the mixture
+    against ``I / 2^d``, each on ``2^d x 2^d`` matrices."""
+    f_op = require_hermitian(f_op)
+    n = f_op.shape[0]
+    d = n.bit_length() - 1
+    eye = np.eye(n, dtype=np.complex128)
+    defect = float(np.abs(f_op @ f_op - eye).max())
+    if defect > SIGN_OPERATOR_TOL:
+        raise ValueError(f"not a +-1 operator: max |F^2 - I| = {defect:.3e}")
+    half_plus = (n + float(np.diagonal(f_op).real.sum())) / 2.0
+    n_plus = round(half_plus)
+    if abs(half_plus - n_plus) > n * SIGN_OPERATOR_TOL:
+        raise ValueError(f"not a +-1 operator: {half_plus!r} is not an eigenspace dimension")
+    n_minus = n - n_plus
+    rho0 = (eye - f_op) / (2 * n_minus) if n_minus else maximally_mixed(d)
+    rho1 = (eye + f_op) / (2 * n_plus) if n_plus else maximally_mixed(d)
+    p0 = 1.0 - n_plus / n
+    mix = p0 * rho0 + (1.0 - p0) * rho1
+    return SampleSource(
+        kind="realizable",
+        d=d,
+        p0=p0,
+        rho0=rho0,
+        rho1=rho1,
+        maximally_mixed=bool(np.abs(mix - maximally_mixed(d)).max() <= MARGINAL_TOL),
+        degenerate=n_plus in (0, n),
+    )
 
 
 def u_function(x: float) -> float:

@@ -26,7 +26,7 @@ from qfl.learner import (
     qld_error_bound,
     qld_learn,
 )
-from qfl.operators import maximally_mixed, rho_norm, sign_operator, validate_povm
+from qfl.operators import maximally_mixed, sign_operator, validate_povm
 from qfl.pauli import (
     DegreeSet,
     FourierTable,
@@ -282,6 +282,33 @@ class TestBuildPredictor:
 
     def test_empty_table_is_degenerate_identity(self):
         predictor = build_predictor(FourierTable(2, {}), degree_set_upto(2, 1))
+        assert predictor.degenerate
+        assert np.array_equal(predictor.g_op, np.eye(4))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_zero_coefficients_change_no_bit(self, d):
+        # +-0.0 entries among random ones, on every kind of string, and the
+        # exact table of a parity (one nonzero coefficient, zeros of both
+        # signs on the other strings): the same g_op bytes as the table
+        # without them and as the sign of the synthesis that adds them
+        rng = np.random.default_rng(30 + d)
+        strings = degree_set_upto(d, min(d, 2))
+        values = rng.normal(size=len(strings))
+        values[rng.random(len(strings)) < 0.6] = 0.0
+        values[rng.random(len(strings)) < 0.2] = -0.0
+        parity = make_classical_source([bin(j & 3).count("1") % 2 for j in range(1 << d)])
+        for table in (FourierTable(d, dict(zip(strings, values.tolist()))), parity.exact_table(strings)):
+            assert any(c == 0.0 for c in table.coefficients.values())
+            nonzero = FourierTable(d, {s: c for s, c in table.coefficients.items() if c != 0.0})
+            got = build_predictor(table, strings)
+            assert not got.degenerate
+            assert got.g_op.tobytes() == build_predictor(nonzero, strings).g_op.tobytes()
+            assert got.g_op.tobytes() == sign_operator(synthesize(table)).tobytes()
+
+    def test_all_zero_table_is_degenerate_identity(self):
+        strings = degree_set_upto(2, 1)
+        table = FourierTable(2, {s: (-0.0 if i % 2 else 0.0) for i, s in enumerate(strings)})
+        predictor = build_predictor(table, strings)
         assert predictor.degenerate
         assert np.array_equal(predictor.g_op, np.eye(4))
 

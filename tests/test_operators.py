@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfl import operators
 from qfl.operators import (
+    _is_diagonal,
     hermitian_eig,
     maximally_mixed,
     partial_trace_label,
@@ -128,6 +130,48 @@ class TestSign:
             sign_operator(np.diag([1.0 + 1e-3j, -1.0]))
         with pytest.raises(ValueError, match="square"):
             sign_operator(np.ones(3))
+
+    def test_dense_input_is_checked_once(self, monkeypatch):
+        # one Hermitian check per sign, and the same bits as before
+        rng = np.random.default_rng(63)
+        h = random_hermitian(rng, 16)
+        want = spectral_sign(h)
+        calls = []
+        real = operators.hermiticity_defect
+        monkeypatch.setattr(operators, "hermiticity_defect", lambda a: calls.append(a.shape) or real(a))
+        self.assert_same_bits(sign_operator(h), want)
+        assert calls == [(16, 16)]
+        hermitian_eig(h)
+        assert len(calls) == 2
+        with pytest.raises(ValueError, match="Hermitian"):
+            sign_operator(h + 1e-6 * np.triu(np.ones((16, 16)), 1))
+
+
+class TestIsDiagonal:
+    def test_cases(self):
+        assert _is_diagonal(np.eye(1))
+        assert _is_diagonal(np.diag([1.0, 0.0, -2.0, 3j]))
+        assert _is_diagonal(np.zeros((4, 4)))
+        negative_zeros = np.full((4, 4), complex(-0.0, -0.0))
+        assert _is_diagonal(negative_zeros)
+        for i, j in [(0, 1), (0, 3), (1, 0), (3, 2), (2, 3), (3, 0)]:
+            for value in (1e-300, 1j, np.nan, -np.inf):
+                m = np.eye(4, dtype=complex)
+                m[i, j] = value
+                assert not _is_diagonal(m), (i, j, value)
+
+    def test_first_row_answers_without_a_pass(self):
+        # a nonzero entry in row 0 decides before the matrix is read whole
+        class FirstRowOnly(np.ndarray):
+            def ravel(self, *args, **kwargs):
+                raise AssertionError("read the whole matrix")
+
+        m = np.eye(64, dtype=complex)
+        m[0, 5] = 0.5
+        assert not _is_diagonal(m.view(FirstRowOnly))
+        m[0, 5] = 0.0
+        with pytest.raises(AssertionError, match="whole matrix"):
+            _is_diagonal(m.view(FirstRowOnly))
 
 
 class TestInnerProduct:

@@ -1,7 +1,5 @@
 """Pauli strings, the operator expansion, degree sets, and classical embedding."""
 
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +265,47 @@ class TestKernel:
         monkeypatch.setattr(pauli_module, "TRACE_BLOCK", block)
         assert spectral_traces(m, x, z, k).tobytes() == want
         assert spectral_traces(m, x[:0], z[:0], k[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("block", [1 << 18, 24])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_diagonal_spectrum_is_row_zero(self, d, block, monkeypatch):
+        # a diagonal operator transforms row x = 0 alone and writes exact
+        # zeros elsewhere: equal (np.array_equal, which lets only the sign of
+        # a zero differ) to the full transform the dense path runs, and to the
+        # per-string oracle where every trace sum is exact (+-1 and dyadic
+        # diagonals); a random diagonal sums in another order there
+        import qfl.pauli as pauli_module
+
+        monkeypatch.setattr(pauli_module, "TRACE_BLOCK", block)
+        rng = np.random.default_rng(140 + d)
+        n = 1 << d
+        if d <= 4:
+            strings = full_degree_set(d)
+        else:
+            strings = {random_string(rng, d) for _ in range(300)} | set(degree_set_classical_upto(d, 2))
+        x, z, k = pauli_masks(strings)
+        dyadic = rng.integers(-8, 9, size=(2, n)) / 4
+        negative_zeros = np.full((n, n), complex(-0.0, -0.0))
+        np.fill_diagonal(negative_zeros, dyadic[0])
+        exact = [
+            np.diag(rng.choice([-1.0, 1.0], size=n)).astype(complex),
+            np.diag(dyadic[0]).astype(complex),
+            np.diag(dyadic[0] + 1j * dyadic[1]),
+            negative_zeros,
+        ]
+        rounded = [np.diag(rng.normal(size=n)), np.diag(rng.normal(size=n) + 1j * rng.normal(size=n))]
+        for m in exact + rounded:
+            got = spectral_traces(m, x, z, k)
+            assert got.dtype == np.complex128 and got.shape == x.shape
+            assert np.array_equal(got[x != 0], np.zeros(np.count_nonzero(x)))
+            with monkeypatch.context() as dense:
+                dense.setattr(pauli_module, "_is_diagonal", lambda m: False)
+                assert np.array_equal(got, spectral_traces(m, x, z, k))
+            want = pauli_traces(m, x, z, k)
+            if any(m is e for e in exact):
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-12 * n
 
     def test_walsh_hadamard(self):
         rng = np.random.default_rng(48)

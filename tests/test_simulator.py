@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfl import learner
-from qfl.compatibility import Cover, best_cover
+from qfl.compatibility import best_cover
 from qfl.operators import maximally_mixed, partial_trace_label, validate_povm
 from qfl.pauli import (
     DegreeSet,
@@ -22,9 +22,9 @@ from qfl.pauli import (
     degree_set_upto,
     fourier_coefficient,
     pauli_matrix,
-    synthesize,
 )
 from qfl.simulator import (
+    SIGN_OPERATOR_TOL,
     RandomStreams,
     _checked_reduction,
     _reduce_batch,
@@ -52,6 +52,7 @@ from conftest import (
 )
 from oracles import (
     collapse_measure_batch_groups,
+    dense_realizable_source,
     eigh_realizable_states,
     joint_law,
     measure,
@@ -755,6 +756,34 @@ class TestRealizableDiagonal:
                 assert source.degenerate == (len(set(table)) == 1)
                 assert source.p0 == 1.0 - sum(table) / len(table)
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_diagonal_path_matches_dense_construction(self, d):
+        # byte for byte against the construction on the dense matrix: truth
+        # tables (constant ones included), diagonals within the tolerances
+        # of +-1 (entries off by up to 4e-9 and imaginary parts of 2e-11),
+        # and a diagonal whose off-diagonal entries are all -0.0
+        rng = np.random.default_rng(170 + d)
+        n = 1 << d
+        signs = [np.full(n, -1.0), np.ones(n)]
+        signs += [np.where(rng.random(n) < q, 1.0, -1.0) for q in (0.02, 0.5, 0.98)]
+        cases = [classical_embedding((s > 0).astype(int)) for s in signs]
+        for s in signs[1:4]:
+            near = s * (1.0 + rng.uniform(-4e-9, 4e-9, size=n)) + 2e-11j * rng.uniform(-1, 1, size=n)
+            cases.append(np.diag(near))
+        negative_zeros = np.full((n, n), complex(-0.0, -0.0))
+        np.fill_diagonal(negative_zeros, signs[2])
+        cases.append(negative_zeros)
+        for f_op in cases:
+            got, want = make_realizable_source(f_op), dense_realizable_source(f_op)
+            assert got.rho0.tobytes() == want.rho0.tobytes()
+            assert got.rho1.tobytes() == want.rho1.tobytes()
+            for name in ("kind", "d", "p0", "maximally_mixed", "degenerate"):
+                assert getattr(got, name) == getattr(want, name), name
+        classical = make_classical_source((signs[2] > 0).astype(int))
+        want = dense_realizable_source(classical_embedding((signs[2] > 0).astype(int)))
+        assert classical.kind == "classical"
+        assert (classical.rho0.tobytes(), classical.rho1.tobytes()) == (want.rho0.tobytes(), want.rho1.tobytes())
+
     def test_checks_still_run(self):
         with pytest.raises(ValueError, match=r"\+-1 operator"):
             make_realizable_source(np.diag([1.0, -1.0, 1.0, 0.5]))
@@ -764,6 +793,43 @@ class TestRealizableDiagonal:
             make_realizable_source(np.diag([1.0, 1j]))
         with pytest.raises(ValueError, match=r"\+-1 operator"):
             make_realizable_source(0.9 * pauli_matrix(P("1")))
+
+    def test_diagonal_checks_match_dense_ones(self):
+        # each error a diagonal F can raise, with the dense construction's
+        # message and, where the oracle words it alike, its value
+        bad = {
+            "Hermitian": np.diag([1.0, -1.0 + 1e-9j]),
+            r"max \|F\^2 - I\| = 1\.000e-06": np.diag([1.0, -1.0, 1.0, 1.0 + 5e-7]),
+            "non-finite": np.diag([1.0, np.nan]),
+            "power of two": np.diag([1.0, -1.0, 1.0]),
+        }
+        for match, f_op in bad.items():
+            with pytest.raises(ValueError, match=match):
+                make_realizable_source(f_op)
+            if match != "power of two":
+                with pytest.raises(ValueError):
+                    dense_realizable_source(f_op)
+        # a non-diagonal Hermitian reaches the dense checks, also when its
+        # first row is diagonal
+        f_op = np.kron(np.eye(2), pauli_matrix(P("1")))
+        f_op[0, 1] = f_op[1, 0] = 0.0
+        with pytest.raises(ValueError, match=r"\+-1 operator"):
+            make_realizable_source(f_op)
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_diagonal_at_the_tolerance_keeps_its_eigenspace_dimension(self, d):
+        # the (2^d + tr F)/2 check cannot fire on a diagonal F: the entrywise
+        # F^2 check keeps each entry within SIGN_OPERATOR_TOL / 2 of +-1, so
+        # (2^d + tr F)/2 is within 2^d * SIGN_OPERATOR_TOL / 4 of n_+; at the
+        # edge of that tolerance n_+ is still the count of +1 entries
+        n = 1 << d
+        signs = np.where(np.random.default_rng(180 + d).random(n) < 0.5, 1.0, -1.0)
+        for shift in (4.9e-9, -4.9e-9):
+            f = signs * (1.0 + shift)
+            assert np.abs(f * f - 1.0).max() <= SIGN_OPERATOR_TOL
+            source = make_realizable_source(np.diag(f))
+            assert source.p0 == 1.0 - np.count_nonzero(signs > 0) / n
+            assert source.rho0.tobytes() == dense_realizable_source(np.diag(f)).rho0.tobytes()
 
 
 class TestRealizableStates:
