@@ -1,6 +1,6 @@
 """Compare two ``results.csv`` files column by column.
 
-    python3 scripts/golden_diff.py old/results.csv new/results.csv [--tol 1e-12]
+    python3 scripts/golden_diff.py old/results.csv new/results.csv
 
 Both files must have the same header and the same number of rows, and rows
 are compared in order.  A column is a float column when every nonempty cell
@@ -9,8 +9,8 @@ literal; every other column (cover sizes, plans, seeds, ``chosen_coords``,
 ``degenerate``, integer fields and text) is discrete and must be equal cell
 for cell, and so must the empty cells of a float column.  For each float
 column the script prints the largest absolute and relative difference over
-its rows.  It exits 0 when the discrete columns are equal and every float
-column agrees within ``--tol`` (absolute), else 1.
+its rows.  It exits 0 when the discrete columns are equal and no float
+column differs by more than ``TOL`` (absolute), else 1.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-DEFAULT_TOL = 1e-12
+# the largest absolute difference a float column may show and still agree
+TOL = 1e-12
 
 
 @dataclass
@@ -34,8 +35,8 @@ class Comparison:
     # (column, row, old cell, new cell) of every discrete cell that differs
     mismatches: list[tuple[str, int, str, str]] = field(default_factory=list)
 
-    def agrees(self, tol: float = DEFAULT_TOL) -> bool:
-        return not self.mismatches and all(a <= tol for a, _ in self.floats.values())
+    def agrees(self) -> bool:
+        return not self.mismatches and all(a <= TOL for a, _ in self.floats.values())
 
 
 def _read(path) -> tuple[list[str], list[list[str]]]:
@@ -106,8 +107,6 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("old", type=Path)
     p.add_argument("new", type=Path)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help="largest absolute difference a float column may show")
     args = p.parse_args(argv)
     result = compare(args.old, args.new)
     for name, i, a, b in result.mismatches:
@@ -115,9 +114,9 @@ def main(argv=None) -> int:
     width = max((len(name) for name in result.floats), default=0)
     for name, (absolute, relative) in result.floats.items():
         print(f"float {name:<{width}}  max_abs {absolute:.3e}  max_rel {relative:.3e}")
-    agrees = result.agrees(args.tol)
+    agrees = result.agrees()
     print(f"{'agree' if agrees else 'DIFFER'}: {len(result.mismatches)} discrete mismatches, "
-          f"float tolerance {args.tol:g}")
+          f"float tolerance {TOL:g}")
     return 0 if agrees else 1
 
 

@@ -237,11 +237,8 @@ class SampleSource:
 
 
 def _mixture_is_maximally_mixed(p0: float, rho0: np.ndarray, rho1: np.ndarray, d: int) -> bool:
-    """Whether ``p0 rho0 + (1 - p0) rho1`` is ``I / 2^d`` to ``MARGINAL_TOL``;
-    the states are dense, or the diagonals of two diagonal states."""
     mix = p0 * rho0 + (1.0 - p0) * rho1
-    target = maximally_mixed(d) if mix.ndim == 2 else 1.0 / (1 << d)
-    return bool(np.abs(mix - target).max() <= MARGINAL_TOL)
+    return bool(np.abs(mix - maximally_mixed(d)).max() <= MARGINAL_TOL)
 
 
 def make_realizable_source(f_op) -> SampleSource:
@@ -263,15 +260,21 @@ def make_realizable_source(f_op) -> SampleSource:
     f_op = as_operator(f_op)
     n = f_op.shape[0]
     diagonal = _is_diagonal(f_op)
-    f = np.diagonal(f_op) if diagonal else f_op
-    # as n blocks of 1 x 1, a diagonal has the Hermitian defect of its matrix
-    _check_hermitian(f[:, None, None] if diagonal else f)
+    # F and the identity as matrices, or for a diagonal F as their diagonals
+    if diagonal:
+        f, one = np.diagonal(f_op), np.ones(n, dtype=np.complex128)
+        # as n blocks of 1 x 1, a diagonal has the Hermitian defect of its matrix
+        _check_hermitian(f[:, None, None])
+        square = f * f
+    else:
+        f, one = _check_hermitian(f_op), np.eye(n, dtype=np.complex128)
+        square = f @ f
     d = n.bit_length() - 1
+    if d < 1:
+        raise ValueError("d must be >= 1")
     if 1 << d != n:
         raise ValueError(f"operator dimension {n} is not a power of two")
-    # the identity, as a matrix or as a diagonal
-    one = np.ones(n, dtype=np.complex128) if diagonal else np.eye(n, dtype=np.complex128)
-    defect = float(np.abs((f * f if diagonal else f @ f) - one).max())
+    defect = float(np.abs(square - one).max())
     if defect > SIGN_OPERATOR_TOL:
         raise ValueError(
             f"not a +-1 operator: max |F^2 - I| = {defect:.3e} > {SIGN_OPERATOR_TOL:.1e}"
@@ -284,17 +287,17 @@ def make_realizable_source(f_op) -> SampleSource:
             f"not a +-1 operator: (2^d + tr F)/2 = {half_plus!r} is not an eigenspace dimension"
         )
     n_minus = n - n_plus
+    p0 = 1.0 - n_plus / n
     # an empty side gets the maximally mixed state I / 2^d
     rho0 = (one - f) / (2 * n_minus) if n_minus else one / n
     rho1 = (one + f) / (2 * n_plus) if n_plus else one / n
-    p1 = n_plus / n
-    maximally = _mixture_is_maximally_mixed(1.0 - p1, rho0, rho1, d)
+    maximally = bool(np.abs(p0 * rho0 + (1.0 - p0) * rho1 - one / n).max() <= MARGINAL_TOL)
     if diagonal:
         rho0, rho1 = np.diag(rho0), np.diag(rho1)
     return SampleSource(
         kind="realizable",
         d=d,
-        p0=1.0 - p1,
+        p0=p0,
         rho0=rho0,
         rho1=rho1,
         maximally_mixed=maximally,

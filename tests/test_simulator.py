@@ -797,13 +797,15 @@ class TestRealizableDiagonal:
     def test_diagonal_checks_match_dense_ones(self):
         # each error a diagonal F can raise, with the dense construction's
         # message and, where the oracle words it alike, its value
-        bad = {
-            "Hermitian": np.diag([1.0, -1.0 + 1e-9j]),
-            r"max \|F\^2 - I\| = 1\.000e-06": np.diag([1.0, -1.0, 1.0, 1.0 + 5e-7]),
-            "non-finite": np.diag([1.0, np.nan]),
-            "power of two": np.diag([1.0, -1.0, 1.0]),
-        }
-        for match, f_op in bad.items():
+        bad = [
+            ("Hermitian", np.diag([1.0, -1.0 + 1e-9j])),
+            (r"max \|F\^2 - I\| = 1\.000e-06", np.diag([1.0, -1.0, 1.0, 1.0 + 5e-7])),
+            ("non-finite", np.diag([1.0, np.nan])),
+            ("power of two", np.diag([1.0, -1.0, 1.0])),
+            ("d must be >= 1", np.array([[1.0]])),
+            ("d must be >= 1", np.array([[-1.0]])),
+        ]
+        for match, f_op in bad:
             with pytest.raises(ValueError, match=match):
                 make_realizable_source(f_op)
             if match != "power of two":
