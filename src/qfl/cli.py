@@ -9,7 +9,7 @@ Subcommands:
   cover found for a degree set together with its score.
 
 Exit codes: 0 success, 1 failed verification, 2 configuration error,
-3 runtime error.  ``QFL_THREADS`` caps the run worker pool.
+3 runtime error.
 """
 
 from __future__ import annotations

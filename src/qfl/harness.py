@@ -12,10 +12,11 @@ cover and plan depend only on the measurement class (d, k or the strings, n,
 delta and the cover strategy), so they are searched once per class and shared
 by every point and source of that class (an eta sweep searches its cover
 once); each source pays once for the work on its states.  Bad input,
-including a non-integer ``QFL_THREADS``, a cover strategy that cannot search
-the degree set, or a budget ``n`` below the number of cover subsets, raises
-:class:`ConfigError` then; the output directory is created only after every
-run has returned, so a failed run leaves no output.
+including a cover strategy that cannot search the degree set or a budget
+``n`` below the number of cover subsets, raises :class:`ConfigError` then.
+The runs then go one after another, point by point and seed by seed; the
+output directory is created only after the last one has returned, so a
+failed run leaves no output.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ import csv
 import io
 import json
 import math
-import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -326,9 +325,8 @@ def run_config(
 
     Raises ConfigError on bad input before any run starts, and creates the
     output directory only after every run has returned, so a failure leaves
-    no output.  The worker pool width is capped by the ``QFL_THREADS``
-    environment variable (default 1); scheduling never affects the output
-    bytes because every run derives all randomness from its own seed.
+    no output.  Runs go point by point, then seed by seed, the order of the
+    CSV rows; every run derives all randomness from its own seed.
     """
     config = ExperimentConfig.from_file(config_path)
     seeds = _checked_seeds(seed_override) if seed_override else config.seeds
@@ -358,27 +356,17 @@ def run_config(
             resolved.append((source, degree_set))
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc)) from exc
-    try:
-        threads = max(1, int(os.environ.get("QFL_THREADS", "1")))
-    except ValueError as exc:
-        raise ConfigError(f"QFL_THREADS must be an integer: {exc}") from exc
-
-    tasks = [(pi, si) for pi in range(len(points)) for si in range(len(seeds))]
-    rows: dict[tuple[int, int], dict] = {}
-    timings: dict[tuple[int, int], float] = {}
-
-    def work(task):
-        pi, si = task
-        t0 = time.perf_counter()
-        row = _run_one(config, points[pi], *resolved[pi], seeds[si])
-        wall = (time.perf_counter() - t0) * 1000.0
-        row["point"] = pi
-        return task, row, wall
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for task, row, wall in pool.map(work, tasks):
-            rows[task] = row
-            timings[task] = wall
+    rows: list[dict] = []
+    point_wall_ms: list[float] = []
+    for pi, params in enumerate(points):
+        wall_ms = 0.0
+        for seed in seeds:
+            t0 = time.perf_counter()
+            row = _run_one(config, params, *resolved[pi], seed)
+            wall_ms += (time.perf_counter() - t0) * 1000.0
+            row["point"] = pi
+            rows.append(row)
+        point_wall_ms.append(wall_ms)
 
     target = (Path(out_dir) if out_dir is not None else config.base_dir) / config.out
     target.mkdir(parents=True, exist_ok=True)
@@ -386,8 +374,8 @@ def run_config(
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for task in tasks:
-        writer.writerow({k: _fmt(v) for k, v in rows[task].items()})
+    for row in rows:
+        writer.writerow({k: _fmt(v) for k, v in row.items()})
     csv_path.write_text(buffer.getvalue(), encoding="utf-8")
 
     summary = {
@@ -396,10 +384,10 @@ def run_config(
         "algorithm": config.algorithm,
         "seeds": list(seeds),
         "points": [],
-        "total_wall_ms": sum(timings.values()),
+        "total_wall_ms": sum(point_wall_ms),
     }
     for pi, params in enumerate(points):
-        point_rows = [rows[(pi, si)] for si in range(len(seeds))]
+        point_rows = rows[pi * len(seeds):(pi + 1) * len(seeds)]
         bound_checked = [
             r for r in point_rows if r["bound_measured"] is not None and r["exact_loss"] is not None
         ]
@@ -409,7 +397,7 @@ def run_config(
             "params": params,
             "runs": len(point_rows),
             "bound_fraction_met": (len(met) / len(bound_checked)) if bound_checked else None,
-            "wall_ms": sum(timings[(pi, si)] for si in range(len(seeds))),
+            "wall_ms": point_wall_ms[pi],
         }
         for key in ("exact_loss", "empirical_loss", "optimal_exact_loss", "beta_measured"):
             entry[key] = _mean_std([r[key] for r in point_rows if r[key] is not None])

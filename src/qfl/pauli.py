@@ -59,8 +59,10 @@ class PauliString:
     x_mask: int = field(init=False, compare=False, repr=False)
     z_mask: int = field(init=False, compare=False, repr=False)
     y_count: int = field(init=False, compare=False, repr=False)
-    # strings key every memo lookup, so the hash is taken once
+    # strings key every memo lookup, so the hash is taken once; text formats
+    # print every string of a table, so its text is built once too
     _hash: int = field(init=False, compare=False, repr=False)
+    _text: str = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         symbols = tuple(int(v) for v in self.symbols)
@@ -84,6 +86,7 @@ class PauliString:
         object.__setattr__(self, "z_mask", z_mask)
         object.__setattr__(self, "y_count", y_count)
         object.__setattr__(self, "_hash", hash((symbols,)))
+        object.__setattr__(self, "_text", "".join(map(str, symbols)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -119,7 +122,7 @@ class PauliString:
         return PauliString(self.symbols + (symbol,))
 
     def __str__(self) -> str:
-        return "".join(str(s) for s in self.symbols)
+        return self._text
 
 
 def _parity(v: np.ndarray) -> np.ndarray:

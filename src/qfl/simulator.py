@@ -194,7 +194,7 @@ class SampleSource:
         plan, batch reductions and their eigenvalue tables) is cached per
         class, outside the source.  A build that raises stores nothing, so
         its checks run again on the next call.  Builds hold a per-source
-        lock, so concurrent runs build each key once.  Prepared batches are
+        lock, so concurrent callers build each key once.  Prepared batches are
         stored by :meth:`_prepared_batches`, several at once, under the
         same lock.
         """

@@ -1,11 +1,13 @@
 """Experiment configs, the runner's output files, and the command line."""
 
 import collections
+import csv
 import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -131,6 +133,22 @@ class TestRunConfig:
             monkeypatch.setenv("QFL_THREADS", "3")
             pooled, _ = run_config(config, out_dir=tmp_path / "pooled")
             assert serial.read_bytes() == pooled.read_bytes()
+
+    def test_runs_in_one_serial_loop(self, tmp_path, monkeypatch):
+        def no_threads(self):
+            raise AssertionError("run_config started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        config = write_d4_config(tmp_path, "algorithm = qld\nk = 2\nn = 3000, 4000\nseeds = 1, 2\n")
+        csv_path, json_path = run_config(config, out_dir=tmp_path)
+        with csv_path.open() as fh:
+            rows = list(csv.DictReader(fh))
+        # point-major, then by seed
+        assert [(r["point"], r["n"], r["seed"]) for r in rows] == [
+            ("0", "3000", "1"), ("0", "3000", "2"), ("1", "4000", "1"), ("1", "4000", "2"),
+        ]
+        summary = json.loads(json_path.read_text())
+        assert summary["total_wall_ms"] == sum(p["wall_ms"] for p in summary["points"])
 
     def test_point_searches_its_cover_once(self, tmp_path, monkeypatch):
         # n = 40 is below the 67 strings of the degree set, so the budget
@@ -337,13 +355,6 @@ class TestCli:
     )
     def test_config_mistake_exits_2_without_output(self, tmp_path, settings):
         config = write_d4_config(tmp_path, "seeds = 1\n" + settings)
-        out_dir = tmp_path / "results"
-        assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
-        assert not out_dir.exists()
-
-    def test_bad_thread_count_exits_2_without_output(self, tmp_path, monkeypatch):
-        config = write_parity_setup(tmp_path)
-        monkeypatch.setenv("QFL_THREADS", "abc")
         out_dir = tmp_path / "results"
         assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
         assert not out_dir.exists()

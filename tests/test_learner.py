@@ -644,6 +644,15 @@ class TestQldLearn:
         assert sum(blob["plan"]) == blob["n"]
 
 
+def planted_pair_sign(rng, d, coords):
+    """The sign of a random 4x4 Hermitian acting on the two qubits
+    ``coords``, and the identity on the others."""
+    f = np.kron(sign_operator(random_hermitian(rng, 4)), np.eye(1 << (d - 2)))
+    order = [*coords, *(q for q in range(d) if q not in coords)]
+    inv = np.argsort(order).tolist()
+    return f.reshape([2] * (2 * d)).transpose(inv + [d + q for q in inv]).reshape(1 << d, 1 << d)
+
+
 class TestJuntaLearn:
     def test_recovers_planted_pair(self):
         source = make_parity_source(4, (0, 3))
@@ -687,6 +696,20 @@ class TestJuntaLearn:
         source = make_parity_source(4, (0, 2))
         _, report = junta_learn(source, 2, 20_000, 0.05, 21)
         assert report.exact_loss <= report.opt_value + 5 * math.sqrt(report.score) + 1e-8
+
+    @pytest.mark.parametrize("d", [4, 5, 6])
+    def test_measured_bound_holds_on_every_planted_run(self, d):
+        # planted pair (1, d - 1), operator seed 70 + d, learner seeds 1, 2, 3;
+        # the bound passes 1 at n = 2e4 and tells something only at 2e5
+        coords = (1, d - 1)
+        f = planted_pair_sign(np.random.default_rng(70 + d), d, coords)
+        for eta, source in ((0.0, make_realizable_source(f)), (0.1, make_noisy_source(f, 0.1))):
+            for n, seed in itertools.product((20_000, 200_000), (1, 2, 3)):
+                _, report = junta_learn(source, 2, n, 0.05, seed)
+                assert report.extra["opt_coords"] == coords
+                assert report.opt_value == pytest.approx(eta, abs=1e-12)
+                assert report.exact_loss <= report.bound_measured
+                assert n < 200_000 or report.bound_measured < 1.0
 
     def test_k_range(self):
         source = make_parity_source(2, (0, 1))

@@ -78,6 +78,16 @@ class TestPauliString:
         assert "_hash" not in repr(a)
         assert PauliString((0, 2, 1)) < a
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_text_is_built_once_from_the_symbols(self, d):
+        for s in full_degree_set(d).strings:
+            text = str(s)
+            assert text == "".join(map(str, s.symbols))
+            assert PauliString.from_digits(text) == s
+            assert str(s) is text
+        # the text is a field taken at construction, not compared or printed
+        assert "_text" not in repr(s)
+
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(symbols_strategy)
     def test_mask_round_trip(self, symbols):

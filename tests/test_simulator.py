@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from qfl import learner
 from qfl.compatibility import best_cover
@@ -19,6 +20,7 @@ from qfl.pauli import (
     FourierTable,
     PauliString,
     classical_embedding,
+    degree_set_classical_upto,
     degree_set_upto,
     fourier_coefficient,
     pauli_matrix,
@@ -415,6 +417,40 @@ class TestJointLawSampler:
             for g, s in enumerate(generators):
                 proj = proj @ (np.eye(1 << d) + (-1) ** (b >> g & 1) * pauli_matrix(s)) / 2
             assert abs(law[b] - np.trace(proj @ state).real) <= 1e-12
+
+    @pytest.mark.parametrize("batch", ["all-z", "largest-clique"])
+    def test_prefix_histogram_follows_the_law_at_rank_8(self, batch):
+        # the rank-8 all-Z batch, or the largest subset of the k=2 greedy
+        # cover, which mixes X and Y (37 strings each); state seed 8,
+        # sample seed 88, both labels
+        d, n, chunk = 8, 1_000_000, 100_000
+        if batch == "all-z":
+            batch = degree_set_classical_upto(d, 2)
+        else:
+            batch = max(k2_cliques(d), key=len)
+        reduction = _checked_reduction(batch)
+        assert reduction.rank == d
+        state = random_state(np.random.default_rng(8), 1 << d, 2)
+        expected = n * joint_law(state, reduction.generators)
+        prepared = prepare_batch(batch, (state,))
+        rng = RandomStreams(88).generator(0)
+        labels = rng.integers(0, 2, size=n).astype(np.int8)
+        observed = np.zeros(len(expected), dtype=np.int64)
+        # a sample's prefix depends on its own row only, so chunks keep the
+        # uniforms small
+        for lo in range(0, n, chunk):
+            samples = (np.zeros(chunk, dtype=np.int8), labels[lo:lo + chunk])
+            prefixes = measure_batch_groups(samples, prepared, rng.random((chunk, len(batch))))
+            observed += np.bincount(prefixes, minlength=len(expected))
+        assert observed.sum() == n
+        # cells expected under 5 times are pooled into one
+        small = expected < 5
+        cells_e = np.append(expected[~small], expected[small].sum())
+        cells_o = np.append(observed[~small], observed[small].sum())
+        if not small.any():
+            cells_e, cells_o = cells_e[:-1], cells_o[:-1]
+        stat = float(((cells_o - cells_e) ** 2 / cells_e).sum())
+        assert stat <= stats.chi2.ppf(1 - 1e-3, df=len(cells_e) - 1)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(st.integers(2, 4), st.integers(0, 10_000))
