@@ -102,7 +102,7 @@ def run_cell(learner_name: str, d: int) -> dict:
     for _ in range(PREPARE_REPEATS):
         fresh = source.with_flip_rate(source.flip_rate)
         start = time.perf_counter()
-        fresh._prepared_batches(report.cover.subsets)
+        fresh.prepared_batches(report.cover.subsets)
         prepare.append(time.perf_counter() - start)
 
     return {

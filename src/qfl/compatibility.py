@@ -17,11 +17,11 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .pauli import DegreeSet, PauliString, _parity, pauli_masks
+from .pauli import DegreeSet, PauliString, _parity
 
 EXHAUSTIVE_MAX_SIZE = 12
 GREEDY_RESTARTS = 32
@@ -42,10 +42,10 @@ def pauli_commute(s: PauliString, t: PauliString) -> bool:
     return a == b
 
 
-def commutation_matrix(strings: Sequence[PauliString]) -> np.ndarray:
-    """Boolean matrix of pairwise commutation, from the symplectic rule applied
-    to all pairs of masks at once."""
-    x, z, _ = pauli_masks(strings)
+def commutation_matrix(nodes: DegreeSet) -> np.ndarray:
+    """Boolean matrix of pairwise commutation of a degree set's strings, from
+    the symplectic rule applied to all pairs of its masks at once."""
+    x, z, _ = nodes.masks
     return _parity(x[:, None] & z[None, :]) == _parity(z[:, None] & x[None, :])
 
 
@@ -60,12 +60,8 @@ class Cover:
             raise ValueError("a cover needs at least one subset")
         if any(len(b) == 0 for b in self.subsets):
             raise ValueError("cover subsets must be nonempty")
-        seen: set[PauliString] = set()
-        for b in self.subsets:
-            for s in b:
-                if s in seen:
-                    raise ValueError(f"string {s} appears in more than one subset")
-                seen.add(s)
+        if len(self.covered) != sum(self.sizes()):
+            raise ValueError("a string appears in more than one subset")
 
     @property
     def m(self) -> int:
@@ -97,13 +93,13 @@ class Cover:
         return cls(tuple(subsets))
 
 
-def is_clique(subset: Iterable[PauliString]) -> bool:
-    return bool(commutation_matrix(list(subset)).all())
+def is_clique(subset: DegreeSet) -> bool:
+    return bool(commutation_matrix(subset).all())
 
 
 def check_cover(cover: Cover, nodes: DegreeSet) -> None:
     """Raise unless the cover partitions ``nodes`` into commuting cliques."""
-    if set(cover.covered) != set(nodes):
+    if cover.covered != nodes:
         raise ValueError("cover does not cover exactly the requested degree set")
     for b in cover.subsets:
         if not is_clique(b):
@@ -143,10 +139,10 @@ def singleton_cover(nodes: DegreeSet) -> Cover:
     return Cover(tuple(DegreeSet.of(nodes.d, [s]) for s in nodes))
 
 
-def _adjacency_masks(strings: Sequence[PauliString]) -> list[int]:
+def _adjacency_masks(nodes: DegreeSet) -> list[int]:
     """Commutation rows as integers: bit ``j`` of entry ``i`` is set when
     strings ``i`` and ``j`` commute."""
-    packed = np.packbits(commutation_matrix(strings), axis=1, bitorder="little")
+    packed = np.packbits(commutation_matrix(nodes), axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
@@ -232,7 +228,7 @@ def best_cover(nodes: DegreeSet, n: int, delta: float, strategy: str = "greedy")
     if len(nodes) == 0:
         raise ValueError("cannot cover an empty degree set")
     check_strategy(len(nodes), strategy)
-    adj = _adjacency_masks(nodes.strings)
+    adj = _adjacency_masks(nodes)
     if strategy == "exhaustive":
         candidates = _iter_clique_partitions(adj)
     else:

@@ -38,6 +38,7 @@ from .pauli import (
     FourierTable,
     PauliString,
     degree_set_upto,
+    degree_set_within,
     synthesize,
     synthesize_stack,
 )
@@ -118,11 +119,12 @@ def build_predictor(table: FourierTable, degree_set: DegreeSet) -> Predictor:
     entries that start at +0.0 and are never -0.0, so it changes no bit of
     ``g_op``.  A table with none is degenerate.
     """
-    kept = {s: c for s, c in table.coefficients.items() if c != 0.0 and s in degree_set}
-    if not kept:
-        n = 1 << degree_set.d
-        return Predictor(np.eye(n, dtype=np.complex128), degenerate=True)
-    f_hat = synthesize(FourierTable(degree_set.d, kept))
+    keep = table.values != 0.0
+    if table.degree_set != degree_set:
+        keep &= np.fromiter((s in degree_set for s in table.degree_set), bool, len(table))
+    if not keep.any():
+        return Predictor(np.eye(1 << degree_set.d, dtype=np.complex128), degenerate=True)
+    f_hat = synthesize(table if keep.all() else table.restricted(keep))
     return Predictor(sign_operator(f_hat))
 
 
@@ -174,11 +176,9 @@ def best_coords(table: FourierTable, k: int) -> tuple[float, tuple[int, ...]]:
     """
     if k == 0:
         return abs(table.get(PauliString.identity(table.d))), ()
-    subsets, position, gather = _subset_blocks(table.d, k)
-    # strings outside the degree set (support above k) land in the last slot
-    coeffs = np.zeros(len(position) + 1)
-    items = table.coefficients.items()
-    coeffs[[position.get(s.symbols, -1) for s, _ in items]] = [v for _, v in items]
+    subsets, gather = _subset_blocks(table.d, k)
+    upto = degree_set_upto(table.d, k)
+    coeffs = table.values if table.degree_set == upto else np.array([table.get(s) for s in upto])
     blocks = coeffs[gather]
     mm = maximally_mixed(k)
     chunk = max(1, TRACE_BLOCK >> 2 * k)
@@ -192,24 +192,18 @@ def best_coords(table: FourierTable, k: int) -> tuple[float, tuple[int, ...]]:
 
 
 @lru_cache(maxsize=16)
-def _subset_blocks(d: int, k: int) -> tuple[list[tuple[int, ...]], dict, np.ndarray]:
-    """The k-coordinate subsets in lexicographic order, the position of each
-    string of ``degree_set_upto(d, k)`` by its symbols, and the gather index:
-    row i lists the positions of the 4^k strings supported in subset i, in
-    the sorted order of their restrictions to it (the order of
-    ``full_degree_set(k)``).  Every caller shares them, so the index is
-    read-only."""
-    position = {s.symbols: i for i, s in enumerate(degree_set_upto(d, k))}
+def _subset_blocks(d: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The k-coordinate subsets in lexicographic order and the gather index:
+    row i lists the positions in ``degree_set_upto(d, k)`` of the 4^k strings
+    supported in subset i, in the sorted order of their restrictions to it
+    (the order of ``full_degree_set(k)``).  Every caller shares them, so the
+    index is read-only."""
+    index = degree_set_upto(d, k).index
     subsets = list(itertools.combinations(range(d), k))
-    gather = np.empty((len(subsets), 4**k), dtype=np.intp)
-    for i, coords in enumerate(subsets):
-        for t, fill in enumerate(itertools.product(range(4), repeat=k)):
-            symbols = [0] * d
-            for c, sym in zip(coords, fill):
-                symbols[c] = sym
-            gather[i, t] = position[tuple(symbols)]
+    # a string supported in C sorts among the others as its restriction to C
+    gather = np.array([[index[s] for s in degree_set_within(d, c)] for c in subsets], dtype=np.intp)
     gather.flags.writeable = False
-    return subsets, position, gather
+    return subsets, gather
 
 
 def opt_k(source: SampleSource, k: int) -> tuple[float, tuple[int, ...]]:
@@ -222,7 +216,7 @@ def opt_k(source: SampleSource, k: int) -> tuple[float, tuple[int, ...]]:
         raise ValueError("optimal junta loss requires a maximally mixed feature marginal")
     if not 0 <= k <= source.d:
         raise ValueError(f"need 0 <= k <= d, got k={k}")
-    norm, coords = source._memoized(
+    norm, coords = source.memoized(
         ("opt_k", k), lambda: best_coords(source.exact_table(degree_set_upto(source.d, k)), k)
     )
     return min(max(0.5 - 0.5 * norm, 0.0), 0.5), coords
@@ -259,20 +253,20 @@ def fourier_estimation(
         raise ValueError("cannot estimate from zero samples")
     if any(size < 1 for size in plan.sizes):
         raise ValueError("every batch needs at least one sample")
-    estimates: dict[PauliString, float] = {}
+    estimates = np.empty(len(cover.covered))
     pos = 0
-    prepared = source._prepared_batches(cover.subsets)
+    prepared = source.prepared_batches(cover.subsets)
     for subset, batch, size in zip(cover.subsets, prepared, plan.sizes):
         chunk = slice(pos, pos + size)
         pos += size
         means = _batch_means(batch, bases[chunk], labels[chunk], rng.random((size, len(subset))))
-        estimates.update(zip(subset, means))
-    return FourierTable(cover.d, estimates)
+        estimates[[cover.covered.index[s] for s in subset]] = means
+    return FourierTable(cover.covered, estimates)
 
 
 def _batch_means(
     prepared: _PreparedBatch, bases: np.ndarray, labels: np.ndarray, uniforms: np.ndarray
-) -> list[float]:
+) -> np.ndarray:
     """The mean +-1 outcome of each string of the prepared batch over the
     samples ``(bases, labels)``, measured by the rows of ``uniforms``.
 
@@ -289,7 +283,7 @@ def _batch_means(
     prefixes += np.multiply(labels, width, dtype=np.int64)
     counts = np.bincount(prefixes, minlength=2 * width)
     sums = (counts[width:] - counts[:width]) @ eigenvalues
-    return (sums / len(labels)).tolist()
+    return sums / len(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +376,9 @@ def _estimate(
         source, bases[perm], labels[perm], cover, plan, streams.generator(STREAM_MEASURE)
     )
     truth = source.exact_table(degree_set)
+    # check_cover made the estimates' degree set this one: the vectors align
     sq = 0.0
-    for s in degree_set:
-        err = estimates.get(s) - truth[s]
+    for err in (estimates.values - truth.values).tolist():
         sq += err * err
     score = cover_score(cover, n, delta)
     report = LearnReport(
@@ -411,15 +405,16 @@ def _close(
     n_test: int,
 ) -> tuple[Predictor, LearnReport]:
     """Closing step of both learners: the predictor's exact loss, the exact
-    loss of the sign of ``optimal`` (an exact table of the source, when the
-    optimum is known) and, for ``n_test`` > 0, the empirical loss."""
+    loss of the sign of ``optimal`` (an exact table of the source on a subset
+    of the degree set, when the optimum is known) and, for ``n_test`` > 0,
+    the empirical loss."""
     report.exact_loss = exact_loss(predictor, source)
     report.degenerate = predictor.degenerate
     if optimal is not None:
         # the optimum does not depend on the seed, so each source keeps its loss
-        key = tuple(s for s in optimal.coefficients if s in degree_set)
-        report.optimal_exact_loss = source._memoized(
-            ("optimal_loss", key), lambda: exact_loss(build_predictor(optimal, degree_set), source)
+        report.optimal_exact_loss = source.memoized(
+            ("optimal_loss", optimal.degree_set),
+            lambda: exact_loss(build_predictor(optimal, degree_set), source),
         )
     if n_test > 0:
         report.empirical_loss = empirical_loss(

@@ -26,11 +26,11 @@ bit of a basis index, matching the ``numpy.kron`` composition order used by
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -193,7 +193,7 @@ def spectral_traces(m: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray) 
 
 def pauli_matrix(s: PauliString) -> np.ndarray:
     """Dense ``2^d x 2^d`` matrix of the string's operator."""
-    return synthesize(FourierTable(s.d, {s: 1.0}))
+    return synthesize(FourierTable.of(s.d, {s: 1.0}))
 
 
 def fourier_coefficient(a: np.ndarray, s: PauliString) -> float:
@@ -207,18 +207,24 @@ class DegreeSet:
 
     Strings are kept sorted lexicographically on their symbols so that any
     derived object (covers, batch plans, serialized tables) is reproducible.
+    Build a set with :meth:`of`, which sorts the strings and drops
+    duplicates; the constructor takes them as given.  Two views are built
+    once per set, on first use, and are read-only: ``masks``, the strings'
+    :func:`pauli_masks`, and ``index``, each string's position.
     """
 
     d: int
     strings: tuple[PauliString, ...]
-    # degree sets and their batches key the class caches, so the hash is
-    # taken once, with the value the generated one would have
-    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if any(s.d != self.d for s in self.strings):
             raise ValueError("all strings in a degree set must have the same length")
-        object.__setattr__(self, "_hash", hash((self.d, self.strings)))
+
+    # degree sets and their batches key the class caches, so the hash is
+    # taken once, on first use, with the value the generated one would have
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.d, self.strings))
 
     def __hash__(self) -> int:
         return self._hash
@@ -228,8 +234,15 @@ class DegreeSet:
         return cls(d, tuple(sorted(set(strings))))
 
     @cached_property
-    def _lookup(self) -> frozenset:
-        return frozenset(self.strings)
+    def masks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        masks = pauli_masks(self.strings)
+        for a in masks:
+            a.flags.writeable = False
+        return masks
+
+    @cached_property
+    def index(self) -> Mapping[PauliString, int]:
+        return MappingProxyType({s: i for i, s in enumerate(self.strings)})
 
     def __len__(self) -> int:
         return len(self.strings)
@@ -238,7 +251,7 @@ class DegreeSet:
         return iter(self.strings)
 
     def __contains__(self, s: PauliString) -> bool:
-        return s in self._lookup
+        return s in self.index
 
 
 @lru_cache(maxsize=DEGREE_SET_CACHE_SIZE)
@@ -247,15 +260,9 @@ def degree_set_upto(d: int, k: int) -> DegreeSet:
     per ``(d, k)`` and shared by every caller (a degree set is immutable)."""
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-    strings = [PauliString.identity(d)]
-    for j in range(1, k + 1):
-        for positions in itertools.combinations(range(d), j):
-            for fill in itertools.product((1, 2, 3), repeat=j):
-                symbols = [0] * d
-                for pos, sym in zip(positions, fill):
-                    symbols[pos] = sym
-                strings.append(PauliString(tuple(symbols)))
-    return DegreeSet.of(d, strings)
+    # a string of weight at most k is supported inside some k coordinates
+    subsets = itertools.combinations(range(d), k)
+    return DegreeSet.of(d, (s for coords in subsets for s in degree_set_within(d, coords)))
 
 
 def degree_set_classical_upto(d: int, k: int) -> DegreeSet:
@@ -286,67 +293,74 @@ def degree_set_within(d: int, coords: Iterable[int]) -> DegreeSet:
     return DegreeSet.of(d, strings)
 
 
+@lru_cache(maxsize=DEGREE_SET_CACHE_SIZE)
 def full_degree_set(d: int) -> DegreeSet:
     """All ``4^d`` strings; only sensible at small d."""
     return degree_set_within(d, range(d))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierTable:
-    """Real expansion coefficients indexed by Pauli string.
+    """Real expansion coefficients on a degree set: ``values[i]`` is the
+    coefficient of ``degree_set.strings[i]``.
 
-    The mapping is treated as immutable after construction.  Iteration is
-    lexicographic on the string symbols for reproducible output.
+    The float64 vector is a read-only copy of the one given.  Iteration
+    follows the degree set, lexicographic on the string symbols, for
+    reproducible output; values come out as Python floats.
     """
 
-    d: int
-    coefficients: dict[PauliString, float]
+    degree_set: DegreeSet
+    values: np.ndarray
 
     def __post_init__(self):
-        for s, c in self.coefficients.items():
-            if s.d != self.d:
-                raise ValueError(f"key {s} has length {s.d}, expected {self.d}")
-            if not math.isfinite(c):
-                raise ValueError(f"coefficient at {s} is not finite: {c!r}")
+        values = np.array(self.values, dtype=np.float64)
+        if values.shape != (len(self.degree_set),):
+            raise ValueError(f"need one value per string, got shape {values.shape}")
+        if not np.isfinite(values).all():
+            i = int(np.flatnonzero(~np.isfinite(values))[0])
+            s = self.degree_set.strings[i]
+            raise ValueError(f"coefficient at {s} is not finite: {float(values[i])!r}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def of(cls, d: int, coefficients: Mapping[PauliString, float]) -> "FourierTable":
+        """The table of a mapping from strings of length d to coefficients."""
+        items = sorted(coefficients.items(), key=lambda item: item[0].symbols)
+        return cls(DegreeSet(d, tuple(s for s, _ in items)), [c for _, c in items])
+
+    @property
+    def d(self) -> int:
+        return self.degree_set.d
 
     def items(self) -> list[tuple[PauliString, float]]:
-        # strings order by their symbols, so the symbols key the sort
-        return sorted(self.coefficients.items(), key=lambda item: item[0].symbols)
+        return list(zip(self.degree_set.strings, self.values.tolist()))
 
     def get(self, s: PauliString, default: float = 0.0) -> float:
-        return self.coefficients.get(s, default)
+        i = self.degree_set.index.get(s)
+        return default if i is None else float(self.values[i])
 
     def __getitem__(self, s: PauliString) -> float:
-        return self.coefficients[s]
+        return float(self.values[self.degree_set.index[s]])
 
     def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def __contains__(self, s: PauliString) -> bool:
-        return s in self.coefficients
-
-    def support(self) -> DegreeSet:
-        return DegreeSet.of(self.d, self.coefficients.keys())
+        return len(self.degree_set)
 
     def power(self) -> float:
         """Sum of squared coefficients."""
-        return float(sum(c * c for c in self.coefficients.values()))
+        return float(self.values @ self.values)
 
-    def restricted_to_strings(self, strings: Iterable[PauliString]) -> "FourierTable":
-        keep = set(strings)
-        return FourierTable(self.d, {s: c for s, c in self.coefficients.items() if s in keep})
+    def restricted(self, keep: np.ndarray) -> "FourierTable":
+        """The entries where the boolean vector ``keep`` is set."""
+        strings = tuple(itertools.compress(self.degree_set.strings, keep.tolist()))
+        return FourierTable(DegreeSet(self.d, strings), self.values[keep])
 
     def restricted_to_coords(self, coords: Iterable[int]) -> "FourierTable":
         """Keep exactly the entries whose support lies inside ``coords``."""
-        # bits outside the coordinates, in the x_mask/z_mask layout
-        outside = (1 << self.d) - 1
-        for c in set(coords):
-            if 0 <= c < self.d:
-                outside &= ~(1 << (self.d - 1 - c))
-        return FourierTable(
-            self.d,
-            {s: v for s, v in self.coefficients.items() if not (s.x_mask | s.z_mask) & outside},
-        )
+        # bits of the coordinates, in the x_mask/z_mask layout
+        inside = sum(1 << (self.d - 1 - c) for c in set(coords) if 0 <= c < self.d)
+        x, z, _ = self.degree_set.masks
+        return self.restricted(((x | z) & ~inside) == 0)
 
     def to_text(self) -> str:
         lines = [f"d={self.d}"]
@@ -359,12 +373,11 @@ class FourierTable:
         if not lines or not lines[0].startswith("d="):
             raise ValueError("coefficient table must start with a 'd=<n>' header")
         d = int(lines[0][2:])
-        coeffs: dict[PauliString, float] = {}
+        coeffs = {}
         for ln in lines[1:]:
             name, _, value = ln.partition(" ")
-            digits = name.strip().strip('"')
-            coeffs[PauliString.from_digits(digits)] = float(value)
-        return cls(d, coeffs)
+            coeffs[PauliString.from_digits(name.strip().strip('"'))] = float(value)
+        return cls.of(d, coeffs)
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_text(), encoding="utf-8")
@@ -374,30 +387,28 @@ class FourierTable:
         return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
 
-def fourier_transform(a: np.ndarray, strings: Iterable[PauliString], *, d: int | None = None) -> FourierTable:
-    """Expansion coefficients ``tr(a sigma^s) / 2^d`` of ``a`` at the given strings.
+def fourier_transform(a: np.ndarray, strings: Iterable[PauliString]) -> FourierTable:
+    """Expansion coefficients ``tr(a sigma^s) / 2^d`` of ``a`` at the given
+    strings, a :class:`DegreeSet` or any iterable of strings on d qubits.
 
     The coefficients of a Hermitian operator are real; a normalized imaginary
     residue above ``COEFFICIENT_IMAG_TOL`` signals a non-Hermitian input and
     raises, naming the first such string.
     """
-    strings = list(strings)
-    if d is None:
-        if not strings:
-            raise ValueError("cannot infer d from an empty string collection")
-        d = strings[0].d
     a = np.asarray(a, dtype=np.complex128)
-    n = 1 << d
-    if a.shape != (n, n) or any(s.d != d for s in strings):
-        raise ValueError(f"operator shape {a.shape} does not match the strings' d={d}")
-    vals = spectral_traces(a, *pauli_masks(strings)) / n
+    if not isinstance(strings, DegreeSet):
+        strings = DegreeSet.of(len(a).bit_length() - 1, strings)
+    n = 1 << strings.d
+    if a.shape != (n, n):
+        raise ValueError(f"operator shape {a.shape} does not match the strings' d={strings.d}")
+    vals = spectral_traces(a, *strings.masks) / n
     bad = np.flatnonzero(np.abs(vals.imag) > COEFFICIENT_IMAG_TOL)
     if bad.size:
         raise ValueError(
-            f"coefficient at {strings[bad[0]]} has imaginary residue {vals.imag[bad[0]]:.3e} > "
+            f"coefficient at {strings.strings[bad[0]]} has imaginary residue {vals.imag[bad[0]]:.3e} > "
             f"{COEFFICIENT_IMAG_TOL:.1e}; input is not Hermitian"
         )
-    return FourierTable(d, dict(zip(strings, vals.real.tolist())))
+    return FourierTable(strings, vals.real)
 
 
 def synthesize(table: FourierTable) -> np.ndarray:
@@ -408,9 +419,7 @@ def synthesize(table: FourierTable) -> np.ndarray:
     """
     if table.d > MAX_QUBITS:
         raise ValueError(f"dense synthesis capped at {MAX_QUBITS} qubits")
-    items = table.items()
-    c = np.array([v for _, v in items], dtype=np.float64)
-    return _accumulate(c, *pauli_masks(s for s, _ in items), 1 << table.d)
+    return _accumulate(table.values, *table.degree_set.masks, 1 << table.d)
 
 
 def synthesize_stack(coeffs: np.ndarray, d: int) -> np.ndarray:
@@ -422,16 +431,7 @@ def synthesize_stack(coeffs: np.ndarray, d: int) -> np.ndarray:
     """
     if d > MAX_QUBITS:
         raise ValueError(f"dense synthesis capped at {MAX_QUBITS} qubits")
-    return _accumulate(np.asarray(coeffs, dtype=np.float64), *_full_masks(d), 1 << d)
-
-
-@lru_cache(maxsize=None)
-def _full_masks(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``pauli_masks(full_degree_set(d))``, shared by every caller, read-only."""
-    masks = pauli_masks(full_degree_set(d))
-    for a in masks:
-        a.flags.writeable = False
-    return masks
+    return _accumulate(np.asarray(coeffs, dtype=np.float64), *full_degree_set(d).masks, 1 << d)
 
 
 def _accumulate(c: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
@@ -470,13 +470,17 @@ def classical_embedding(truth_table) -> np.ndarray:
     coefficient at Z-support S equal to the Boolean Fourier coefficient of the
     +-1-valued label function at S.
     """
+    return np.diag(label_signs(truth_table))
+
+
+def label_signs(truth_table) -> np.ndarray:
+    """The diagonal of :func:`classical_embedding`, as a complex vector."""
     values = np.asarray(truth_table)
     if values.ndim != 1 or len(values) < 2 or len(values) & (len(values) - 1):
         raise ValueError(f"truth table length must be a power of two >= 2, got {values.shape}")
     if not np.isin(values, (0, 1)).all():
         raise ValueError("truth table entries must be 0 or 1")
-    diag = np.where(values == 1, 1.0, -1.0).astype(np.complex128)
-    return np.diag(diag)
+    return np.where(values == 1, 1.0, -1.0).astype(np.complex128)
 
 
 def parse_truth_table(bits: str) -> np.ndarray:

@@ -30,7 +30,7 @@ eigenvalue table ``E``: ``E[p, l]`` is the eigenvalue of string l once the
 generators showed the eigenvalue prefix p.  A source keeps, per batch, the
 generator probabilities taken from the prefix marginals of the law of each
 conditional state (:func:`prepare_batches`, through
-:meth:`SampleSource._prepared_batches`): per state, label sign, generator and
+:meth:`SampleSource.prepared_batches`): per state, label sign, generator and
 prefix of earlier outcomes, the probability of outcome +1.
 :func:`measure_batch_groups` takes the sample arrays as they are: a sample's
 base and label name its row of that table.  It walks only the r
@@ -77,10 +77,10 @@ from .pauli import (
     FourierTable,
     DegreeSet,
     PauliString,
-    classical_embedding,
     fourier_coefficient,
     fourier_transform,
     _parity,
+    label_signs,
     parse_truth_table,
     pauli_matrix,
     spectral_traces,
@@ -155,7 +155,7 @@ class SampleSource:
     maximally_mixed: bool = False
     degenerate: bool = False
     # Seed-invariant values derived from this source, keyed by tuples whose
-    # first entry names their kind; see _memoized.
+    # first entry names their kind; see memoized.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _memo_lock: threading.RLock = field(
         default_factory=threading.RLock, init=False, repr=False, compare=False
@@ -184,7 +184,7 @@ class SampleSource:
         """Ground-truth coefficient ``tr(sigma^s (p1' rho1' - p0' rho0'))``."""
         return fourier_coefficient(self.labeling_xop, s)
 
-    def _memoized(self, key: tuple, build):
+    def memoized(self, key: tuple, build):
         """The value stored under ``key``, built by ``build()`` on its first use.
 
         The memo holds only values that depend on the source's states and
@@ -195,7 +195,7 @@ class SampleSource:
         class, outside the source.  A build that raises stores nothing, so
         its checks run again on the next call.  Builds hold a per-source
         lock, so concurrent callers build each key once.  Prepared batches are
-        stored by :meth:`_prepared_batches`, several at once, under the
+        stored by :meth:`prepared_batches`, several at once, under the
         same lock.
         """
         with self._memo_lock:
@@ -205,15 +205,14 @@ class SampleSource:
                 value = self._memo[key] = build()
                 return value
 
-    def exact_table(self, strings) -> FourierTable:
-        """Exact coefficients at the given strings, computed once per source and
-        string tuple (a learner and its optimum ask for the same table)."""
-        key = tuple(strings)
-        return self._memoized(
-            ("exact_table", key), lambda: fourier_transform(self.labeling_xop, key, d=self.d)
+    def exact_table(self, degree_set: DegreeSet) -> FourierTable:
+        """Exact coefficients on the degree set, computed once per source and
+        degree set (a learner and its optimum ask for the same table)."""
+        return self.memoized(
+            ("exact_table", degree_set), lambda: fourier_transform(self.labeling_xop, degree_set)
         )
 
-    def _prepared_batches(self, batches: Sequence[DegreeSet]) -> list["_PreparedBatch"]:
+    def prepared_batches(self, batches: Sequence[DegreeSet]) -> list["_PreparedBatch"]:
         """The commuting batches' generator probabilities on ``rho0`` and
         ``rho1`` (states 0 and 1, by base), in batch order, each memoized
         once per source under its batch.  The batches not built yet are
@@ -258,17 +257,22 @@ def make_realizable_source(f_op) -> SampleSource:
     operator is checked with one dense product for ``F^2 = I``.
     """
     f_op = as_operator(f_op)
-    n = f_op.shape[0]
-    diagonal = _is_diagonal(f_op)
+    return _sign_split(np.diagonal(f_op) if _is_diagonal(f_op) else f_op)
+
+
+def _sign_split(f: np.ndarray) -> SampleSource:
+    """:func:`make_realizable_source` of F as a matrix, or of a diagonal F as a vector."""
+    n = f.shape[0]
+    diagonal = f.ndim == 1
     # F and the identity as matrices, or for a diagonal F as their diagonals
     if diagonal:
-        f, one = np.diagonal(f_op), np.ones(n, dtype=np.complex128)
+        one = np.ones(n, dtype=np.complex128)
         # as n blocks of 1 x 1, a diagonal has the Hermitian defect of its matrix
         _check_hermitian(f[:, None, None])
-        square = f * f
+        square, trace = f * f, f.real.sum()
     else:
-        f, one = _check_hermitian(f_op), np.eye(n, dtype=np.complex128)
-        square = f @ f
+        f, one = _check_hermitian(f), np.eye(n, dtype=np.complex128)
+        square, trace = f @ f, np.diagonal(f).real.sum()
     d = n.bit_length() - 1
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -280,7 +284,7 @@ def make_realizable_source(f_op) -> SampleSource:
             f"not a +-1 operator: max |F^2 - I| = {defect:.3e} > {SIGN_OPERATOR_TOL:.1e}"
         )
     # tr F = n_+ - n_-, to within the tolerance on each of the n eigenvalues
-    half_plus = (n + float(np.diagonal(f_op).real.sum())) / 2.0
+    half_plus = (n + float(trace)) / 2.0
     n_plus = round(half_plus)
     if abs(half_plus - n_plus) > n * SIGN_OPERATOR_TOL:
         raise ValueError(
@@ -325,8 +329,8 @@ def make_classical_source(truth_table) -> SampleSource:
     """
     if isinstance(truth_table, str):
         truth_table = parse_truth_table(truth_table)
-    source = make_realizable_source(classical_embedding(truth_table))
-    return replace(source, kind="classical")
+    # make_realizable_source(classical_embedding(...)), without the dense F
+    return replace(_sign_split(label_signs(truth_table)), kind="classical")
 
 
 def make_custom_source(p0: float, rho0, rho1) -> SampleSource:
@@ -591,7 +595,7 @@ def measure_batch_groups(
 
     ``samples`` is ``(bases, labels)``: sample ``i`` is in the state of index
     ``bases[i]`` among those ``prepared`` was built on (a source's batch,
-    :meth:`SampleSource._prepared_batches`, has ``rho0`` and ``rho1``), and
+    :meth:`SampleSource.prepared_batches`, has ``rho0`` and ``rho1``), and
     has label 0 or 1, label sign ``c = 2 label - 1``.  ``uniforms`` has one
     row per sample and one column per batch string.  The batch reduces to
     r <= d independent generators, and every other string is a fixed signed

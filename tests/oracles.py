@@ -433,7 +433,7 @@ def table_fourier_estimation(source, bases, labels, cover, plan, rng) -> Fourier
         means = outcomes.mean(axis=0)
         for col, s in enumerate(subset):
             estimates[s] = float(means[col])
-    return FourierTable(cover.d, estimates)
+    return FourierTable.of(cover.d, estimates)
 
 
 def eigh_realizable_states(f_op) -> tuple[np.ndarray, np.ndarray]:
@@ -494,8 +494,7 @@ def popt_lower_bound(table: FourierTable, degree_set: DegreeSet, eps: float = 0.
     optimal loss of any class concentrated on the degree set."""
     if eps < 0:
         raise ValueError("eps must be nonnegative")
-    restricted = table.restricted_to_strings(degree_set)
-    op = synthesize(FourierTable(table.d, dict(restricted.items())))
+    op = synthesize(FourierTable.of(table.d, {s: c for s, c in table.items() if s in degree_set}))
     return 0.5 - 0.5 * rho_norm(op, 1, maximally_mixed(table.d)) - eps
 
 
@@ -558,7 +557,7 @@ def canonical(cover: Cover) -> Cover:
 def object_best_cover(nodes: DegreeSet, n: int, delta: float, strategy: str = "greedy") -> Cover:
     """Cover search that builds a canonical ``Cover`` for every candidate and
     keeps the least ``(score, subset contents)``."""
-    adjacency = commutation_matrix(nodes.strings)
+    adjacency = commutation_matrix(nodes)
     size = len(nodes)
     strings = nodes.strings
     if strategy == "exhaustive":
@@ -594,11 +593,11 @@ def block(table: FourierTable, coords: Sequence[int]) -> FourierTable:
         raise ValueError(f"need one or more distinct coordinates in [0, {table.d}), got {coords}")
     # bits outside the coordinates, in the x_mask/z_mask layout
     outside = ((1 << table.d) - 1) ^ sum(1 << (table.d - 1 - c) for c in coords)
-    return FourierTable(
+    return FourierTable.of(
         len(coords),
         {
             PauliString(tuple(s.symbols[c] for c in coords)): v
-            for s, v in table.coefficients.items()
+            for s, v in table.items()
             if not (s.x_mask | s.z_mask) & outside
         },
     )

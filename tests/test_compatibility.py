@@ -77,29 +77,29 @@ class TestCommutation:
 
 class TestGraph:
     def test_single_node(self):
-        adjacency = commutation_matrix([P("0")])
+        adjacency = commutation_matrix(DegreeSet.of(1, [P("0")]))
         assert adjacency.shape == (1, 1)
         assert adjacency[0, 0]
 
     def test_single_qubit_paulis_all_anticommute(self):
-        adjacency = commutation_matrix([P("1"), P("2"), P("3")])
+        adjacency = commutation_matrix(DegreeSet.of(1, [P("1"), P("2"), P("3")]))
         off = adjacency[~np.eye(3, dtype=bool)]
         assert not off.any()
 
     def test_diagonal_strings_fully_commute(self):
-        assert commutation_matrix([P("30"), P("03"), P("33")]).all()
+        assert commutation_matrix(DegreeSet.of(2, [P("30"), P("03"), P("33")])).all()
 
     def test_matches_pairwise_commute(self):
         for d in range(1, 8):
             nodes = degree_set_upto(d, min(2, d))
-            adjacency = commutation_matrix(nodes.strings)
+            adjacency = commutation_matrix(nodes)
             assert np.array_equal(adjacency, pairwise_commutation(nodes.strings))
 
     def test_masks_match_matrix(self):
         # 190 strings: rows span several 64-bit words
         nodes = degree_set_upto(7, 2)
-        adjacency = commutation_matrix(nodes.strings)
-        masks = _adjacency_masks(nodes.strings)
+        adjacency = commutation_matrix(nodes)
+        masks = _adjacency_masks(nodes)
         for i, mask in enumerate(masks):
             assert [bool(mask >> j & 1) for j in range(len(nodes))] == adjacency[i].tolist()
             assert mask >> len(nodes) == 0

@@ -123,16 +123,16 @@ class TestRunConfig:
         second, _ = run_config(config, out_dir=tmp_path / "b")
         assert first.read_bytes() == second.read_bytes()
 
-    def test_thread_pool_matches_serial(self, tmp_path, monkeypatch):
+    def test_stale_thread_count_changes_no_byte(self, tmp_path, monkeypatch):
         qld = write_parity_setup(tmp_path, seeds="1, 2, 3")
-        # the pooled seeds of a junta point share one source and its memo
+        # the seeds of a junta point share one source and its memo
         junta = write_d4_config(tmp_path, "algorithm = junta\nk = 2\nn = 3000\nseeds = 1, 2, 3\n")
         for config in (qld, junta):
             monkeypatch.delenv("QFL_THREADS", raising=False)
-            serial, _ = run_config(config, out_dir=tmp_path / "serial")
+            plain, _ = run_config(config, out_dir=tmp_path / "plain")
             monkeypatch.setenv("QFL_THREADS", "3")
-            pooled, _ = run_config(config, out_dir=tmp_path / "pooled")
-            assert serial.read_bytes() == pooled.read_bytes()
+            stale, _ = run_config(config, out_dir=tmp_path / "stale")
+            assert plain.read_bytes() == stale.read_bytes()
 
     def test_runs_in_one_serial_loop(self, tmp_path, monkeypatch):
         def no_threads(self):
@@ -188,10 +188,11 @@ class TestRunConfig:
         assert calls == {"best_cover": 1, "_reduce_batch": m, "spectral_traces": 3 * 2}
         cover = learner._plan(degree_set_upto(4, 2), 3000, 0.05, "greedy")[0]
         assert all(p["r"] == [len(_reduce_batch(b)[0]) for b in cover.subsets] for p in points)
-        # a pool of three runs the class's three sources to the same bytes
+        # a rerun under a stale QFL_THREADS gives the same bytes and
+        # searches no cover again
         monkeypatch.setenv("QFL_THREADS", "3")
-        pooled, _ = run_config(config, out_dir=tmp_path / "pooled")
-        assert serial.read_bytes() == pooled.read_bytes()
+        rerun, _ = run_config(config, out_dir=tmp_path / "rerun")
+        assert serial.read_bytes() == rerun.read_bytes()
         assert calls["best_cover"] == 1
 
     def test_summary_reports_cover_structure(self, tmp_path):
@@ -374,10 +375,10 @@ class TestCli:
     def test_qubit_count_over_cap_exits_2_before_any_matrix(self, tmp_path, monkeypatch):
         import qfl.simulator as simulator_module
 
-        def no_embedding(truth_table):
-            raise AssertionError("a 2^13 x 2^13 operator was about to be built")
+        def no_signs(truth_table):
+            raise AssertionError("a 13-qubit source was about to be built")
 
-        monkeypatch.setattr(simulator_module, "classical_embedding", no_embedding)
+        monkeypatch.setattr(simulator_module, "label_signs", no_signs)
         config = write_parity_setup(tmp_path)
         (tmp_path / "parity.src").write_text(
             "kind = classical\nd = 13\ntruth_table = " + "01" * (1 << 12) + "\n", encoding="utf-8"
@@ -400,7 +401,7 @@ class TestCli:
     )
     def test_missing_source_field_exits_2_without_output(self, tmp_path, capsys, spec, field):
         config = write_parity_setup(tmp_path)
-        table = FourierTable(2, {PauliString.from_digits("33"): 1.0})
+        table = FourierTable.of(2, {PauliString.from_digits("33"): 1.0})
         table.save(tmp_path / "parity.ftab")
         for name, rho in zip(("rho0.mat", "rho1.mat"), checks.bell_states()):
             save_matrix(tmp_path / name, rho)

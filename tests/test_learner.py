@@ -162,7 +162,7 @@ class TestFourierEstimation:
         streams = RandomStreams(9)
         bases, labels = draw_samples(source, 1000, streams.generator(0))
         table = fourier_estimation(source, bases, labels, cover, plan, streams.generator(2))
-        assert set(table.support()) == {P("33"), P("30"), P("11")}
+        assert set(table.degree_set) == {P("33"), P("30"), P("11")}
         band = chernoff_band(400, 0.01, 2)
         assert abs(table[P("33")] - source.exact_coefficient(P("33"))) <= band
 
@@ -210,7 +210,7 @@ class TestFourierEstimation:
                         want = table_fourier_estimation(
                             source, bases, labels, cover, plan, streams.generator(2)
                         )
-                        assert got.coefficients == want.coefficients
+                        assert got.items() == want.items()
                         assert got.to_text() == want.to_text()
 
     def test_estimation_allocates_no_outcome_matrix(self, monkeypatch):
@@ -258,7 +258,7 @@ class TestFourierEstimation:
 
 class TestBuildPredictor:
     def test_exact_single_string(self):
-        table = FourierTable(1, {P("3"): 1.0})
+        table = FourierTable.of(1, {P("3"): 1.0})
         predictor = build_predictor(table, DegreeSet.of(1, [P("3")]))
         assert np.abs(predictor.g_op - pauli_matrix(P("3"))).max() <= 1e-12
 
@@ -270,18 +270,18 @@ class TestBuildPredictor:
     def test_sign_stable_under_small_diagonal_noise(self):
         # diagonal table: perturbing coefficients by 1e-3 cannot move any
         # eigenvalue across zero, so the predictor operator is unchanged
-        exact = FourierTable(2, {P("33"): -1.0})
+        exact = FourierTable.of(2, {P("33"): -1.0})
         rng = np.random.default_rng(20)
         noisy = {
             s: exact.get(s) + 1e-3 * rng.uniform(-1, 1)
             for s in degree_set_classical_upto(2, 2)
         }
         a = build_predictor(exact, degree_set_classical_upto(2, 2))
-        b = build_predictor(FourierTable(2, noisy), degree_set_classical_upto(2, 2))
+        b = build_predictor(FourierTable.of(2, noisy), degree_set_classical_upto(2, 2))
         assert np.abs(a.g_op - b.g_op).max() <= 1e-12
 
     def test_empty_table_is_degenerate_identity(self):
-        predictor = build_predictor(FourierTable(2, {}), degree_set_upto(2, 1))
+        predictor = build_predictor(FourierTable.of(2, {}), degree_set_upto(2, 1))
         assert predictor.degenerate
         assert np.array_equal(predictor.g_op, np.eye(4))
 
@@ -297,9 +297,9 @@ class TestBuildPredictor:
         values[rng.random(len(strings)) < 0.6] = 0.0
         values[rng.random(len(strings)) < 0.2] = -0.0
         parity = make_classical_source([bin(j & 3).count("1") % 2 for j in range(1 << d)])
-        for table in (FourierTable(d, dict(zip(strings, values.tolist()))), parity.exact_table(strings)):
-            assert any(c == 0.0 for c in table.coefficients.values())
-            nonzero = FourierTable(d, {s: c for s, c in table.coefficients.items() if c != 0.0})
+        for table in (FourierTable.of(d, dict(zip(strings, values.tolist()))), parity.exact_table(strings)):
+            assert any(c == 0.0 for _, c in table.items())
+            nonzero = FourierTable.of(d, {s: c for s, c in table.items() if c != 0.0})
             got = build_predictor(table, strings)
             assert not got.degenerate
             assert got.g_op.tobytes() == build_predictor(nonzero, strings).g_op.tobytes()
@@ -307,7 +307,7 @@ class TestBuildPredictor:
 
     def test_all_zero_table_is_degenerate_identity(self):
         strings = degree_set_upto(2, 1)
-        table = FourierTable(2, {s: (-0.0 if i % 2 else 0.0) for i, s in enumerate(strings)})
+        table = FourierTable.of(2, {s: (-0.0 if i % 2 else 0.0) for i, s in enumerate(strings)})
         predictor = build_predictor(table, strings)
         assert predictor.degenerate
         assert np.array_equal(predictor.g_op, np.eye(4))
@@ -462,7 +462,7 @@ class TestBestCoords:
     def _tables(d):
         rng = np.random.default_rng(60 + d)
         strings = degree_set_upto(d, min(d, 3))
-        random_table = FourierTable(d, {s: float(rng.normal()) for s in strings})
+        random_table = FourierTable.of(d, {s: float(rng.normal()) for s in strings})
         source = make_noisy_source(sign_operator(random_hermitian(rng, 1 << d)), 0.1)
         _, report = junta_learn(source, min(d, 2), 4000, 0.05, d)
         return [random_table, report.estimates, source.exact_table(strings)]
@@ -490,7 +490,7 @@ class TestBestCoords:
         for table in self._tables(d):
             for k in range(min(d, 3) + 1):
                 assert best_coords(table, k) == subset_best_coords(table, k)
-        sparse = FourierTable(d, dict(list(self._tables(d)[0].items())[::3]))
+        sparse = FourierTable.of(d, dict(list(self._tables(d)[0].items())[::3]))
         assert best_coords(sparse, 2) == subset_best_coords(sparse, 2)
 
     def test_stack_is_chunked(self, monkeypatch):
@@ -508,10 +508,9 @@ class TestBestCoords:
         rng = np.random.default_rng(70 + d)
         for k in range(1, min(d, 3) + 1):
             strings = degree_set_upto(d, k)
-            table = FourierTable(d, {s: float(rng.normal()) for s in strings})
-            subsets, position, gather = learner._subset_blocks(d, k)
+            table = FourierTable.of(d, {s: float(rng.normal()) for s in strings})
+            subsets, gather = learner._subset_blocks(d, k)
             assert subsets == list(itertools.combinations(range(d), k))
-            assert [position[s.symbols] for s in strings] == list(range(len(strings)))
             coeffs = np.array([table[s] for s in strings])
             for coords, row in zip(subsets, gather):
                 want = [block(table, coords).get(s) for s in full_degree_set(k)]
@@ -525,7 +524,7 @@ class TestBestCoords:
         for pair in itertools.combinations(range(d), 2):
             for sym, c in ((1, 0.2), (2, -0.25)):
                 coeffs[PauliString(tuple(sym if q in pair else 0 for q in range(d)))] = c
-        table = FourierTable(d, coeffs)
+        table = FourierTable.of(d, coeffs)
         # every pair has the same block, so every pair ties exactly
         norms = set(subset_norms(table, 2))
         assert len(norms) == 1
@@ -537,7 +536,7 @@ class TestBestCoords:
         rng = np.random.default_rng(0)
         coeffs = {s: float(rng.normal(scale=0.1)) for s in degree_set_upto(3, 1)}
         coeffs[PauliString.identity(3)] = 0.9
-        table = FourierTable(3, coeffs)
+        table = FourierTable.of(3, coeffs)
         norms = subset_norms(table, 1)
         assert max(norms) > norms[0]  # a strict comparison would not pick qubit 0
         norm, coords = best_coords(table, 1)
@@ -565,6 +564,26 @@ class TestBestCoords:
         # only the two predictors are dense
         assert shapes["rho_norm"] == [((15, 4, 4), (4, 4))] * 2
         assert sorted(shapes["synthesize"]) == [(64, 64)] * 2
+
+
+class TestMeasuredBeta:
+    @pytest.mark.parametrize("d", range(3, 7))
+    def test_equals_a_loop_over_the_strings(self, d):
+        # the error vector's squares, summed left to right in the degree
+        # set's order, are bit for bit the per-string loop over the tables
+        rng = np.random.default_rng(40 + d)
+        junta = np.kron(sign_operator(random_hermitian(rng, 4)), np.eye(1 << (d - 2)))
+        sources = (make_noisy_source(junta, 0.1), make_parity_source(d, (0, d - 1)))
+        for source in sources:
+            for degree_set in (degree_set_upto(d, 2), degree_set_classical_upto(d, 2)):
+                for seed in (1, 2):
+                    _, report = qld_learn(source, degree_set, 3000, 0.05, seed)
+                    truth = source.exact_table(degree_set)
+                    sq = 0.0
+                    for s in degree_set:
+                        err = report.estimates.get(s) - truth[s]
+                        sq += err * err
+                    assert report.beta_measured == math.sqrt(sq)
 
 
 class TestQldLearn:
@@ -832,7 +851,7 @@ class TestSeedInvariantMemo:
         for batch_source in (source, make_realizable_source(pauli_matrix(P("1")))):
             for _ in range(2):
                 with pytest.raises(ValueError, match="commute"):
-                    batch_source._prepared_batches((bad.subsets[0],))
+                    batch_source.prepared_batches((bad.subsets[0],))
         assert simulator._checked_reduction.cache_info().currsize == 3
 
     def test_class_cache_errors_are_not_cached(self, monkeypatch):
@@ -862,12 +881,12 @@ class TestSeedInvariantMemo:
         monkeypatch.setattr(simulator, "_eigenvalue_table", broken)
         for _ in range(2):
             with pytest.raises(MemoryError):
-                source._prepared_batches((batch,))
+                source.prepared_batches((batch,))
         assert simulator._checked_reduction.cache_info().currsize == 0
         assert source._memo == {}
         monkeypatch.undo()
         reduction = simulator._checked_reduction(batch)
-        assert source._prepared_batches((batch,))[0].reduction is reduction
+        assert source.prepared_batches((batch,))[0].reduction is reduction
         # XX and YY generate; ZZ = -(XX)(YY)
         assert reduction.eigenvalues.tolist() == [[1, 1, -1], [-1, 1, 1], [1, -1, 1], [-1, -1, -1]]
 
@@ -927,4 +946,4 @@ class TestSeedInvariantMemo:
                 with pytest.raises(ValueError):
                     a[...] = 0
             # the per-source tables share the cached columns
-            assert source._prepared_batches((batch,))[0].reduction is reduction
+            assert source.prepared_batches((batch,))[0].reduction is reduction

@@ -150,7 +150,7 @@ class TestKernel:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_synthesize_matches_per_string_sum(self, d):
         rng = np.random.default_rng(70 + d)
-        table = FourierTable(d, {s: float(rng.normal()) for s in self._strings(rng, d)})
+        table = FourierTable.of(d, {s: float(rng.normal()) for s in self._strings(rng, d)})
         got, want = synthesize(table), string_synthesize(table)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()  # signed zeros too
@@ -159,7 +159,7 @@ class TestKernel:
         import qfl.pauli as pauli_module
 
         rng = np.random.default_rng(78)
-        table = FourierTable(4, {s: float(rng.normal()) for s in self._strings(rng, 4)})
+        table = FourierTable.of(4, {s: float(rng.normal()) for s in self._strings(rng, 4)})
         monkeypatch.setattr(pauli_module, "TRACE_BLOCK", 40)
         assert synthesize(table).tobytes() == string_synthesize(table).tobytes()
 
@@ -173,7 +173,7 @@ class TestKernel:
         # rows with zeros where a table leaves strings out, and a zero row
         coeffs[1, rng.random(len(strings)) < 0.5] = 0.0
         coeffs[2] = 0.0
-        tables = [FourierTable(d, {s: v for s, v in zip(strings, row) if v != 0.0}) for row in coeffs]
+        tables = [FourierTable.of(d, {s: v for s, v in zip(strings, row) if v != 0.0}) for row in coeffs]
         want = np.stack([synthesize(t) for t in tables])
         assert synthesize_stack(coeffs, d).tobytes() == want.tobytes()
         monkeypatch.setattr(pauli_module, "TRACE_BLOCK", 40)
@@ -212,7 +212,7 @@ class TestKernel:
         ints = rng.integers(-8, 9, size=(2, n, n))
         dyadic = ints[0] + 1j * ints[1]
         for a in (np.diag(rng.choice([-1.0, 1.0], size=n)), (dyadic + dyadic.conj().T) / 4):
-            assert fourier_transform(a, strings).coefficients == string_coefficients(a, strings)
+            assert dict(fourier_transform(a, strings).items()) == string_coefficients(a, strings)
         a = random_hermitian(rng, n)
         got = fourier_transform(a, strings)
         want = string_coefficients(a, strings)
@@ -408,7 +408,7 @@ class TestFourier:
         assert np.abs(back - a).max() <= 1e-8
 
     def test_synthesize_discrimination_table(self):
-        table = FourierTable(2, {PauliString((2, 2)): 0.5, PauliString((1, 1)): -0.5})
+        table = FourierTable.of(2, {PauliString((2, 2)): 0.5, PauliString((1, 1)): -0.5})
         want = np.zeros((4, 4), dtype=complex)
         want[3, 0] = want[0, 3] = -1.0
         assert np.abs(synthesize(table) - want).max() <= 1e-14
@@ -562,7 +562,7 @@ class TestClassicalEmbedding:
 
 class TestTableSerialization:
     def test_text_round_trip(self, tmp_path):
-        table = FourierTable(
+        table = FourierTable.of(
             2, {PauliString((2, 2)): 0.5, PauliString((1, 1)): -0.5, PauliString((0, 0)): 1e-17}
         )
         path = tmp_path / "coeffs.ftab"
@@ -576,7 +576,7 @@ class TestTableSerialization:
             FourierTable.from_text('"33" 1.0\n')
 
     def test_iteration_sorted(self):
-        table = FourierTable(1, {PauliString((3,)): 1.0, PauliString((1,)): 2.0})
+        table = FourierTable.of(1, {PauliString((3,)): 1.0, PauliString((1,)): 2.0})
         assert [str(s) for s, _ in table.items()] == ["1", "3"]
 
     def test_symbol_key_gives_the_string_order(self):
@@ -588,9 +588,73 @@ class TestTableSerialization:
                 strings = {random_string(rng, d) for _ in range(int(rng.integers(1, 60)))}
                 order = rng.permutation(len(strings))
                 entries = list(strings)
-                table = FourierTable(d, {entries[i]: float(rng.normal()) for i in order})
-                assert table.items() == sorted(table.coefficients.items())
+                coefficients = {entries[i]: float(rng.normal()) for i in order}
+                table = FourierTable.of(d, coefficients)
+                assert table.items() == sorted(coefficients.items())
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            FourierTable(1, {PauliString((3,)): float("nan")})
+            FourierTable.of(1, {PauliString((3,)): float("nan")})
+        values = np.array([0.5, np.inf])
+        with pytest.raises(ValueError, match=r"coefficient at 3 is not finite: inf"):
+            FourierTable(DegreeSet.of(1, [PauliString((1,)), PauliString((3,))]), values)
+
+
+class TestTableFormat:
+    """A table is a sorted degree set and a read-only float64 vector."""
+
+    @staticmethod
+    def _coefficients(rng, d):
+        strings = sorted({random_string(rng, d) for _ in range(40)})
+        return {s: float(rng.normal()) for s in strings}
+
+    def test_insertion_order_changes_nothing(self):
+        rng = np.random.default_rng(81)
+        for d in range(1, 6):
+            coefficients = self._coefficients(rng, d)
+            ordered = FourierTable.of(d, coefficients)
+            entries = list(coefficients.items())
+            shuffled = FourierTable.of(d, dict(entries[i] for i in rng.permutation(len(entries))))
+            assert shuffled.items() == ordered.items()
+            assert shuffled.to_text() == ordered.to_text()
+            back = FourierTable.from_text(shuffled.to_text())
+            assert back.items() == ordered.items()
+            assert back.to_text() == ordered.to_text()
+            assert back.degree_set == ordered.degree_set == DegreeSet.of(d, coefficients)
+
+    def test_get_of_an_absent_string_is_the_default(self):
+        table = FourierTable.of(2, {PauliString((3, 0)): 0.5})
+        assert table.get(PauliString((0, 3))) == 0.0
+        assert table.get(PauliString((0, 3)), -1.5) == -1.5
+        assert table.get(PauliString((3, 0)), -1.5) == 0.5
+        with pytest.raises(KeyError):
+            table[PauliString((0, 3))]
+
+    def test_values_come_out_as_python_floats(self):
+        # text formats print repr, and numpy 2 prints a numpy float as np.float64(...)
+        rng = np.random.default_rng(82)
+        a = random_hermitian(rng, 8)
+        for table in (FourierTable.of(3, self._coefficients(rng, 3)), fourier_transform(a, full_degree_set(3))):
+            assert all(type(c) is float for _, c in table.items())
+            assert all(type(table.get(s)) is float and type(table[s]) is float for s in table.degree_set)
+            assert table.values.dtype == np.float64 and not table.values.flags.writeable
+
+    def test_vector_is_a_copy(self):
+        x, z = PauliString((1,)), PauliString((3,))
+        values = np.array([0.25, -0.5])
+        table = FourierTable(DegreeSet.of(1, [x, z]), values)
+        values[0] = 9.0
+        assert table.items() == [(x, 0.25), (z, -0.5)]
+        with pytest.raises(ValueError, match="one value per string"):
+            FourierTable(DegreeSet.of(1, [x]), values)
+
+    def test_views_are_built_once_and_read_only(self):
+        strings = degree_set_upto(4, 2)
+        assert strings.masks is strings.masks and strings.index is strings.index
+        x, z, k = strings.masks
+        assert x.tolist() == [s.x_mask for s in strings] and z.tolist() == [s.z_mask for s in strings]
+        assert k.tolist() == [s.y_count % 4 for s in strings]
+        assert not any(a.flags.writeable for a in strings.masks)
+        assert [strings.index[s] for s in strings] == list(range(len(strings)))
+        with pytest.raises(TypeError):
+            strings.index[PauliString.identity(4)] = 1

@@ -351,7 +351,7 @@ class TestMeasureBatch:
 
     def test_grouped_equals_per_sample(self):
         source = make_noisy_source(pauli_matrix(P("30")), 0.3)
-        prepared = source._prepared_batches((DegreeSet.of(2, [P("30"), P("03")]),))[0]
+        prepared = source.prepared_batches((DegreeSet.of(2, [P("30"), P("03")]),))[0]
         n = 500
         bases, labels = draw_samples(source, n, RandomStreams(15).generator(1))
         assert len(set(zip(bases.tolist(), labels.tolist()))) == 4
@@ -557,7 +557,7 @@ class TestJointLawSampler:
     def test_samples_must_cover_every_row(self):
         # each row of uniforms is one sample, with one base and one label,
         # so no row can be left out or measured twice
-        prepared = make_bell_source()._prepared_batches((DegreeSet.of(2, [P("30")]),))[0]
+        prepared = make_bell_source().prepared_batches((DegreeSet.of(2, [P("30")]),))[0]
         zeros = np.zeros(3, dtype=np.int8)
         for samples in ((zeros, zeros[:2]), (zeros[:2], zeros), (zeros[:2], zeros[:2])):
             with pytest.raises(ValueError, match="same length"):
@@ -568,14 +568,14 @@ class TestJointLawSampler:
     @pytest.mark.parametrize("sign", [0.5, 0.0, -2.0, 3, float("nan")])
     def test_label_sign_must_be_unit(self, sign):
         # label sign 2 label - 1 is +-1 exactly when the label is 0 or 1
-        prepared = make_bell_source()._prepared_batches((DegreeSet.of(2, [P("30")]),))[0]
+        prepared = make_bell_source().prepared_batches((DegreeSet.of(2, [P("30")]),))[0]
         labels = np.full(2, (1 + sign) / 2)
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
             measure_batch_groups((np.zeros(2, dtype=np.int8), labels), prepared, np.zeros((2, 1)))
 
     def test_bases_must_name_prepared_states(self):
         # a source's batch is prepared on two states; take would wrap base -1
-        prepared = make_bell_source()._prepared_batches((DegreeSet.of(2, [P("30")]),))[0]
+        prepared = make_bell_source().prepared_batches((DegreeSet.of(2, [P("30")]),))[0]
         for base in (-1, 2, 127):
             bases = np.array([0, base, 1], dtype=np.int8)
             with pytest.raises(ValueError, match="bases must lie in"):
@@ -714,15 +714,15 @@ class TestPrepareBatches:
         rng = np.random.default_rng(130)
         source = make_custom_source(0.3, random_density(rng, 16), random_density(rng, 16))
         batches = [random_batch(rng, 4, r, 3) for r in (2, 4, 2, 0)]
-        first = source._prepared_batches((batches[1],))[0]
-        together = source._prepared_batches(batches + batches[:1])
+        first = source.prepared_batches((batches[1],))[0]
+        together = source.prepared_batches(batches + batches[:1])
         assert together[1] is first and together[4] is together[0]
         for batch, got in zip(batches, together):
             alone = prepare_batch(batch, (source.rho0, source.rho1))
             assert got.probs.tobytes() == alone.probs.tobytes()
         assert prepare_batches([], (source.rho0,)) == []
         with pytest.raises(ValueError, match="commute"):
-            source._prepared_batches([batches[2], DegreeSet.of(4, [P("1000"), P("3000")])])
+            source.prepared_batches([batches[2], DegreeSet.of(4, [P("1000"), P("3000")])])
         assert len(source._memo) == 4
 
 
@@ -820,6 +820,23 @@ class TestRealizableDiagonal:
         assert classical.kind == "classical"
         assert (classical.rho0.tobytes(), classical.rho1.tobytes()) == (want.rho0.tobytes(), want.rho1.tobytes())
 
+    def test_classical_source_skips_the_dense_embedding(self):
+        # bit for bit the source of the dense classical embedding, on truth
+        # tables of d = 1..8, constant (degenerate) ones included
+        rng = np.random.default_rng(75)
+        for d in range(1, 9):
+            tables = [[0] * (1 << d), [1] * (1 << d)]
+            tables += [(rng.random(1 << d) < q).astype(int).tolist() for q in (0.02, 0.5, 0.98)]
+            for table in tables:
+                got = make_classical_source(table)
+                want = make_realizable_source(classical_embedding(table))
+                assert got.kind == "classical"
+                assert got.rho0.tobytes() == want.rho0.tobytes()
+                assert got.rho1.tobytes() == want.rho1.tobytes()
+                for name in ("d", "p0", "maximally_mixed", "degenerate"):
+                    assert getattr(got, name) == getattr(want, name), name
+                assert got.degenerate == (len(set(table)) == 1)
+
     def test_checks_still_run(self):
         with pytest.raises(ValueError, match=r"\+-1 operator"):
             make_realizable_source(np.diag([1.0, -1.0, 1.0, 0.5]))
@@ -916,8 +933,8 @@ class TestSourceMemo:
             by_state = sample_groups((source.rho0, source.rho1), bases, labels)
             for batch in k2_cliques(d):
                 uniforms = rng.random((200, len(batch)))
-                prepared = source._prepared_batches((batch,))[0]
-                assert prepared is source._prepared_batches((batch,))[0]
+                prepared = source.prepared_batches((batch,))[0]
+                assert prepared is source.prepared_batches((batch,))[0]
                 assert prepared.reduction.rank == len(_reduce_batch(batch)[0])
                 assert np.array_equal(
                     measure_batch_groups((bases, labels), prepared, uniforms),
@@ -927,7 +944,7 @@ class TestSourceMemo:
     def test_with_flip_rate_starts_empty(self):
         source = make_parity_source(2, (0, 1))
         batch = DegreeSet.of(2, [P("33")])
-        source._prepared_batches((batch,))
+        source.prepared_batches((batch,))
         source.exact_table(degree_set_upto(2, 1))
         assert len(source._memo) == 2
         assert source.with_flip_rate(0.1)._memo == {}
@@ -948,7 +965,7 @@ class TestSourceMemo:
 
         def work():
             for i in range(200):
-                if source._memoized(("stress", i % 20), lambda: build(i % 20)) != i % 20:
+                if source.memoized(("stress", i % 20), lambda: build(i % 20)) != i % 20:
                     wrong.append(i)
 
         interval = sys.getswitchinterval()
@@ -989,7 +1006,7 @@ class TestSourceFiles:
         assert abs(source.exact_coefficient(P("33")) + 1.0) <= 1e-12
 
     def test_realizable_and_noisy_source_files(self, tmp_path):
-        table = FourierTable(1, {P("3"): 1.0})
+        table = FourierTable.of(1, {P("3"): 1.0})
         table.save(tmp_path / "z.ftab")
         (tmp_path / "r.src").write_text("kind = realizable\nd = 1\nftab = z.ftab\n")
         (tmp_path / "n.src").write_text("kind = noisy\nd = 1\nftab = z.ftab\neta = 0.25\n")
