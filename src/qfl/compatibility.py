@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import DegreeSet, PauliString, _parity
+from .pauli import DegreeSet, PauliString
 
 EXHAUSTIVE_MAX_SIZE = 12
 GREEDY_RESTARTS = 32
@@ -33,20 +33,21 @@ def pauli_commute(s: PauliString, t: PauliString) -> bool:
 
     Symplectic rule: the strings commute iff the number of coordinates where
     both are non-identity and different is even, i.e.
-    ``parity(s.x & t.z) == parity(s.z & t.x)``.
+    ``parity((s.x & t.z) ^ (s.z & t.x)) == 0``.
     """
     if s.d != t.d:
         raise ValueError(f"length mismatch: {s.d} vs {t.d}")
-    a = (s.x_mask & t.z_mask).bit_count() & 1
-    b = (s.z_mask & t.x_mask).bit_count() & 1
-    return a == b
+    return ((s.x_mask & t.z_mask) ^ (s.z_mask & t.x_mask)).bit_count() & 1 == 0
 
 
 def commutation_matrix(nodes: DegreeSet) -> np.ndarray:
     """Boolean matrix of pairwise commutation of a degree set's strings, from
-    the symplectic rule applied to all pairs of its masks at once."""
-    x, z, _ = nodes.masks
-    return _parity(x[:, None] & z[None, :]) == _parity(z[:, None] & x[None, :])
+    the symplectic rule applied to all pairs of its masks at once, on copies
+    of the masks in the narrowest unsigned type that holds d bits."""
+    dtype = np.min_scalar_type((1 << nodes.d) - 1)
+    x, z = (a.astype(dtype) for a in nodes.masks[:2])
+    # the masks are nonnegative, so bitwise_count counts their set bits
+    return np.bitwise_count((x[:, None] & z) ^ (z[:, None] & x)) & 1 == 0
 
 
 @dataclass(frozen=True)
@@ -74,6 +75,15 @@ class Cover:
     @cached_property
     def covered(self) -> DegreeSet:
         return DegreeSet.of(self.d, (s for b in self.subsets for s in b))
+
+    @cached_property
+    def positions(self) -> tuple[np.ndarray, ...]:
+        """Per subset, the read-only positions of its strings in ``covered``."""
+        index = self.covered.index
+        out = tuple(np.array([index[s] for s in b], dtype=np.intp) for b in self.subsets)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.subsets)

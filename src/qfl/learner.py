@@ -38,7 +38,6 @@ from .pauli import (
     FourierTable,
     PauliString,
     degree_set_upto,
-    degree_set_within,
     synthesize,
     synthesize_stack,
 )
@@ -198,10 +197,10 @@ def _subset_blocks(d: int, k: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
     supported in subset i, in the sorted order of their restrictions to it
     (the order of ``full_degree_set(k)``).  Every caller shares them, so the
     index is read-only."""
-    index = degree_set_upto(d, k).index
+    upto = degree_set_upto(d, k)
     subsets = list(itertools.combinations(range(d), k))
     # a string supported in C sorts among the others as its restriction to C
-    gather = np.array([[index[s] for s in degree_set_within(d, c)] for c in subsets], dtype=np.intp)
+    gather = np.array([np.flatnonzero(upto.supported_in(c)) for c in subsets], dtype=np.intp)
     gather.flags.writeable = False
     return subsets, gather
 
@@ -256,11 +255,11 @@ def fourier_estimation(
     estimates = np.empty(len(cover.covered))
     pos = 0
     prepared = source.prepared_batches(cover.subsets)
-    for subset, batch, size in zip(cover.subsets, prepared, plan.sizes):
+    for positions, batch, size in zip(cover.positions, prepared, plan.sizes):
         chunk = slice(pos, pos + size)
         pos += size
-        means = _batch_means(batch, bases[chunk], labels[chunk], rng.random((size, len(subset))))
-        estimates[[cover.covered.index[s] for s in subset]] = means
+        means = _batch_means(batch, bases[chunk], labels[chunk], rng.random((size, len(positions))))
+        estimates[positions] = means
     return FourierTable(cover.covered, estimates)
 
 

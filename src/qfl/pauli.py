@@ -43,6 +43,9 @@ TRACE_BLOCK = 1 << 18
 DEGREE_SET_CACHE_SIZE = 16
 
 _I_POWERS = np.array([1, 1j, -1, -1j])
+# a symbol's mask bits as text: X (1) and Y (2) flip the bit, Y and Z (3) give it a phase
+_X_BITS = str.maketrans("0123", "0110")
+_Z_BITS = str.maketrans("0123", "0011")
 
 
 @dataclass(frozen=True, order=True)
@@ -70,23 +73,13 @@ class PauliString:
             raise ValueError("a Pauli string needs at least one symbol")
         if any(v not in (0, 1, 2, 3) for v in symbols):
             raise ValueError(f"symbols must be in {{0,1,2,3}}, got {symbols}")
-        d = len(symbols)
-        x_mask = z_mask = 0
-        y_count = 0
-        for j, sym in enumerate(symbols):
-            bit = 1 << (d - 1 - j)
-            if sym in (1, 2):
-                x_mask |= bit
-            if sym in (2, 3):
-                z_mask |= bit
-            if sym == 2:
-                y_count += 1
+        text = "".join(map(str, symbols))
         object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "x_mask", x_mask)
-        object.__setattr__(self, "z_mask", z_mask)
-        object.__setattr__(self, "y_count", y_count)
+        object.__setattr__(self, "x_mask", int(text.translate(_X_BITS), 2))
+        object.__setattr__(self, "z_mask", int(text.translate(_Z_BITS), 2))
+        object.__setattr__(self, "y_count", symbols.count(2))
         object.__setattr__(self, "_hash", hash((symbols,)))
-        object.__setattr__(self, "_text", "".join(map(str, symbols)))
+        object.__setattr__(self, "_text", text)
 
     def __hash__(self) -> int:
         return self._hash
@@ -123,13 +116,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return self._text
-
-
-def _parity(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    for shift in (16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
 
 
 def pauli_masks(strings: Iterable[PauliString]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,6 +239,14 @@ class DegreeSet:
     def __contains__(self, s: PauliString) -> bool:
         return s in self.index
 
+    def supported_in(self, coords: Iterable[int]) -> np.ndarray:
+        """Boolean vector, set where the string's support lies inside
+        ``coords``; coordinates outside ``[0, d)`` are ignored."""
+        # bits of the coordinates, in the x_mask/z_mask layout
+        inside = sum(1 << (self.d - 1 - c) for c in set(coords) if 0 <= c < self.d)
+        x, z, _ = self.masks
+        return ((x | z) & ~inside) == 0
+
 
 @lru_cache(maxsize=DEGREE_SET_CACHE_SIZE)
 def degree_set_upto(d: int, k: int) -> DegreeSet:
@@ -269,14 +263,8 @@ def degree_set_classical_upto(d: int, k: int) -> DegreeSet:
     """All diagonal (identity/Z) strings on d qubits with weight at most k."""
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-    strings = []
-    for j in range(k + 1):
-        for positions in itertools.combinations(range(d), j):
-            symbols = [0] * d
-            for pos in positions:
-                symbols[pos] = 3
-            strings.append(PauliString(tuple(symbols)))
-    return DegreeSet.of(d, strings)
+    supports = (set(c) for j in range(k + 1) for c in itertools.combinations(range(d), j))
+    return DegreeSet.of(d, (PauliString(tuple(3 if q in c else 0 for q in range(d))) for c in supports))
 
 
 def degree_set_within(d: int, coords: Iterable[int]) -> DegreeSet:
@@ -357,10 +345,7 @@ class FourierTable:
 
     def restricted_to_coords(self, coords: Iterable[int]) -> "FourierTable":
         """Keep exactly the entries whose support lies inside ``coords``."""
-        # bits of the coordinates, in the x_mask/z_mask layout
-        inside = sum(1 << (self.d - 1 - c) for c in set(coords) if 0 <= c < self.d)
-        x, z, _ = self.degree_set.masks
-        return self.restricted(((x | z) & ~inside) == 0)
+        return self.restricted(self.degree_set.supported_in(coords))
 
     def to_text(self) -> str:
         lines = [f"d={self.d}"]
@@ -453,7 +438,9 @@ def _accumulate(c: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray, n: i
         members = np.flatnonzero((slot >= lo) & (slot < lo + per_block))
         for b in range(0, len(members), per_block):
             t = members[b: b + per_block]
-            phases = c[..., t, None] * (_I_POWERS[k[t], None] * (1.0 - 2.0 * _parity(idx & z[t, None])))
+            # the masks are nonnegative, so bitwise_count counts their set bits
+            odd = np.bitwise_count(idx & z[t, None]) & 1
+            phases = c[..., t, None] * (_I_POWERS[k[t], None] * (1.0 - 2.0 * odd))
             for i, row in enumerate((slot[t] - lo).tolist()):
                 rows[..., row, :] += phases[..., i, :]
         out[..., group[:, None] ^ idx, idx] = rows

@@ -79,7 +79,6 @@ from .pauli import (
     PauliString,
     fourier_coefficient,
     fourier_transform,
-    _parity,
     label_signs,
     parse_truth_table,
     pauli_matrix,
@@ -449,7 +448,8 @@ def _product_masks(generators: Sequence[PauliString]) -> tuple[np.ndarray, np.nd
     z = np.zeros(1, dtype=np.int64)
     k = np.zeros(1, dtype=np.int64)
     for s in generators:
-        k = np.concatenate((k, k + s.y_count + 2 * _parity(x & s.z_mask)))
+        # the masks are nonnegative, so bitwise_count counts their set bits
+        k = np.concatenate((k, k + s.y_count + 2 * (np.bitwise_count(x & s.z_mask) & 1)))
         x = np.concatenate((x, x ^ s.x_mask))
         z = np.concatenate((z, z ^ s.z_mask))
     return x, z, k % 4
@@ -486,7 +486,9 @@ def _eigenvalue_table(columns: np.ndarray, rank: int) -> np.ndarray:
     # a generator is the product of itself alone
     combo = np.where(g >= 0, np.left_shift(1, np.maximum(g, 0)), combo)
     prefixes = np.arange(1 << rank)[:, None]
-    return (sign * (1 - 2 * _parity(prefixes & combo))).astype(np.int8)
+    # bitwise_count is uint8, so the sign flip stays in the signed sign array
+    odd = np.bitwise_count(prefixes & combo) & 1
+    return np.where(odd == 1, -sign, sign).astype(np.int8)
 
 
 # Most batches whose reduction is kept.  The largest possible entry, at

@@ -1,9 +1,10 @@
 """Dense oracles that fast paths in ``qfl`` are tested against.
 
 Each oracle is the straightforward implementation a fast path replaced:
-per-string Pauli phases, matrices, traces (one gather per string),
-coefficients and synthesis (dense accumulation of one string at a time), a
-batch's joint law from one trace gather per generator product, and its
+bit parity by a shift-xor ladder, per-string Pauli phases, matrices, traces
+(one gather per string), coefficients and synthesis (dense accumulation of
+one string at a time), a batch's joint law from one trace gather per
+generator product, and its
 prefix marginals, Pauli matrices as Kronecker products of single-qubit ones,
 dense single-state measurement, sequential measurement with dense
 post-measurement collapse, the joint-law sampler that walked every string
@@ -39,7 +40,6 @@ from qfl.compatibility import (
     Cover,
     _iter_clique_partitions,
     batch_weights,
-    commutation_matrix,
     cover_score,
     is_clique,
     pauli_commute,
@@ -59,7 +59,6 @@ from qfl.pauli import (
     DegreeSet,
     FourierTable,
     PauliString,
-    _parity,
     synthesize,
 )
 from qfl.simulator import (
@@ -80,6 +79,15 @@ SINGLE_QUBIT = {
 }
 
 
+def ladder_parity(v: np.ndarray) -> np.ndarray:
+    """Parity of the set bits of each nonnegative integer below 2^32, by a
+    shift-xor ladder that folds the high half onto the low one."""
+    v = v.copy()
+    for shift in (16, 8, 4, 2, 1):
+        v ^= v >> shift
+    return v & 1
+
+
 def kron_pauli(s: PauliString) -> np.ndarray:
     """The string's matrix as the Kronecker product of its symbols' matrices."""
     out = np.eye(1, dtype=np.complex128)
@@ -91,7 +99,7 @@ def kron_pauli(s: PauliString) -> np.ndarray:
 def phase_vector(s: PauliString) -> np.ndarray:
     """Per-basis-state phase of the string's action, as a complex vector."""
     idx = np.arange(1 << s.d)
-    signs = 1.0 - 2.0 * _parity(idx & s.z_mask)
+    signs = 1.0 - 2.0 * ladder_parity(idx & s.z_mask)
     return (1j**s.y_count) * signs
 
 
@@ -134,7 +142,7 @@ def string_accumulate(c: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray
     rows = max(1, TRACE_BLOCK // (out.size // n))
     for lo in range(0, len(x), rows):
         block = slice(lo, lo + rows)
-        phases = c[..., block, None] * (_I_POWERS[k[block], None] * (1.0 - 2.0 * _parity(idx & z[block, None])))
+        phases = c[..., block, None] * (_I_POWERS[k[block], None] * (1.0 - 2.0 * ladder_parity(idx & z[block, None])))
         for t, xt in enumerate(x[block]):
             out[..., idx ^ xt, idx] += phases[..., t, :]
     return out
@@ -146,7 +154,7 @@ def pauli_traces(m: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray) -> 
     memory."""
     n = m.shape[0]
     j = np.arange(n)
-    odd = _parity(j).astype(bool)
+    odd = ladder_parity(j).astype(bool)
     flat = m.ravel()
     out = np.empty(len(x), dtype=np.complex128)
     rows = max(1, TRACE_BLOCK // n)
@@ -351,7 +359,7 @@ def table_prepare_batch(batch: DegreeSet, states: Sequence[np.ndarray]) -> Table
             outcomes.append(None)
             h += 1
             continue
-        flip = (_parity(np.arange(1 << h) & combo) ^ (sign < 0)).astype(bool)
+        flip = (ladder_parity(np.arange(1 << h) & combo) ^ (sign < 0)).astype(bool)
         table = np.zeros(probs.shape, dtype=bool)
         table[0::2, 1 << h: 2 << h] = flip
         table[1::2, 1 << h: 2 << h] = ~flip
@@ -557,7 +565,7 @@ def canonical(cover: Cover) -> Cover:
 def object_best_cover(nodes: DegreeSet, n: int, delta: float, strategy: str = "greedy") -> Cover:
     """Cover search that builds a canonical ``Cover`` for every candidate and
     keeps the least ``(score, subset contents)``."""
-    adjacency = commutation_matrix(nodes)
+    adjacency = pairwise_commutation(nodes.strings)
     size = len(nodes)
     strings = nodes.strings
     if strategy == "exhaustive":

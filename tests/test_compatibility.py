@@ -90,10 +90,18 @@ class TestGraph:
         assert commutation_matrix(DegreeSet.of(2, [P("30"), P("03"), P("33")])).all()
 
     def test_matches_pairwise_commute(self):
-        for d in range(1, 8):
-            nodes = degree_set_upto(d, min(2, d))
+        for d, k in [(d, min(2, d)) for d in range(1, 8)] + [(5, 3)]:
+            nodes = degree_set_upto(d, k)
             adjacency = commutation_matrix(nodes)
             assert np.array_equal(adjacency, pairwise_commutation(nodes.strings))
+
+    @pytest.mark.parametrize("d", [8, 9, 16, 17, 33, 60])
+    def test_masks_wider_than_the_qubit_cap(self, d):
+        # the matrix reads copies of the masks in the narrowest unsigned type
+        # that holds d bits; a cover search is not capped in d
+        rng = np.random.default_rng(90 + d)
+        nodes = DegreeSet.of(d, {random_string(rng, d) for _ in range(40)})
+        assert np.array_equal(commutation_matrix(nodes), pairwise_commutation(nodes.strings))
 
     def test_masks_match_matrix(self):
         # 190 strings: rows span several 64-bit words
@@ -122,6 +130,16 @@ class TestGreedyCover:
     def test_cover_rejects_duplicates(self):
         with pytest.raises(ValueError, match="more than one"):
             Cover((DegreeSet.of(1, [P("3")]), DegreeSet.of(1, [P("3")])))
+
+    def test_positions_place_each_subset_in_covered(self):
+        cover = best_cover(degree_set_upto(4, 2), 1000, 0.1)
+        assert cover.positions is cover.positions
+        assert len(cover.positions) == cover.m
+        for subset, positions in zip(cover.subsets, cover.positions):
+            assert [cover.covered.strings[i] for i in positions] == list(subset)
+            assert not positions.flags.writeable
+        flat = np.concatenate(cover.positions).tolist()
+        assert sorted(flat) == list(range(len(cover.covered)))
 
     def test_singleton_cover_valid(self):
         nodes = DegreeSet.of(2, [P("11"), P("22"), P("12")])
@@ -216,7 +234,8 @@ class TestCoverOracle:
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_bounded_degree_sets(self, d):
-        for k in range(min(2, d) + 1):
+        # k = 3 as well up to d = 5, where the object search stays fast
+        for k in range(min(3 if d <= 5 else 2, d) + 1):
             self.assert_same(degree_set_upto(d, k))
             self.assert_same(degree_set_classical_upto(d, k))
 

@@ -213,6 +213,20 @@ class TestFourierEstimation:
                         assert got.items() == want.items()
                         assert got.to_text() == want.to_text()
 
+    def test_warm_call_hashes_no_string(self, monkeypatch):
+        # the cover places each batch's means by positions it builds once
+        source = make_parity_source(4, (1, 2))
+        cover, plan = learner._plan(degree_set_upto(4, 2), 2000, 0.05, "greedy")
+        streams = RandomStreams(3)
+        bases, labels = draw_samples(source, 2000, streams.generator(0))
+        want = fourier_estimation(source, bases, labels, cover, plan, streams.generator(2))
+        hashed = []
+        real = PauliString.__hash__
+        monkeypatch.setattr(PauliString, "__hash__", lambda self: hashed.append(self) or real(self))
+        got = fourier_estimation(source, bases, labels, cover, plan, streams.generator(2))
+        assert hashed == []
+        assert got.to_text() == want.to_text()
+
     def test_estimation_allocates_no_outcome_matrix(self, monkeypatch):
         # at d=6, k=2, n=2e4 each batch's work past its uniforms holds a few
         # vectors per sample, whatever the batch's string count m, and the
@@ -503,10 +517,11 @@ class TestBestCoords:
         assert best_coords(table, 2) == want
         assert calls == [(10, 4, 4)] + [(3, 4, 4)] * 3 + [(1, 4, 4)]
 
-    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("d", range(1, 9))
     def test_gather_index_matches_block_oracle(self, d):
         rng = np.random.default_rng(70 + d)
-        for k in range(1, min(d, 3) + 1):
+        # every k up to 3 at d <= 6, and k = 3 beyond
+        for k in range(1, min(d, 3) + 1) if d <= 6 else (3,):
             strings = degree_set_upto(d, k)
             table = FourierTable.of(d, {s: float(rng.normal()) for s in strings})
             subsets, gather = learner._subset_blocks(d, k)
@@ -515,6 +530,17 @@ class TestBestCoords:
             for coords, row in zip(subsets, gather):
                 want = [block(table, coords).get(s) for s in full_degree_set(k)]
                 assert coeffs[row].tolist() == want
+
+    def test_cold_subset_blocks_construct_no_string(self, monkeypatch):
+        # the degree set is shared by every caller and built before
+        strings = degree_set_upto(10, 3)
+        built = []
+        init = PauliString.__post_init__
+        monkeypatch.setattr(PauliString, "__post_init__", lambda self: built.append(init(self)))
+        subsets, gather = learner._subset_blocks(10, 3)
+        assert built == []
+        assert gather.shape == (len(subsets), 64) == (120, 64)
+        assert gather.max() < len(strings)
 
     def test_symmetric_table_tie_goes_to_first_pair(self):
         d = 4

@@ -30,6 +30,7 @@ from oracles import (
     SINGLE_QUBIT as SIGMA,
     block,
     kron_pauli,
+    ladder_parity,
     pauli_apply_left,
     pauli_apply_right,
     pauli_expectation,
@@ -129,6 +130,19 @@ class TestPauliMatrix:
         m = pauli_matrix(PauliString(symbols))
         assert np.abs(m - m.conj().T).max() == 0.0
         assert np.abs(m @ m - np.eye(m.shape[0])).max() <= 1e-14
+
+
+class TestParity:
+    """``np.bitwise_count(v) & 1``, the parity every kernel takes of its
+    nonnegative masks, against the shift-xor ladder it replaced."""
+
+    def test_every_16_bit_mask(self):
+        v = np.arange(1 << 16, dtype=np.int64)
+        assert np.array_equal(np.bitwise_count(v) & 1, ladder_parity(v))
+
+    def test_random_24_bit_masks(self):
+        v = np.random.default_rng(81).integers(0, 1 << 24, size=1 << 16, dtype=np.int64)
+        assert np.array_equal(np.bitwise_count(v) & 1, ladder_parity(v))
 
 
 class TestKernel:
@@ -442,6 +456,12 @@ class TestDegreeSets:
     def test_within(self):
         ds = degree_set_within(3, (1,))
         assert {str(s) for s in ds} == {"000", "010", "020", "030"}
+
+    @pytest.mark.parametrize("coords", [(), (2,), (0, 3), (1, 2, 4), (4, 1, 9, -1)])
+    def test_supported_in_marks_the_strings_within(self, coords):
+        ds = degree_set_upto(5, 3)
+        within = degree_set_within(5, [c for c in coords if 0 <= c < 5])
+        assert ds.supported_in(coords).tolist() == [s in within for s in ds]
 
     def test_dedup(self):
         ds = DegreeSet.of(1, [PauliString((3,)), PauliString((3,))])
