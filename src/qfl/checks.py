@@ -283,7 +283,7 @@ def check_bell_example():
     _ensure(abs(value - 0.25) <= 1e-9, f"optimal junta loss {value} != 1/4")
     _ensure(coords == (0, 1), f"unexpected maximizer {coords}")
     table = source.exact_table(pauli.full_degree_set(2))
-    predictor = learner.build_predictor(table, pauli.full_degree_set(2))
+    predictor = learner.build_predictor(table)
     loss = learner.exact_loss(predictor, source)
     _ensure(abs(loss - 0.25) <= 1e-9, f"optimal predictor loss {loss} != 1/4")
 
@@ -512,7 +512,7 @@ def check_noisy_shrinkage():
 def check_loss_consistency():
     source = make_bell_source()
     table = source.exact_table(pauli.full_degree_set(2))
-    predictor = learner.build_predictor(table, pauli.full_degree_set(2))
+    predictor = learner.build_predictor(table)
     exact = learner.exact_loss(predictor, source)
     n_test = 100_000
     for seed in range(5):

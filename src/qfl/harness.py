@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import statistics
@@ -213,22 +214,9 @@ class ExperimentConfig:
 
     def points(self) -> list[dict]:
         """Cartesian product of all swept axes, in deterministic order."""
-        out = []
-        for source in self.sources:
-            for k in self.k_values or (None,):
-                for n in self.n_values:
-                    for delta in self.delta_values:
-                        for eta in self.eta_values or (None,):
-                            out.append(
-                                {
-                                    "source": source,
-                                    "k": k,
-                                    "n": n,
-                                    "delta": delta,
-                                    "eta": eta,
-                                }
-                            )
-        return out
+        axes = (self.sources, self.k_values or (None,), self.n_values, self.delta_values,
+                self.eta_values or (None,))
+        return [dict(zip(("source", "k", "n", "delta", "eta"), p)) for p in itertools.product(*axes)]
 
 
 def _fmt(value) -> str:
@@ -254,11 +242,7 @@ def _degree_set_for(config: ExperimentConfig, source: SampleSource, k: int | Non
 
 
 def _known_opt(source: SampleSource) -> float | None:
-    if source.kind in ("realizable", "classical"):
-        return source.flip_rate if source.flip_rate > 0 else 0.0
-    if source.kind == "noisy":
-        return source.flip_rate
-    return None
+    return None if source.kind == "custom" else source.flip_rate
 
 
 def _run_one(config: ExperimentConfig, params: dict, source: SampleSource,

@@ -111,20 +111,15 @@ class Predictor:
         return (eye - self.g_op) / 2.0, (eye + self.g_op) / 2.0
 
 
-def build_predictor(table: FourierTable, degree_set: DegreeSet) -> Predictor:
-    """Sign-operator predictor from estimated coefficients on a degree set.
+def build_predictor(table: FourierTable) -> Predictor:
+    """Sign-operator predictor from estimated coefficients.
 
-    Only the nonzero coefficients are synthesized: a zero one adds +-0.0 to
-    entries that start at +0.0 and are never -0.0, so it changes no bit of
-    ``g_op``.  A table with none is degenerate.
+    :func:`synthesize` skips the zero coefficients, and a table with none
+    but zeros is degenerate.
     """
-    keep = table.values != 0.0
-    if table.degree_set != degree_set:
-        keep &= np.fromiter((s in degree_set for s in table.degree_set), bool, len(table))
-    if not keep.any():
-        return Predictor(np.eye(1 << degree_set.d, dtype=np.complex128), degenerate=True)
-    f_hat = synthesize(table if keep.all() else table.restricted(keep))
-    return Predictor(sign_operator(f_hat))
+    if not table.values.any():
+        return Predictor(np.eye(1 << table.d, dtype=np.complex128), degenerate=True)
+    return Predictor(sign_operator(synthesize(table)))
 
 
 def _g_of(predictor) -> np.ndarray:
@@ -400,20 +395,18 @@ def _close(
     predictor: Predictor,
     source: SampleSource,
     optimal: FourierTable | None,
-    degree_set: DegreeSet,
     n_test: int,
 ) -> tuple[Predictor, LearnReport]:
     """Closing step of both learners: the predictor's exact loss, the exact
-    loss of the sign of ``optimal`` (an exact table of the source on a subset
-    of the degree set, when the optimum is known) and, for ``n_test`` > 0,
-    the empirical loss."""
+    loss of the sign of ``optimal`` (an exact table of the source, when the
+    optimum is known) and, for ``n_test`` > 0, the empirical loss."""
     report.exact_loss = exact_loss(predictor, source)
     report.degenerate = predictor.degenerate
     if optimal is not None:
         # the optimum does not depend on the seed, so each source keeps its loss
         report.optimal_exact_loss = source.memoized(
             ("optimal_loss", optimal.degree_set),
-            lambda: exact_loss(build_predictor(optimal, degree_set), source),
+            lambda: exact_loss(build_predictor(optimal), source),
         )
     if n_test > 0:
         report.empirical_loss = empirical_loss(
@@ -442,13 +435,13 @@ def qld_learn(
     carries a measured-beta variant computed against the source ground truth.
     """
     report, truth = _estimate(source, degree_set, n, delta, seed, cover_strategy)
-    predictor = build_predictor(report.estimates, degree_set)
+    predictor = build_predictor(report.estimates)
     report.epsilon = epsilon
     report.opt_value = opt_value
     if opt_value is not None:
         report.bound_value = qld_error_bound(opt_value, epsilon, report.beta_bound)
         report.bound_measured = qld_error_bound(opt_value, epsilon, report.beta_measured)
-    return _close(report, predictor, source, truth, degree_set, n_test)
+    return _close(report, predictor, source, truth, n_test)
 
 
 def junta_learn(
@@ -474,7 +467,7 @@ def junta_learn(
     degree_set = degree_set_upto(source.d, k)
     report, truth = _estimate(source, degree_set, n, delta, seed, cover_strategy)
     _, report.chosen_coords = best_coords(report.estimates, k)
-    predictor = build_predictor(report.estimates.restricted_to_coords(report.chosen_coords), degree_set)
+    predictor = build_predictor(report.estimates.restricted_to_coords(report.chosen_coords))
     optimal = None
     if source.maximally_mixed:
         report.opt_value, opt_coords = opt_k(source, k)
@@ -482,4 +475,4 @@ def junta_learn(
         report.bound_measured = junta_error_bound(report.opt_value, report.beta_measured**2)
         report.extra["opt_coords"] = opt_coords
         optimal = truth.restricted_to_coords(opt_coords)
-    return _close(report, predictor, source, optimal, degree_set, n_test)
+    return _close(report, predictor, source, optimal, n_test)

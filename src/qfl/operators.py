@@ -97,15 +97,13 @@ def _is_diagonal(a: np.ndarray) -> bool:
     return not a.ravel()[1:].reshape(n - 1, n + 1)[:, :n].any()
 
 
-def hermitian_eig(h, *, stack: bool = False) -> Spectrum:
-    """Eigendecomposition of a Hermitian matrix with descending eigenvalues;
-    with ``stack``, of each matrix of an ``(S, n, n)`` stack, bit for bit as
-    one call per matrix would give it.
+def hermitian_eig(h) -> Spectrum:
+    """Eigendecomposition of a Hermitian matrix with descending eigenvalues.
 
     Raises RuntimeError if the underlying solver fails to converge; the error
     message carries the hermiticity defect of the input as a diagnostic.
     """
-    return _eigh(require_hermitian(h, stack=stack))
+    return _eigh(require_hermitian(h))
 
 
 def _eigh(h: np.ndarray) -> Spectrum:

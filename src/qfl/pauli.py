@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -254,17 +254,14 @@ def degree_set_upto(d: int, k: int) -> DegreeSet:
     per ``(d, k)`` and shared by every caller (a degree set is immutable)."""
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-    # a string of weight at most k is supported inside some k coordinates
-    subsets = itertools.combinations(range(d), k)
-    return DegreeSet.of(d, (s for coords in subsets for s in degree_set_within(d, coords)))
+    return _strings_within(d, range(d), k, (1, 2, 3))
 
 
 def degree_set_classical_upto(d: int, k: int) -> DegreeSet:
     """All diagonal (identity/Z) strings on d qubits with weight at most k."""
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
-    supports = (set(c) for j in range(k + 1) for c in itertools.combinations(range(d), j))
-    return DegreeSet.of(d, (PauliString(tuple(3 if q in c else 0 for q in range(d))) for c in supports))
+    return _strings_within(d, range(d), k, (3,))
 
 
 def degree_set_within(d: int, coords: Iterable[int]) -> DegreeSet:
@@ -272,12 +269,21 @@ def degree_set_within(d: int, coords: Iterable[int]) -> DegreeSet:
     coords = sorted(set(coords))
     if any(not 0 <= c < d for c in coords):
         raise ValueError(f"coordinates must lie in [0, {d}), got {coords}")
+    return _strings_within(d, coords, len(coords), (1, 2, 3))
+
+
+def _strings_within(d: int, coords: Sequence[int], k: int, alphabet: tuple[int, ...]) -> DegreeSet:
+    """The strings on d qubits supported on at most k of ``coords``, with a
+    symbol of ``alphabet`` at each point of the support: one walk over the
+    supports, so each string is built once."""
     strings = []
-    for fill in itertools.product((0, 1, 2, 3), repeat=len(coords)):
-        symbols = [0] * d
-        for pos, sym in zip(coords, fill):
-            symbols[pos] = sym
-        strings.append(PauliString(tuple(symbols)))
+    for j in range(k + 1):
+        for support in itertools.combinations(coords, j):
+            for fill in itertools.product(alphabet, repeat=j):
+                symbols = [0] * d
+                for q, v in zip(support, fill):
+                    symbols[q] = v
+                strings.append(PauliString(tuple(symbols)))
     return DegreeSet.of(d, strings)
 
 
@@ -400,11 +406,14 @@ def synthesize(table: FourierTable) -> np.ndarray:
     """Dense operator ``sum_s c_s sigma^s`` from a coefficient table.
 
     Strings are added one at a time in sorted order, so every entry is the
-    same floating-point sum whatever the block size.
+    same floating-point sum whatever the block size.  Zero coefficients are
+    skipped: a zero adds +-0.0 to entries that start at +0.0 and are never
+    -0.0, so it changes no bit.
     """
     if table.d > MAX_QUBITS:
         raise ValueError(f"dense synthesis capped at {MAX_QUBITS} qubits")
-    return _accumulate(table.values, *table.degree_set.masks, 1 << table.d)
+    keep = table.values != 0.0
+    return _accumulate(table.values[keep], *(a[keep] for a in table.degree_set.masks), 1 << table.d)
 
 
 def synthesize_stack(coeffs: np.ndarray, d: int) -> np.ndarray:

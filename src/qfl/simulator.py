@@ -17,17 +17,20 @@ so their Pauli spectra (and the labeling operator's) are one transformed
 row, x = 0.
 
 Measurements are simulated exactly.  A batch of mutually commuting strings
-reduces over GF(2), in its symplectic ``(x|z)`` form, to r <= d independent
-generators; every other string is a signed product of earlier generators.
-The joint outcome law of the batch on a state is the Walsh-Hadamard transform
-of the ``2^r`` expectations of generator products, so no ``2^m`` joint
-effects and no collapsed states are ever formed.  The expectations of every
-batch of a cover are read off one Pauli spectrum per state
-(:func:`qfl.pauli.spectral_traces`), O(d 4^d) at most however many products
-the cover has.  Each batch is checked and reduced once, in a bounded cache
-(:func:`_checked_reduction`), which also keeps the batch's ``(2^r, m)``
-eigenvalue table ``E``: ``E[p, l]`` is the eigenvalue of string l once the
-generators showed the eigenvalue prefix p.  A source keeps, per batch, the
+reduces over GF(2), on its symplectic ``(x|z)`` masks, to r <= d independent
+generators, named by their batch columns; every string is a sign times the
+product of the generators in its bitmask ``combo`` (a generator's combo is
+its own bit).  The joint outcome law of the batch on a state is the
+Walsh-Hadamard transform of the ``2^r`` expectations of generator products,
+so no ``2^m`` joint effects and no collapsed states are ever formed.  The
+expectations of every batch of a cover are read off one Pauli spectrum per
+state (:func:`qfl.pauli.spectral_traces`), O(d 4^d) at most however many
+products the cover has.  Each batch is checked and reduced once, in a bounded
+cache (:func:`_checked_reduction`), which also keeps the batch's ``(2^r, m)``
+eigenvalue table ``E``: ``E[p, l] = sign (-1)^parity(p & combo_l)`` is the
+eigenvalue of string l once the generators showed the eigenvalue prefix p.
+No kernel reads a string object; strings are built at the edges, where a
+batch's degree set is made or printed.  A source keeps, per batch, the
 generator probabilities taken from the prefix marginals of the law of each
 conditional state (:func:`prepare_batches`, through
 :meth:`SampleSource.prepared_batches`): per state, label sign, generator and
@@ -400,101 +403,81 @@ def _checked_probability(p):
     return np.clip(p, 0.0, 1.0)
 
 
-def _reduce_batch(batch: DegreeSet) -> tuple[list[PauliString], list[tuple[int, int, int]], tuple]:
-    """GF(2) reduction of the batch's symplectic vectors ``(x|z)``, in batch order.
+def _reduce_batch(batch: DegreeSet) -> tuple[list[int], list[int]]:
+    """GF(2) reduction of the batch's symplectic vectors ``(x|z)``, read off
+    its masks in batch order.
 
-    Returns the generators (the strings independent of all earlier ones),
-    per string ``(g, combo, sign)``, and the :func:`_product_masks` of the
-    generators.  A generator has its index ``g``; any other string has
-    ``g = -1`` and equals ``sign`` (+-1) times the product of the generators
-    in the bitmask ``combo``.  The identity string is such a string with
-    ``combo = 0``.
+    Returns the generator columns, the batch columns of the strings
+    independent of all earlier ones, and per string the generator bitmask
+    ``combo``: the string is +-1 times the product of the generators in
+    ``combo``.  A generator's combo is its own bit; the identity's is 0.
     """
     d = batch.d
+    x, z, _ = batch.masks
     basis: dict[int, tuple[int, int]] = {}  # pivot bit -> (vector, generator bitmask)
-    generators: list[PauliString] = []
-    columns: list[tuple[int, int]] = []
-    for s in batch:
-        v = (s.x_mask << d) | s.z_mask
+    generator_columns: list[int] = []
+    combos: list[int] = []
+    for col, v in enumerate(((x << d) | z).tolist()):
         combo = 0
         while v and (v.bit_length() - 1) in basis:
             vec, cmb = basis[v.bit_length() - 1]
             v ^= vec
             combo ^= cmb
         if v:
-            basis[v.bit_length() - 1] = (v, combo | (1 << len(generators)))
-            columns.append((len(generators), 0))
-            generators.append(s)
-        else:
-            columns.append((-1, combo))
-    # sigma^s = sign * P_combo: both send |0> to a power of i times |x>, and
-    # for commuting strings the exponents differ by 0 (sign +1) or 2 (sign -1)
-    masks = _product_masks(generators)
-    return generators, [
-        (g, combo, 1 - (s.y_count - int(masks[2][combo])) % 4 if g < 0 else 1)
-        for s, (g, combo) in zip(batch, columns)
-    ], masks
+            own = 1 << len(generator_columns)
+            basis[v.bit_length() - 1] = (v, combo | own)
+            generator_columns.append(col)
+            combo = own
+        combos.append(combo)
+    return generator_columns, combos
 
 
-def _product_masks(generators: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Masks ``x_T``, ``z_T`` and phase exponents ``k_T`` of every generator
-    product ``P_T``, indexed by the subset bitmask T (bit g is generator g).
+def _product_masks(x: np.ndarray, z: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks ``x_T``, ``z_T`` and phase exponents ``k_T`` of every product
+    ``P_T`` of the generators with masks ``x``, ``z`` and ``k``, indexed by
+    the subset bitmask T (bit g is generator g).
 
     ``P_T |j> = i^{k_T} (-1)^{parity(j & z_T)} |j ^ x_T>``, built one generator
     at a time from ``P_{T+g} = sigma^g P_T`` and
-    ``sigma^g |x> = i^{n_Y} (-1)^{parity(x & z_g)} |x ^ x_g>``.
+    ``sigma^g |x> = i^{k_g} (-1)^{parity(x & z_g)} |x ^ x_g>``.
     """
-    x = np.zeros(1, dtype=np.int64)
-    z = np.zeros(1, dtype=np.int64)
-    k = np.zeros(1, dtype=np.int64)
-    for s in generators:
+    px = np.zeros(1, dtype=np.int64)
+    pz = np.zeros(1, dtype=np.int64)
+    pk = np.zeros(1, dtype=np.int64)
+    for xg, zg, kg in zip(x.tolist(), z.tolist(), k.tolist()):
         # the masks are nonnegative, so bitwise_count counts their set bits
-        k = np.concatenate((k, k + s.y_count + 2 * (np.bitwise_count(x & s.z_mask) & 1)))
-        x = np.concatenate((x, x ^ s.x_mask))
-        z = np.concatenate((z, z ^ s.z_mask))
-    return x, z, k % 4
+        pk = np.concatenate((pk, pk + kg + 2 * (np.bitwise_count(px & zg) & 1)))
+        px = np.concatenate((px, px ^ xg))
+        pz = np.concatenate((pz, pz ^ zg))
+    return px, pz, pk % 4
 
 
 @dataclass(frozen=True)
 class _Reduction:
-    """A commuting batch checked and reduced over GF(2): its generators, the
-    per-string ``(g, combo, sign)`` of :func:`_reduce_batch` as an ``(m, 3)``
-    int64 array ``columns``, the :func:`_product_masks` of the generators,
-    the batch column of each generator, in generator order, and the
-    :func:`_eigenvalue_table` of the strings.  It depends on the batch alone,
-    so one is shared by every source; the arrays are read-only."""
+    """A commuting batch checked and reduced over GF(2): the batch column of
+    each generator, in generator order, the :func:`_product_masks` of the
+    generators and the ``(2^r, m)`` int8 eigenvalue table ``E``.
+    ``E[p, l]`` is the eigenvalue of string l on every sample whose r
+    generators showed the eigenvalue prefix p (bit g set when generator g
+    showed -1): ``sign (-1)^parity(p & combo)``, for string l equal to
+    ``sign`` times the product of the generators in its ``combo``.  A
+    sample of label sign c shows outcome ``c E[p, l]`` on string l.  It
+    depends on the batch alone, so one is shared by every source; the
+    arrays are read-only."""
 
-    generators: tuple[PauliString, ...]
-    columns: np.ndarray
-    masks: tuple[np.ndarray, np.ndarray, np.ndarray]
     generator_columns: tuple[int, ...]
+    masks: tuple[np.ndarray, np.ndarray, np.ndarray]
     eigenvalues: np.ndarray
 
     @property
     def rank(self) -> int:
-        return len(self.generators)
-
-
-def _eigenvalue_table(columns: np.ndarray, rank: int) -> np.ndarray:
-    """``E[p, l]``, the eigenvalue (+-1, int8) of string l on every sample
-    whose r generators showed the eigenvalue prefix p (bit g set when
-    generator g showed -1): ``(-1)^(bit g of p)`` for generator g, and
-    ``sign (-1)^parity(p & combo)`` for a string that is ``sign`` times the
-    product of the generators in ``combo``.  A sample of label sign c shows
-    outcome ``c E[p, l]`` on string l."""
-    g, combo, sign = columns.T
-    # a generator is the product of itself alone
-    combo = np.where(g >= 0, np.left_shift(1, np.maximum(g, 0)), combo)
-    prefixes = np.arange(1 << rank)[:, None]
-    # bitwise_count is uint8, so the sign flip stays in the signed sign array
-    odd = np.bitwise_count(prefixes & combo) & 1
-    return np.where(odd == 1, -sign, sign).astype(np.int8)
+        return len(self.generator_columns)
 
 
 # Most batches whose reduction is kept.  The largest possible entry, at
 # MAX_QUBITS = 12, is a batch of 2^12 commuting strings with r = 12
-# generators: about 1.3 MB for the batch it is keyed by, 0.2 MB of columns
-# and masks and a 2^12 x 2^12 int8 eigenvalue table of 16 MB, so the cache
+# generators: about 1.3 MB for the batch it is keyed by, 0.1 MB of masks
+# and a 2^12 x 2^12 int8 eigenvalue table of 16 MB, so the cache
 # holds at most about 350 MB.  A k = 2 cover holds far less: up to d = 10 its
 # batches have at most 2^10 x 30 eigenvalues each, and 20 entries hold the
 # whole cover (at most 19 subsets).
@@ -509,13 +492,20 @@ def _checked_reduction(batch: DegreeSet) -> _Reduction:
         raise ValueError("batch must contain at least one string")
     if not is_clique(batch):
         raise ValueError("batch strings do not mutually commute; not jointly measurable")
-    generators, columns, masks = _reduce_batch(batch)
-    columns = np.array(columns, dtype=np.int64).reshape(-1, 3)
-    eigenvalues = _eigenvalue_table(columns, len(generators))
-    for a in (columns, eigenvalues, *masks):
+    generator_columns, combos = _reduce_batch(batch)
+    x, z, k = batch.masks
+    masks = _product_masks(x[generator_columns], z[generator_columns], k[generator_columns])
+    combos = np.array(combos, dtype=np.int64)
+    # sigma^s = sign * P_combo: both send |0> to a power of i times |x>, and
+    # for commuting strings the exponents differ by 0 (sign +1) or 2 (sign -1)
+    sign = 1 - (k - masks[2][combos]) % 4
+    prefixes = np.arange(len(masks[0]))[:, None]
+    # bitwise_count is uint8, so the sign flip stays in the signed sign array
+    odd = np.bitwise_count(prefixes & combos) & 1
+    eigenvalues = np.where(odd == 1, -sign, sign).astype(np.int8)
+    for a in (eigenvalues, *masks):
         a.flags.writeable = False
-    generator_columns = tuple(np.flatnonzero(columns[:, 0] >= 0).tolist())
-    return _Reduction(tuple(generators), columns, masks, generator_columns, eigenvalues)
+    return _Reduction(tuple(generator_columns), masks, eigenvalues)
 
 
 @dataclass(frozen=True)
@@ -599,10 +589,12 @@ def measure_batch_groups(
     ``bases[i]`` among those ``prepared`` was built on (a source's batch,
     :meth:`SampleSource.prepared_batches`, has ``rho0`` and ``rho1``), and
     has label 0 or 1, label sign ``c = 2 label - 1``.  ``uniforms`` has one
-    row per sample and one column per batch string.  The batch reduces to
-    r <= d independent generators, and every other string is a fixed signed
-    product of earlier generators, so its outcome follows from theirs.  The
-    walk visits only the generator columns: sample ``i`` gets outcome +1 on
+    row per sample and one column per batch string, as many as the
+    reduction's eigenvalue table has.  The batch reduces to r <= d
+    independent generators, and every string is a fixed sign times the
+    product of the generators in its combo, so its outcome follows from
+    theirs.  The walk visits only the reduction's generator columns, in
+    generator order: sample ``i`` gets outcome +1 on
     a generator column ``l`` exactly when ``uniforms[i, l]`` falls below
     ``(1 + c t) / 2``, with ``t`` the generator's mean given the sample's
     earlier outcomes; this is the rule of sequential measurement with
@@ -610,12 +602,12 @@ def measure_batch_groups(
 
     Returns the int64 prefixes p, bit g set when generator g showed
     eigenvalue -1; sample ``i`` shows outcome ``c E[p_i, l]`` on string l,
-    with E the reduction's :func:`_eigenvalue_table`.  A sample's prefix
+    with E the reduction's eigenvalue table.  A sample's prefix
     depends only on its base, label and row of uniforms.
     """
     bases, labels = (np.asarray(a) for a in samples)
     n_total, m = uniforms.shape
-    if m != len(prepared.reduction.columns):
+    if m != prepared.reduction.eigenvalues.shape[1]:
         raise ValueError("uniforms must have one column per batch string")
     if not len(bases) == len(labels) == n_total:
         raise ValueError("bases, labels and the rows of uniforms must have the same length")

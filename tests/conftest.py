@@ -19,6 +19,7 @@ from qfl.simulator import SampleSource
 # Process-wide caches of work that depends only on the measurement class.
 CLASS_CACHES = (
     pauli.degree_set_upto,
+    pauli.full_degree_set,
     learner._plan,
     learner._subset_blocks,
     simulator._checked_reduction,

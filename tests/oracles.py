@@ -3,8 +3,9 @@
 Each oracle is the straightforward implementation a fast path replaced:
 bit parity by a shift-xor ladder, per-string Pauli phases, matrices, traces
 (one gather per string), coefficients and synthesis (dense accumulation of
-one string at a time), a batch's joint law from one trace gather per
-generator product, and its
+one string at a time), degree sets by filtering every word, a batch's
+GF(2) reduction and eigenvalue table on its string objects, its joint law
+from one trace gather per generator product, and its
 prefix marginals, Pauli matrices as Kronecker products of single-qubit ones,
 dense single-state measurement, sequential measurement with dense
 post-measurement collapse, the joint-law sampler that walked every string
@@ -67,8 +68,6 @@ from qfl.simulator import (
     SIGN_OPERATOR_TOL,
     SampleSource,
     _checked_probability,
-    _checked_reduction,
-    _product_masks,
 )
 
 SINGLE_QUBIT = {
@@ -189,7 +188,65 @@ def joint_law(state, generators: Sequence[PauliString]) -> np.ndarray:
     ``(-1)^{bit g of b}``, namely ``2^-r sum_T (-1)^{|b & T|} tr(state P_T)``
     over the ``2^r`` generator products ``P_T``.
     """
-    return trace_law(np.asarray(state, dtype=np.complex128), _product_masks(generators))
+    return trace_law(np.asarray(state, dtype=np.complex128), object_product_masks(generators))
+
+
+def object_product_masks(generators: Sequence[PauliString]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks ``x_T``, ``z_T`` and phase exponents ``k_T`` of every product
+    ``P_T`` of the generators, indexed by the subset bitmask T, from each
+    generator string's own masks and Y count."""
+    x = np.zeros(1, dtype=np.int64)
+    z = np.zeros(1, dtype=np.int64)
+    k = np.zeros(1, dtype=np.int64)
+    for s in generators:
+        k = np.concatenate((k, k + s.y_count + 2 * ladder_parity(x & s.z_mask)))
+        x = np.concatenate((x, x ^ s.x_mask))
+        z = np.concatenate((z, z ^ s.z_mask))
+    return x, z, k % 4
+
+
+def object_reduce_batch(batch: DegreeSet) -> tuple[list[PauliString], list[tuple[int, int, int]]]:
+    """GF(2) reduction of a commuting batch on its string objects, in batch
+    order: the generators (the strings independent of all earlier ones) and
+    per string ``(g, combo, sign)``.  A generator has its index ``g``; any
+    other string has ``g = -1`` and equals ``sign`` (+-1) times the product
+    of the generators in the bitmask ``combo``."""
+    d = batch.d
+    basis: dict[int, tuple[int, int]] = {}  # pivot bit -> (vector, generator bitmask)
+    generators: list[PauliString] = []
+    columns: list[tuple[int, int]] = []
+    for s in batch:
+        v = (s.x_mask << d) | s.z_mask
+        combo = 0
+        while v and (v.bit_length() - 1) in basis:
+            vec, cmb = basis[v.bit_length() - 1]
+            v ^= vec
+            combo ^= cmb
+        if v:
+            basis[v.bit_length() - 1] = (v, combo | (1 << len(generators)))
+            columns.append((len(generators), 0))
+            generators.append(s)
+        else:
+            columns.append((-1, combo))
+    # both sides send |0> to a power of i times |x>, and for commuting
+    # strings the exponents differ by 0 (sign +1) or 2 (sign -1)
+    k = object_product_masks(generators)[2]
+    return generators, [
+        (g, combo, 1 - (s.y_count - int(k[combo])) % 4 if g < 0 else 1)
+        for s, (g, combo) in zip(batch, columns)
+    ]
+
+
+def object_eigenvalues(columns: Sequence[tuple[int, int, int]], rank: int) -> np.ndarray:
+    """``E[p, l]``, column by column: ``(-1)^(bit g of p)`` for generator g,
+    and ``sign (-1)^parity(p & combo)`` for any other string."""
+    prefixes = np.arange(1 << rank)
+    table = np.empty((1 << rank, len(columns)), dtype=np.int8)
+    for col, (g, combo, sign) in enumerate(columns):
+        if g >= 0:
+            combo, sign = 1 << g, 1
+        table[:, col] = sign * (1 - 2 * ladder_parity(prefixes & combo))
+    return table
 
 
 def prefix_tree(law: np.ndarray) -> np.ndarray:
@@ -342,10 +399,10 @@ def table_prepare_batch(batch: DegreeSet, states: Sequence[np.ndarray]) -> Table
     state's :func:`trace_law`, one trace gather per generator product, and a bool
     table per dependent string: the label sign times
     ``(-1)^(parity(p & combo) ^ (sign < 0))`` is +1."""
-    reduction = _checked_reduction(batch)
-    trees = np.stack([prefix_tree(trace_law(state, reduction.masks)) for state in states])
+    generators, columns = object_reduce_batch(batch)
+    trees = np.stack([prefix_tree(trace_law(state, object_product_masks(generators))) for state in states])
     probs = np.full((2 * len(states), trees.shape[1]), np.nan)
-    for g in range(reduction.rank):
+    for g in range(len(generators)):
         level = slice(1 << g, 2 << g)
         denom = trees[:, level]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -354,7 +411,7 @@ def table_prepare_batch(batch: DegreeSet, states: Sequence[np.ndarray]) -> Table
             probs[row::2, level] = np.where(denom > 0.0, 0.5 * (1.0 + c * t), np.nan)
     outcomes = []
     h = 0  # generators before the column
-    for g, combo, sign in reduction.columns.tolist():
+    for g, combo, sign in columns:
         if g >= 0:
             outcomes.append(None)
             h += 1
@@ -364,7 +421,7 @@ def table_prepare_batch(batch: DegreeSet, states: Sequence[np.ndarray]) -> Table
         table[0::2, 1 << h: 2 << h] = flip
         table[1::2, 1 << h: 2 << h] = ~flip
         outcomes.append(table)
-    return TableBatch(reduction.columns, probs, tuple(outcomes))
+    return TableBatch(np.array(columns, dtype=np.int64).reshape(-1, 3), probs, tuple(outcomes))
 
 
 def table_measure_batch_groups(
@@ -504,6 +561,18 @@ def popt_lower_bound(table: FourierTable, degree_set: DegreeSet, eps: float = 0.
         raise ValueError("eps must be nonnegative")
     op = synthesize(FourierTable.of(table.d, {s: c for s, c in table.items() if s in degree_set}))
     return 0.5 - 0.5 * rho_norm(op, 1, maximally_mixed(table.d)) - eps
+
+
+def brute_degree_set(d: int, k: int, alphabet: Sequence[int] = (1, 2, 3), coords=None) -> DegreeSet:
+    """Every word of ``product(range(4), repeat=d)`` of weight at most k
+    whose non-identity symbols lie in ``alphabet``, and its support in
+    ``coords`` when they are given."""
+    inside = set(range(d) if coords is None else coords)
+    return DegreeSet.of(d, (
+        PauliString(w) for w in itertools.product(range(4), repeat=d)
+        if sum(v != 0 for v in w) <= k
+        and all(v == 0 or (v in alphabet and q in inside) for q, v in enumerate(w))
+    ))
 
 
 def pairwise_commutation(strings: Sequence[PauliString]) -> np.ndarray:

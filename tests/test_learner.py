@@ -1,8 +1,10 @@
 """Estimation, predictor construction, learners, losses, and bound formulas."""
 
 import collections
+import importlib
 import itertools
 import math
+import pkgutil
 import sys
 import threading
 import tracemalloc
@@ -10,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qfl
 from qfl import learner, simulator
 from qfl.compatibility import BatchPlan, Cover, allocate_batches, best_cover
 from qfl.learner import (
@@ -39,6 +42,7 @@ from qfl.pauli import (
     full_degree_set,
     pauli_matrix,
     synthesize,
+    synthesize_stack,
 )
 from qfl.simulator import (
     RandomStreams,
@@ -51,6 +55,7 @@ from qfl.simulator import (
 )
 
 from conftest import (
+    CLASS_CACHES,
     clear_class_caches,
     joint_state,
     make_bell_source,
@@ -273,12 +278,12 @@ class TestFourierEstimation:
 class TestBuildPredictor:
     def test_exact_single_string(self):
         table = FourierTable.of(1, {P("3"): 1.0})
-        predictor = build_predictor(table, DegreeSet.of(1, [P("3")]))
+        predictor = build_predictor(table)
         assert np.abs(predictor.g_op - pauli_matrix(P("3"))).max() <= 1e-12
 
     def test_bell_exact_table_reaches_optimum(self, bell_source):
         table = bell_source.exact_table(full_degree_set(2))
-        predictor = build_predictor(table, full_degree_set(2))
+        predictor = build_predictor(table)
         assert abs(exact_loss(predictor, bell_source) - 0.25) <= 1e-9
 
     def test_sign_stable_under_small_diagonal_noise(self):
@@ -290,12 +295,12 @@ class TestBuildPredictor:
             s: exact.get(s) + 1e-3 * rng.uniform(-1, 1)
             for s in degree_set_classical_upto(2, 2)
         }
-        a = build_predictor(exact, degree_set_classical_upto(2, 2))
-        b = build_predictor(FourierTable.of(2, noisy), degree_set_classical_upto(2, 2))
+        a = build_predictor(exact)
+        b = build_predictor(FourierTable.of(2, noisy))
         assert np.abs(a.g_op - b.g_op).max() <= 1e-12
 
     def test_empty_table_is_degenerate_identity(self):
-        predictor = build_predictor(FourierTable.of(2, {}), degree_set_upto(2, 1))
+        predictor = build_predictor(FourierTable.of(2, {}))
         assert predictor.degenerate
         assert np.array_equal(predictor.g_op, np.eye(4))
 
@@ -303,8 +308,9 @@ class TestBuildPredictor:
     def test_zero_coefficients_change_no_bit(self, d):
         # +-0.0 entries among random ones, on every kind of string, and the
         # exact table of a parity (one nonzero coefficient, zeros of both
-        # signs on the other strings): the same g_op bytes as the table
-        # without them and as the sign of the synthesis that adds them
+        # signs on the other strings): the same synthesis and g_op bytes as
+        # the table without them and as the synthesis that adds them, every
+        # string of a synthesize_stack row
         rng = np.random.default_rng(30 + d)
         strings = degree_set_upto(d, min(d, 2))
         values = rng.normal(size=len(strings))
@@ -314,22 +320,26 @@ class TestBuildPredictor:
         for table in (FourierTable.of(d, dict(zip(strings, values.tolist()))), parity.exact_table(strings)):
             assert any(c == 0.0 for _, c in table.items())
             nonzero = FourierTable.of(d, {s: c for s, c in table.items() if c != 0.0})
-            got = build_predictor(table, strings)
+            full = np.zeros(4**d)
+            full[[full_degree_set(d).index[s] for s in table.degree_set]] = table.values
+            added = synthesize_stack(full[None], d)[0]
+            assert synthesize(table).tobytes() == synthesize(nonzero).tobytes() == added.tobytes()
+            got = build_predictor(table)
             assert not got.degenerate
-            assert got.g_op.tobytes() == build_predictor(nonzero, strings).g_op.tobytes()
-            assert got.g_op.tobytes() == sign_operator(synthesize(table)).tobytes()
+            assert got.g_op.tobytes() == build_predictor(nonzero).g_op.tobytes()
+            assert got.g_op.tobytes() == sign_operator(added).tobytes()
 
     def test_all_zero_table_is_degenerate_identity(self):
         strings = degree_set_upto(2, 1)
         table = FourierTable.of(2, {s: (-0.0 if i % 2 else 0.0) for i, s in enumerate(strings)})
-        predictor = build_predictor(table, strings)
+        predictor = build_predictor(table)
         assert predictor.degenerate
         assert np.array_equal(predictor.g_op, np.eye(4))
 
     def test_predictor_povm_valid(self):
         rng = np.random.default_rng(21)
         table = fourier_transform(random_hermitian(rng, 8), full_degree_set(3))
-        predictor = build_predictor(table, full_degree_set(3))
+        predictor = build_predictor(table)
         assert validate_povm(predictor.effects) == []
         for eff in predictor.effects:
             assert np.abs(eff @ eff - eff).max() <= 1e-8
@@ -344,7 +354,7 @@ class TestExactLoss:
 
     def test_bell_optimal(self, bell_source):
         table = bell_source.exact_table(full_degree_set(2))
-        predictor = build_predictor(table, full_degree_set(2))
+        predictor = build_predictor(table)
         assert abs(exact_loss(predictor, bell_source) - 0.25) <= 1e-9
 
     def test_matches_joint_system_oracle(self, bell_source):
@@ -384,7 +394,7 @@ class TestExactLoss:
 class TestEmpiricalLoss:
     def test_bell_binomial_band(self, bell_source):
         table = bell_source.exact_table(full_degree_set(2))
-        predictor = build_predictor(table, full_degree_set(2))
+        predictor = build_predictor(table)
         n_test = 100_000
         emp = empirical_loss(predictor, bell_source, n_test, RandomStreams(1).generator(3))
         assert abs(emp - 0.25) <= 3 * math.sqrt(0.25 * 0.75 / n_test)
@@ -396,9 +406,7 @@ class TestEmpiricalLoss:
         assert emp == 0.0
 
     def test_seed_reproducibility(self, bell_source):
-        predictor = build_predictor(
-            bell_source.exact_table(full_degree_set(2)), full_degree_set(2)
-        )
+        predictor = build_predictor(bell_source.exact_table(full_degree_set(2)))
         a = empirical_loss(predictor, bell_source, 1000, RandomStreams(3).generator(3))
         b = empirical_loss(predictor, bell_source, 1000, RandomStreams(3).generator(3))
         assert a == b
@@ -408,7 +416,7 @@ class TestEmpiricalLoss:
         rng = np.random.default_rng(24)
         pairs = []
         bell = make_bell_source()
-        pairs.append((bell, build_predictor(bell.exact_table(full_degree_set(2)), full_degree_set(2))))
+        pairs.append((bell, build_predictor(bell.exact_table(full_degree_set(2)))))
         parity = make_parity_source(2, (0, 1))
         pairs.append((parity, Predictor(parity.labeling_xop)))
         noisy = make_noisy_source(pauli_matrix(P("3")), 0.15)
@@ -659,7 +667,7 @@ class TestQldLearn:
         degree_set = degree_set_upto(3, 2)
         built = []
         real = learner.build_predictor
-        monkeypatch.setattr(learner, "build_predictor", lambda t, ds: built.append(t) or real(t, ds))
+        monkeypatch.setattr(learner, "build_predictor", lambda t: built.append(t) or real(t))
         reports = [qld_learn(source, degree_set, 2000, 0.05, seed)[1] for seed in (1, 2)]
         # one learned predictor per seed, and the optimum once
         assert len(built) == 3
@@ -782,6 +790,15 @@ class TestSeedInvariantMemo:
     by every source; work on the source's states (outcome tables, exact
     tables, the optimum and ``opt_k``) is memoized per source."""
 
+    def test_class_caches_list_every_module_cache(self):
+        # every cache a qfl module holds is cleared around each test, so no
+        # build count depends on which tests ran before
+        caches = set()
+        for info in pkgutil.iter_modules(qfl.__path__):
+            module = importlib.import_module(f"qfl.{info.name}")
+            caches.update(v for v in vars(module).values() if callable(v) and hasattr(v, "cache_clear"))
+        assert caches == set(CLASS_CACHES)
+
     @staticmethod
     def noisy_source():
         rng = np.random.default_rng(51)
@@ -834,7 +851,7 @@ class TestSeedInvariantMemo:
             self.count_calls(monkeypatch, counts, learner, fn)
         self.count_calls(monkeypatch, counts, simulator, "spectral_traces")
         self.count_calls(monkeypatch, counts, simulator, "_reduce_batch")
-        self.count_calls(monkeypatch, counts, simulator, "_eigenvalue_table")
+        self.count_calls(monkeypatch, counts, simulator, "_product_masks")
         source = self.noisy_source()
         reports = [self.learn(name, source, seed)[1] for seed in (1, 2, 3)]
         m = reports[0].cover.m
@@ -842,7 +859,7 @@ class TestSeedInvariantMemo:
         # for the laws of all batches; junta selects once per seed and scores
         # opt_k once per source
         junta = name == "junta"
-        plan_once = dict(best_cover=1, check_cover=1, allocate_batches=1, _reduce_batch=m, _eigenvalue_table=m)
+        plan_once = dict(best_cover=1, check_cover=1, allocate_batches=1, _reduce_batch=m, _product_masks=m)
         assert counts == collections.Counter(**plan_once, best_coords=(3 + 1) * junta, spectral_traces=2)
         # a source with another flip rate, and a reloaded source, share the
         # class: no search, check, allocation or reduction, but their own spectra
@@ -856,7 +873,7 @@ class TestSeedInvariantMemo:
         assert (counts["best_cover"], counts["check_cover"], counts["allocate_batches"]) == (2, 2, 2)
         assert report.plan != reports[0].plan
         assert report.cover == reports[0].cover
-        assert counts["_reduce_batch"] == counts["_eigenvalue_table"] == m
+        assert counts["_reduce_batch"] == counts["_product_masks"] == m
         assert counts["spectral_traces"] == 3 * 2
 
     def test_errors_are_not_memoized(self, monkeypatch):
@@ -901,10 +918,10 @@ class TestSeedInvariantMemo:
         batch = DegreeSet.of(2, [P("11"), P("22"), P("33")])
         source = make_bell_source()
 
-        def broken(columns, rank):
-            raise MemoryError("no room for the eigenvalue table")
+        def broken(x, z, k):
+            raise MemoryError("no room for the eigenvalue table's product masks")
 
-        monkeypatch.setattr(simulator, "_eigenvalue_table", broken)
+        monkeypatch.setattr(simulator, "_product_masks", broken)
         for _ in range(2):
             with pytest.raises(MemoryError):
                 source.prepared_batches((batch,))
@@ -923,7 +940,7 @@ class TestSeedInvariantMemo:
             plan = learner._plan(degree_set_upto(4, 2), 500 + 100 * (i % 3), 0.05, "greedy")
             reductions = [simulator._checked_reduction(b) for b in plan[0].subsets]
             return plan, [
-                (r.rank, r.columns.tolist(), [m.tolist() for m in r.masks], r.eigenvalues.tolist())
+                (r.generator_columns, [m.tolist() for m in r.masks], r.eigenvalues.tolist())
                 for r in reductions
             ]
 
@@ -966,10 +983,10 @@ class TestSeedInvariantMemo:
                 frozen.d = 0
         for batch in cover.subsets:
             reduction = simulator._checked_reduction(batch)
-            assert isinstance(reduction.generators, tuple)
-            for a in (reduction.columns, reduction.eigenvalues, *reduction.masks):
+            assert isinstance(reduction.generator_columns, tuple)
+            for a in (reduction.eigenvalues, *reduction.masks):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a[...] = 0
-            # the per-source tables share the cached columns
+            # the per-source tables share the cached reduction
             assert source.prepared_batches((batch,))[0].reduction is reduction

@@ -272,12 +272,6 @@ class TestRhoNorm:
                 norms = rho_norm(a, 1, rho)
                 assert norms.shape == (size,)
                 assert norms.tolist() == [rho_norm(m, 1, rho) for m in a]
-                spec = hermitian_eig(a, stack=True)
-                for i, m in enumerate(a):
-                    one = hermitian_eig(m)
-                    assert spec.eigenvalues[i].tobytes() == one.eigenvalues.tobytes()
-                    assert spec.eigenvectors[i].tobytes() == one.eigenvectors.tobytes()
-                assert np.abs(spec.reconstruct() - a).max() <= 1e-12
 
     def test_stack_checks(self):
         rng = np.random.default_rng(34)

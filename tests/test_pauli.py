@@ -29,6 +29,7 @@ from conftest import random_hermitian, random_string
 from oracles import (
     SINGLE_QUBIT as SIGMA,
     block,
+    brute_degree_set,
     kron_pauli,
     ladder_parity,
     pauli_apply_left,
@@ -494,6 +495,24 @@ class TestDegreeSets:
         for _ in range(2):
             with pytest.raises(ValueError):
                 degree_set_upto(2, 3)
+
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_builders_match_brute_force(self, d):
+        for k in range(d + 1):
+            assert degree_set_upto(d, k) == brute_degree_set(d, k)
+            assert degree_set_classical_upto(d, k) == brute_degree_set(d, k, (3,))
+        # scattered coordinates, in any order
+        rng = np.random.default_rng(40 + d)
+        for size in range(d + 1):
+            coords = rng.choice(d, size=size, replace=False).tolist()
+            assert degree_set_within(d, coords) == brute_degree_set(d, d, coords=coords)
+        assert full_degree_set(d) == brute_degree_set(d, d)
+
+    def test_cold_degree_set_builds_each_string_once(self, monkeypatch):
+        built = []
+        init = PauliString.__post_init__
+        monkeypatch.setattr(PauliString, "__post_init__", lambda self: built.append(init(self)))
+        assert len(degree_set_upto(10, 3)) == len(built) == 3676
 
 
 class TestRestriction:

@@ -58,6 +58,9 @@ from oracles import (
     eigh_realizable_states,
     joint_law,
     measure,
+    object_eigenvalues,
+    object_product_masks,
+    object_reduce_batch,
     sample_groups,
     table_measure_batch_groups,
     table_prepare_batch,
@@ -405,7 +408,7 @@ class TestJointLawSampler:
         rng = np.random.default_rng(seed)
         cliques = k2_cliques(d)
         batch = cliques[int(rng.integers(len(cliques)))]
-        generators, _, _ = _reduce_batch(batch)
+        generators = [batch.strings[c] for c in _reduce_batch(batch)[0]]
         state = random_density(rng, 1 << d)
         law = joint_law(state, generators)
         assert law.shape == (1 << len(generators),)
@@ -431,7 +434,7 @@ class TestJointLawSampler:
         reduction = _checked_reduction(batch)
         assert reduction.rank == d
         state = random_state(np.random.default_rng(8), 1 << d, 2)
-        expected = n * joint_law(state, reduction.generators)
+        expected = n * joint_law(state, [batch.strings[c] for c in reduction.generator_columns])
         prepared = prepare_batch(batch, (state,))
         rng = RandomStreams(88).generator(0)
         labels = rng.integers(0, 2, size=n).astype(np.int8)
@@ -473,26 +476,41 @@ class TestJointLawSampler:
         assert np.array_equal(whole, split)
 
     def test_reduction_matches_dense_products(self):
+        # every string, generators included, is its sign E[0, l] times the
+        # product of the generators in its combo
         for d in range(1, 5):
             for batch in k2_cliques(d) + (degree_set_upto(d, 0),):
-                generators, columns, _ = _reduce_batch(batch)
+                generator_columns, combos = _reduce_batch(batch)
+                generators = [batch.strings[c] for c in generator_columns]
                 assert len(generators) <= d
-                for s, (g, combo, sign) in zip(batch, columns):
-                    if g >= 0:
-                        assert generators[g] == s
-                        continue
+                signs = _checked_reduction(batch).eigenvalues[0]
+                for g, col in enumerate(generator_columns):
+                    assert combos[col] == 1 << g and signs[col] == 1
+                for s, combo, sign in zip(batch, combos, signs.tolist()):
                     product = np.eye(1 << d, dtype=complex)
                     for i, gen in enumerate(generators):
                         if combo >> i & 1:
                             product = pauli_matrix(gen) @ product
                     assert np.array_equal(pauli_matrix(s), sign * product)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_reduction_matches_object_reduction(self, k):
+        # the reduction on the batch's masks against the one on its string
+        # objects, byte for byte, on every batch of the greedy covers
+        for d in range(k, 9):
+            for batch in best_cover(degree_set_upto(d, k), 10**6, 0.05).subsets:
+                generators, columns = object_reduce_batch(batch)
+                reduction = _checked_reduction(batch)
+                assert list(reduction.generator_columns) == [i for i, c in enumerate(columns) if c[0] >= 0]
+                for got, want in zip(reduction.masks, object_product_masks(generators)):
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                assert reduction.eigenvalues.tobytes() == object_eigenvalues(columns, len(generators)).tobytes()
+
     def test_identity_and_product_are_determined(self):
         # 00 is the identity; ZZ = -(XX)(YY) is dependent on the generators XX, YY
         batch = DegreeSet.of(2, [P("00"), P("11"), P("22"), P("33")])
-        generators, columns, _ = _reduce_batch(batch)
-        assert generators == [P("11"), P("22")]
-        assert columns == [(-1, 0, 1), (0, 0, 1), (1, 0, 1), (-1, 3, -1)]
+        assert _reduce_batch(batch) == ([1, 2], [0, 1, 2, 3])
+        assert _checked_reduction(batch).eigenvalues[0].tolist() == [1, 1, 1, -1]
         rng = np.random.default_rng(41)
         state = random_density(rng, 4)
         n = 2000
@@ -644,7 +662,7 @@ def stabilizer_state(rng, batch):
     has no mass.  Its entries are 0 or of modulus 2^-d."""
     d = batch.d
     proj = np.eye(1 << d, dtype=complex)
-    for s in _checked_reduction(batch).generators:
+    for s in (batch.strings[c] for c in _checked_reduction(batch).generator_columns):
         proj = proj @ (np.eye(1 << d) + rng.choice((-1, 1)) * pauli_matrix(s)) / 2
     return proj
 
@@ -738,7 +756,8 @@ class TestEigenvalueWalk:
                     batch = random_batch(rng, d, r, int(rng.integers(0, 6)))
                     reduction = _checked_reduction(batch)
                     assert reduction.rank == r
-                    negative += int((reduction.columns[:, 2] < 0).sum())
+                    # E[0, l] is string l's sign
+                    negative += int((reduction.eigenvalues[0] < 0).sum())
                     identity += PauliString.identity(d) in batch
                     n = 80
                     groups = random_groups(rng, d, n)
@@ -767,12 +786,11 @@ class TestEigenvalueWalk:
                 assert table.shape == (1 << r, len(batch)) and table.dtype == np.int8
                 for p in range(1 << r):
                     proj = np.eye(1 << d, dtype=complex)
-                    for g, s in enumerate(reduction.generators):
+                    for g, col in enumerate(reduction.generator_columns):
+                        s = batch.strings[col]
                         proj = proj @ (np.eye(1 << d) + (-1) ** (p >> g & 1) * pauli_matrix(s)) / 2
                     for col, s in enumerate(batch):
                         assert np.abs(pauli_matrix(s) @ proj - table[p, col] * proj).max() <= 1e-12
-                for g, col in enumerate(reduction.generator_columns):
-                    assert batch.strings[col] == reduction.generators[g]
 
 
 class TestRealizableDiagonal:
