@@ -43,8 +43,8 @@ from .compatibility import (
     Cover,
     allocate_batches,
     best_cover,
+    commutation_matrix,
     cover_score,
-    pauli_commute,
     singleton_cover,
 )
 from .simulator import (

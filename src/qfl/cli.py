@@ -53,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
     cover_p.add_argument("degree_set", help="file of Pauli digit strings")
     cover_p.add_argument("--n", type=int, required=True, help="sample budget the score assumes")
     cover_p.add_argument("--delta", type=float, required=True, help="confidence parameter in (0,1)")
-    cover_p.add_argument("--strategy", choices=["greedy", "exhaustive"], default="greedy")
+    # best_cover checks the strategy, so a bad one exits 2 like any other input
+    cover_p.add_argument("--strategy", default="greedy", help="greedy (default) or exhaustive")
     return parser
 
 

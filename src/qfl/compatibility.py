@@ -3,7 +3,7 @@
 Two single-coefficient estimation observables can share a sample exactly when
 their Pauli strings commute, so the planning problem is: partition a degree
 set into commuting cliques and split the sample budget across the cliques.
-This module provides the symplectic commutation test, a cover search that
+This module provides the symplectic commutation matrix, a cover search that
 scores clique partitions of string indices by the estimation-error functional
 (greedy first-fit over fixed orderings, or exhaustive enumeration), and the
 optimal integer batch allocation.
@@ -28,22 +28,14 @@ GREEDY_RESTARTS = 32
 GREEDY_MASTER_SEED = 0x51C0FFEE
 
 
-def pauli_commute(s: PauliString, t: PauliString) -> bool:
-    """True when the two strings' operators commute.
-
-    Symplectic rule: the strings commute iff the number of coordinates where
-    both are non-identity and different is even, i.e.
-    ``parity((s.x & t.z) ^ (s.z & t.x)) == 0``.
-    """
-    if s.d != t.d:
-        raise ValueError(f"length mismatch: {s.d} vs {t.d}")
-    return ((s.x_mask & t.z_mask) ^ (s.z_mask & t.x_mask)).bit_count() & 1 == 0
-
-
 def commutation_matrix(nodes: DegreeSet) -> np.ndarray:
-    """Boolean matrix of pairwise commutation of a degree set's strings, from
-    the symplectic rule applied to all pairs of its masks at once, on copies
-    of the masks in the narrowest unsigned type that holds d bits."""
+    """Boolean matrix of pairwise commutation of a degree set's strings.
+
+    Symplectic rule: strings s and t commute iff the number of coordinates
+    where both are non-identity and different is even, i.e.
+    ``parity((s.x & t.z) ^ (s.z & t.x)) == 0``.  It is applied to all pairs
+    of the masks at once, on copies in the narrowest unsigned type that holds
+    d bits.  Every cover search and cover check runs this one kernel."""
     dtype = np.min_scalar_type((1 << nodes.d) - 1)
     x, z = (a.astype(dtype) for a in nodes.masks[:2])
     # the masks are nonnegative, so bitwise_count counts their set bits
@@ -212,18 +204,6 @@ def _iter_clique_partitions(adj_masks: list[int]):
     yield from rec(0)
 
 
-def check_strategy(size: int, strategy: str) -> None:
-    """Raise unless ``strategy`` can search a degree set of ``size`` strings."""
-    if strategy == "exhaustive":
-        if size > EXHAUSTIVE_MAX_SIZE:
-            raise ValueError(
-                f"exhaustive cover search is capped at {EXHAUSTIVE_MAX_SIZE} strings; "
-                f"got {size}"
-            )
-    elif strategy != "greedy":
-        raise ValueError(f"unknown cover strategy {strategy!r}")
-
-
 def best_cover(nodes: DegreeSet, n: int, delta: float, strategy: str = "greedy") -> Cover:
     """Search for a low-score commuting-clique partition of ``nodes``.
 
@@ -237,7 +217,12 @@ def best_cover(nodes: DegreeSet, n: int, delta: float, strategy: str = "greedy")
     """
     if len(nodes) == 0:
         raise ValueError("cannot cover an empty degree set")
-    check_strategy(len(nodes), strategy)
+    if strategy not in ("greedy", "exhaustive"):
+        raise ValueError(f"unknown cover strategy {strategy!r}")
+    if strategy == "exhaustive" and len(nodes) > EXHAUSTIVE_MAX_SIZE:
+        raise ValueError(
+            f"exhaustive cover search is capped at {EXHAUSTIVE_MAX_SIZE} strings; got {len(nodes)}"
+        )
     adj = _adjacency_masks(nodes)
     if strategy == "exhaustive":
         candidates = _iter_clique_partitions(adj)

@@ -6,12 +6,13 @@ all swept axes, once per seed, and writes a CSV of per-run rows plus a JSON
 summary with per-point aggregates.  Identical config and seeds produce a
 byte-identical CSV; wall-clock timings live only in the JSON summary.
 
-Each point's source (with its eta override), degree set, cover and batch plan
-are resolved once, before any run, and reused by every seed.  The degree set,
-cover and plan depend only on the measurement class (d, k or the strings, n,
-delta and the cover strategy), so they are searched once per class and shared
-by every point and source of that class (an eta sweep searches its cover
-once); each source pays once for the work on its states.  Bad input,
+Each point is resolved once, before any run, into one record: its source
+(with its eta override), degree set and cover.  Every seed's run and the
+point's summary entry read that record.  The degree set, cover and plan
+depend only on the measurement class (d, k or the strings, n, delta and the
+cover strategy), so they are searched once per class and shared by every
+point and source of that class (an eta sweep searches its cover once); each
+source pays once for the work on its states.  Bad input,
 including a cover strategy that cannot search the degree set or a budget
 ``n`` below the number of cover subsets, raises :class:`ConfigError` then.
 The runs then go one after another, point by point and seed by seed; the
@@ -28,9 +29,10 @@ import json
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from .compatibility import Cover
 from .learner import _plan, junta_learn, qld_learn
 from .pauli import DegreeSet, PauliString, degree_set_classical_upto, degree_set_upto
 from .simulator import SampleSource, _checked_reduction, load_source, parse_key_values
@@ -174,43 +176,46 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: one of 'k' or 'strings' is required")
         if algorithm == "junta" and k_values is None:
             raise ConfigError(f"{path}: the junta algorithm needs 'k'")
+        classical_only = _parse_bool(fields.get("classical_only", "false"))
+        if classical_only and (algorithm != "qld" or k_values is None):
+            raise ConfigError(f"{path}: classical_only needs the qld algorithm and 'k'")
         seeds = parse_seeds(fields["seeds"])
-        cover_strategy = fields.get("cover_strategy", "greedy").strip()
-        if cover_strategy not in ("greedy", "exhaustive"):
-            raise ConfigError(f"{path}: cover_strategy must be greedy or exhaustive")
-        config = cls(
+        n_values = tuple(_parse_list(fields["n"], int))
+        if any(n < 1 for n in n_values):
+            raise ConfigError("sample budgets must be positive")
+        delta_values = tuple(_parse_list(fields["delta"], float))
+        if any(not 0.0 < dl < 1.0 for dl in delta_values):
+            raise ConfigError("delta values must lie in (0, 1)")
+        eta_values = tuple(_parse_list(fields["eta"], float)) if "eta" in fields else None
+        if eta_values is not None and any(not 0.0 <= e < 0.5 for e in eta_values):
+            raise ConfigError("eta values must lie in [0, 0.5)")
+        n_test = _parse_number("n_test", fields.get("n_test", "0"), int)
+        if n_test < 0:
+            raise ConfigError("n_test must be nonnegative")
+        epsilon = _parse_number("epsilon", fields.get("epsilon", "0"), float)
+        if not (math.isfinite(epsilon) and epsilon >= 0.0):
+            raise ConfigError(f"epsilon must be finite and nonnegative, got {epsilon!r}")
+        sources = tuple(_parse_list(fields["source"], str))
+        for rel in sources:
+            if not (path.parent / rel).is_file():
+                raise ConfigError(f"source file not found: {path.parent / rel}")
+        return cls(
             base_dir=path.parent,
-            sources=tuple(_parse_list(fields["source"], str)),
+            sources=sources,
             algorithm=algorithm,
             k_values=k_values,
-            classical_only=_parse_bool(fields.get("classical_only", "false")),
+            classical_only=classical_only,
             strings=strings,
-            n_values=tuple(_parse_list(fields["n"], int)),
-            delta_values=tuple(_parse_list(fields["delta"], float)),
-            eta_values=tuple(_parse_list(fields["eta"], float)) if "eta" in fields else None,
-            cover_strategy=cover_strategy,
+            n_values=n_values,
+            delta_values=delta_values,
+            eta_values=eta_values,
+            # checked against the degree set when the points are resolved
+            cover_strategy=fields.get("cover_strategy", "greedy").strip(),
             seeds=seeds,
-            n_test=_parse_number("n_test", fields.get("n_test", "0"), int),
-            epsilon=_parse_number("epsilon", fields.get("epsilon", "0"), float),
+            n_test=n_test,
+            epsilon=epsilon,
             out=fields["out"].strip(),
         )
-        config.validate()
-        return config
-
-    def validate(self) -> None:
-        if any(n < 1 for n in self.n_values):
-            raise ConfigError("sample budgets must be positive")
-        if any(not 0.0 < dl < 1.0 for dl in self.delta_values):
-            raise ConfigError("delta values must lie in (0, 1)")
-        if self.eta_values is not None and any(not 0.0 <= e < 0.5 for e in self.eta_values):
-            raise ConfigError("eta values must lie in [0, 0.5)")
-        if self.n_test < 0:
-            raise ConfigError("n_test must be nonnegative")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ConfigError(f"epsilon must be finite and nonnegative, got {self.epsilon!r}")
-        for rel in self.sources:
-            if not (self.base_dir / rel).is_file():
-                raise ConfigError(f"source file not found: {self.base_dir / rel}")
 
     def points(self) -> list[dict]:
         """Cartesian product of all swept axes, in deterministic order."""
@@ -229,24 +234,54 @@ def _fmt(value) -> str:
     return str(value)
 
 
+@dataclass
+class _Point:
+    """A config point, resolved once before any run: its parameters, its
+    source with the eta override, its degree set and its checked cover.  The
+    runs append their rows and wall time here, and the summary reads them."""
+
+    params: dict
+    source: SampleSource
+    degree_set: DegreeSet
+    cover: Cover
+    rows: list[dict] = field(default_factory=list)
+    wall_ms: float = 0.0
+
+
 def _degree_set_for(config: ExperimentConfig, source: SampleSource, k: int | None) -> DegreeSet:
+    """The config's strings, or for both learners every string of support
+    at most k (diagonal ones only under ``classical_only``), 1 <= k <= d."""
     if config.strings is not None:
-        strings = [PauliString.from_digits(tok) for tok in config.strings]
-        return DegreeSet.of(source.d, strings)
-    assert k is not None
-    if k > source.d:
-        raise ConfigError(f"k={k} exceeds the source's qubit count d={source.d}")
+        return DegreeSet.of(source.d, [PauliString.from_digits(tok) for tok in config.strings])
+    if not 1 <= k <= source.d:
+        raise ConfigError(f"k={k} out of range [1, d={source.d}]")
     if config.classical_only:
         return degree_set_classical_upto(source.d, k)
     return degree_set_upto(source.d, k)
 
 
+def _resolve(config: ExperimentConfig, loaded: dict[str, SampleSource], params: dict) -> _Point:
+    """The point of ``params``; each source file is loaded once, into ``loaded``."""
+    if params["source"] not in loaded:
+        loaded[params["source"]] = load_source(config.base_dir / params["source"])
+    source = loaded[params["source"]]
+    if params["eta"] is not None:
+        if not source.realizable and not source.maximally_mixed:
+            raise ConfigError("eta override on a non-maximally-mixed custom source")
+        source = source.with_flip_rate(params["eta"])
+    degree_set = _degree_set_for(config, source, params["k"])
+    # the search checks the cover strategy and the budget, so a mistake exits
+    # before any run; the plan is cached for the class, so the runs reuse it
+    cover, _ = _plan(degree_set, params["n"], params["delta"], config.cover_strategy)
+    return _Point(params, source, degree_set, cover)
+
+
 def _known_opt(source: SampleSource) -> float | None:
-    return None if source.kind == "custom" else source.flip_rate
+    return source.flip_rate if source.realizable else None
 
 
-def _run_one(config: ExperimentConfig, params: dict, source: SampleSource,
-             degree_set: DegreeSet, seed: int) -> dict:
+def _run_one(config: ExperimentConfig, point: _Point, seed: int) -> dict:
+    params, source = point.params, point.source
     if config.algorithm == "junta":
         _, report = junta_learn(
             source,
@@ -260,7 +295,7 @@ def _run_one(config: ExperimentConfig, params: dict, source: SampleSource,
     else:
         _, report = qld_learn(
             source,
-            degree_set,
+            point.degree_set,
             params["n"],
             params["delta"],
             seed,
@@ -314,43 +349,18 @@ def run_config(
     """
     config = ExperimentConfig.from_file(config_path)
     seeds = _checked_seeds(seed_override) if seed_override else config.seeds
-    points = config.points()
-    # Resolve each point once: its source, loaded once per file, with the eta
-    # override, and its degree set (for junta, all strings of support <= k).
     loaded: dict[str, SampleSource] = {}
-    resolved = []
-    for params in points:
-        try:
-            if params["source"] not in loaded:
-                loaded[params["source"]] = load_source(config.base_dir / params["source"])
-            source = loaded[params["source"]]
-            if params["eta"] is not None:
-                if source.kind == "custom" and not source.maximally_mixed:
-                    raise ConfigError("eta override on a non-maximally-mixed custom source")
-                source = source.with_flip_rate(params["eta"])
-            if config.algorithm == "qld":
-                degree_set = _degree_set_for(config, source, params["k"])
-            elif not 1 <= params["k"] <= source.d:
-                raise ConfigError(f"junta k={params['k']} out of range for d={source.d}")
-            else:
-                degree_set = degree_set_upto(source.d, params["k"])
-            # searched here so a bad cover or budget exits before any run; the
-            # plan is cached for the class, so the runs reuse it
-            _plan(degree_set, params["n"], params["delta"], config.cover_strategy)
-            resolved.append((source, degree_set))
-        except (ValueError, OSError) as exc:
-            raise ConfigError(str(exc)) from exc
-    rows: list[dict] = []
-    point_wall_ms: list[float] = []
-    for pi, params in enumerate(points):
-        wall_ms = 0.0
+    try:
+        points = [_resolve(config, loaded, params) for params in config.points()]
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc)) from exc
+    for pi, point in enumerate(points):
         for seed in seeds:
             t0 = time.perf_counter()
-            row = _run_one(config, params, *resolved[pi], seed)
-            wall_ms += (time.perf_counter() - t0) * 1000.0
+            row = _run_one(config, point, seed)
+            point.wall_ms += (time.perf_counter() - t0) * 1000.0
             row["point"] = pi
-            rows.append(row)
-        point_wall_ms.append(wall_ms)
+            point.rows.append(row)
 
     target = (Path(out_dir) if out_dir is not None else config.base_dir) / config.out
     target.mkdir(parents=True, exist_ok=True)
@@ -358,8 +368,9 @@ def run_config(
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: _fmt(v) for k, v in row.items()})
+    for point in points:
+        for row in point.rows:
+            writer.writerow({k: _fmt(v) for k, v in row.items()})
     csv_path.write_text(buffer.getvalue(), encoding="utf-8")
 
     summary = {
@@ -368,29 +379,25 @@ def run_config(
         "algorithm": config.algorithm,
         "seeds": list(seeds),
         "points": [],
-        "total_wall_ms": sum(point_wall_ms),
+        "total_wall_ms": sum(point.wall_ms for point in points),
     }
-    for pi, params in enumerate(points):
-        point_rows = rows[pi * len(seeds):(pi + 1) * len(seeds)]
+    for pi, point in enumerate(points):
         bound_checked = [
-            r for r in point_rows if r["bound_measured"] is not None and r["exact_loss"] is not None
+            r for r in point.rows if r["bound_measured"] is not None and r["exact_loss"] is not None
         ]
         met = [r for r in bound_checked if r["exact_loss"] <= r["bound_measured"]]
         entry = {
             "point": pi,
-            "params": params,
-            "runs": len(point_rows),
+            "params": point.params,
+            "runs": len(point.rows),
             "bound_fraction_met": (len(met) / len(bound_checked)) if bound_checked else None,
-            "wall_ms": point_wall_ms[pi],
+            "wall_ms": point.wall_ms,
         }
         for key in ("exact_loss", "empirical_loss", "optimal_exact_loss", "beta_measured"):
-            entry[key] = _mean_std([r[key] for r in point_rows if r[key] is not None])
-        # structure of the point's cover, read back from the class caches
-        _, degree_set = resolved[pi]
-        cover, _ = _plan(degree_set, params["n"], params["delta"], config.cover_strategy)
-        entry["m"] = cover.m
-        entry["max_clique"] = max(cover.sizes())
-        entry["r"] = [_checked_reduction(b).rank for b in cover.subsets]
+            entry[key] = _mean_std([r[key] for r in point.rows if r[key] is not None])
+        entry["m"] = point.cover.m
+        entry["max_clique"] = max(point.cover.sizes())
+        entry["r"] = [_checked_reduction(b).rank for b in point.cover.subsets]
         summary["points"].append(entry)
     json_path = target / "summary.json"
     json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")

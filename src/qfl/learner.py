@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -131,7 +131,8 @@ def exact_loss(predictor, source: SampleSource) -> float:
     g = _g_of(predictor)
     if g.shape != source.rho0.shape:
         raise ValueError(f"dimension mismatch: {g.shape} vs {source.rho0.shape}")
-    value = 0.5 - 0.5 * float(np.einsum("ij,ji->", g, source.label_diff).real)
+    # tr(G D) with D = labeling_xop / 2^d; a power-of-two scale is exact
+    value = 0.5 - 0.5 * float(np.einsum("ij,ji->", g, source.labeling_xop).real) / (1 << source.d)
     if value < -LOSS_CLAMP_SLACK or value > 1.0 + LOSS_CLAMP_SLACK:
         raise ValueError(f"loss {value!r} outside [0, 1] beyond numerical slack")
     return min(max(value, 0.0), 1.0)
@@ -287,7 +288,8 @@ def _batch_means(
 
 @dataclass
 class LearnReport:
-    """Everything measurable about one learning run."""
+    """Everything measurable about one learning run.  ``opt_coords`` is the
+    k-coordinate subset that attains ``opt_value`` in junta learning."""
 
     estimates: FourierTable
     cover: Cover
@@ -307,18 +309,7 @@ class LearnReport:
     empirical_loss: float | None = None
     optimal_exact_loss: float | None = None
     degenerate: bool = False
-    extra: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        """Every field but ``extra``, with the estimates under ``estimates_ftab``
-        and the cover, plan and chosen coordinates as text or lists."""
-        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"}
-        out["estimates_ftab"] = out.pop("estimates").to_text()
-        out["cover"] = self.cover.to_text()
-        out["plan"] = list(self.plan.sizes)
-        if self.chosen_coords is not None:
-            out["chosen_coords"] = list(self.chosen_coords)
-        return out
+    opt_coords: tuple[int, ...] | None = None
 
 
 # Most measurement classes whose plan is kept.  An entry is a cover and a
@@ -470,9 +461,8 @@ def junta_learn(
     predictor = build_predictor(report.estimates.restricted_to_coords(report.chosen_coords))
     optimal = None
     if source.maximally_mixed:
-        report.opt_value, opt_coords = opt_k(source, k)
+        report.opt_value, report.opt_coords = opt_k(source, k)
         report.bound_value = junta_error_bound(report.opt_value, report.score)
         report.bound_measured = junta_error_bound(report.opt_value, report.beta_measured**2)
-        report.extra["opt_coords"] = opt_coords
-        optimal = truth.restricted_to_coords(opt_coords)
+        optimal = truth.restricted_to_coords(report.opt_coords)
     return _close(report, predictor, source, optimal, n_test)

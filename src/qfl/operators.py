@@ -23,7 +23,6 @@ import numpy as np
 MAX_QUBITS = 12
 
 HERMITICITY_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-8
 POVM_RESOLUTION_TOL = 1e-8
 EIGENVALUE_FLOOR = -1e-10
 DENSITY_TRACE_TOL = 1e-10

@@ -4,8 +4,8 @@ seeded projective measurement engine.
 A source holds the unknowns of one experiment: the label probabilities and the
 conditional states, plus an optional post-draw label-flip rate.  Everything a
 learner may later be scored against (exact coefficients, the optimal loss) is
-derived from the effective signed mixture ``p1' rho1' - p0' rho0'``, which the
-source exposes as a dense operator.
+derived from the effective signed mixture ``D = p1' rho1' - p0' rho0'``, which
+the source exposes as one dense operator, ``labeling_xop = 2^d D``.
 
 Samples are two int8 arrays, ``(bases, labels)``: the base picks ``rho0`` or
 ``rho1`` and the label differs from it only under label flips.
@@ -145,10 +145,13 @@ class SampleSource:
     probability ``p0`` and the state is the matching conditional state.  With
     ``flip_rate`` > 0 the reported label is flipped after the draw with that
     probability while the state is kept, which realizes label noise without
-    touching the feature marginal.
+    touching the feature marginal.  ``realizable`` marks a source whose
+    states are the eigenprojections of a +-1 operator (realizable, noisy and
+    classical files), so its optimal loss over all measurements is
+    ``flip_rate``; a flip-rate override keeps it.
     """
 
-    kind: str
+    realizable: bool
     d: int
     p0: float
     rho0: np.ndarray
@@ -168,19 +171,16 @@ class SampleSource:
         return 1.0 - self.p0
 
     @cached_property
-    def label_diff(self) -> np.ndarray:
-        """Effective signed mixture ``p1' rho1' - p0' rho0'`` after label flips."""
-        return (1.0 - 2.0 * self.flip_rate) * (self.p1 * self.rho1 - self.p0 * self.rho0)
-
-    @cached_property
     def labeling_xop(self) -> np.ndarray:
         """Feature-system operator whose expansion gives the exact coefficients.
 
-        Equals ``2^d`` times :attr:`label_diff`; for a source built from a
-        +-1 operator this recovers that operator (scaled by ``1 - 2 eta``
-        under label noise).
+        Equals ``2^d`` times the effective signed mixture ``p1' rho1' -
+        p0' rho0'`` after label flips; for a source built from a +-1 operator
+        this recovers that operator (scaled by ``1 - 2 eta`` under label
+        noise).
         """
-        return (1 << self.d) * self.label_diff
+        mixture = (1.0 - 2.0 * self.flip_rate) * (self.p1 * self.rho1 - self.p0 * self.rho0)
+        return (1 << self.d) * mixture
 
     def exact_coefficient(self, s: PauliString) -> float:
         """Ground-truth coefficient ``tr(sigma^s (p1' rho1' - p0' rho0'))``."""
@@ -233,8 +233,7 @@ class SampleSource:
         as a new source with an empty memo."""
         if not 0.0 <= eta < 0.5:
             raise ValueError(f"flip rate must lie in [0, 0.5), got {eta}")
-        kind = self.kind if eta == self.flip_rate else "noisy"
-        return replace(self, flip_rate=eta, kind=kind)
+        return replace(self, flip_rate=eta)
 
 
 def _mixture_is_maximally_mixed(p0: float, rho0: np.ndarray, rho1: np.ndarray, d: int) -> bool:
@@ -301,7 +300,7 @@ def _sign_split(f: np.ndarray) -> SampleSource:
     if diagonal:
         rho0, rho1 = np.diag(rho0), np.diag(rho1)
     return SampleSource(
-        kind="realizable",
+        realizable=True,
         d=d,
         p0=p0,
         rho0=rho0,
@@ -332,7 +331,7 @@ def make_classical_source(truth_table) -> SampleSource:
     if isinstance(truth_table, str):
         truth_table = parse_truth_table(truth_table)
     # make_realizable_source(classical_embedding(...)), without the dense F
-    return replace(_sign_split(label_signs(truth_table)), kind="classical")
+    return _sign_split(label_signs(truth_table))
 
 
 def make_custom_source(p0: float, rho0, rho1) -> SampleSource:
@@ -353,7 +352,7 @@ def make_custom_source(p0: float, rho0, rho1) -> SampleSource:
             raise ValueError(f"{name} is not a valid density operator: "
                              + "; ".join(map(str, problems)))
     return SampleSource(
-        kind="custom",
+        realizable=False,
         d=d,
         p0=float(p0),
         rho0=rho0,

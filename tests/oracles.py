@@ -13,7 +13,8 @@ of a batch through per-string outcome tables and averaged an outcome matrix
 (both on samples split into ``(state, label_sign, indices)`` groups), left
 and right Pauli application on dense matrices, the conditional states of a
 +-1 operator from its eigendecomposition, a realizable source checked and
-built on the dense operator however sparse it is, pairwise commutation,
+built on the dense operator however sparse it is, pairwise commutation
+by the symplectic rule on one pair of strings at a time,
 cover search that builds and canonicalizes a ``Cover`` per candidate,
 integer batch allocation by a heap started from one sample per subset, junta
 subset selection by one k-qubit block per subset and on dense 2^d operators,
@@ -43,7 +44,6 @@ from qfl.compatibility import (
     batch_weights,
     cover_score,
     is_clique,
-    pauli_commute,
 )
 from qfl.learner import COORD_TIE_RTOL
 from qfl.operators import (
@@ -537,7 +537,7 @@ def dense_realizable_source(f_op) -> SampleSource:
     p0 = 1.0 - n_plus / n
     mix = p0 * rho0 + (1.0 - p0) * rho1
     return SampleSource(
-        kind="realizable",
+        realizable=True,
         d=d,
         p0=p0,
         rho0=rho0,
@@ -573,6 +573,14 @@ def brute_degree_set(d: int, k: int, alphabet: Sequence[int] = (1, 2, 3), coords
         if sum(v != 0 for v in w) <= k
         and all(v == 0 or (v in alphabet and q in inside) for q, v in enumerate(w))
     ))
+
+
+def pauli_commute(s: PauliString, t: PauliString) -> bool:
+    """True when the two strings' operators commute, by the symplectic rule on
+    one pair of masks: ``parity((s.x & t.z) ^ (s.z & t.x)) == 0``."""
+    if s.d != t.d:
+        raise ValueError(f"length mismatch: {s.d} vs {t.d}")
+    return ((s.x_mask & t.z_mask) ^ (s.z_mask & t.x_mask)).bit_count() & 1 == 0
 
 
 def pairwise_commutation(strings: Sequence[PauliString]) -> np.ndarray:

@@ -19,7 +19,6 @@ from qfl.compatibility import (
     check_cover,
     commutation_matrix,
     cover_score,
-    pauli_commute,
     singleton_cover,
 )
 from qfl.pauli import (
@@ -32,7 +31,7 @@ from qfl.pauli import (
 )
 
 from conftest import random_string
-from oracles import heap_allocate_batches, object_best_cover, pairwise_commutation
+from oracles import heap_allocate_batches, object_best_cover, pairwise_commutation, pauli_commute
 
 
 def dense_commute(s: PauliString, t: PauliString) -> bool:

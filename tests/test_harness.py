@@ -10,9 +10,10 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qfl import checks, harness, learner, simulator
+from qfl import checks, compatibility, harness, learner, operators, simulator
 from qfl.cli import main
 from qfl.harness import CSV_COLUMNS, ConfigError, ExperimentConfig, run_config
 from qfl.pauli import FourierTable, PauliString, degree_set_upto
@@ -243,6 +244,29 @@ class TestRunConfig:
         etas = [dict(zip(cols, r.split(",")))["eta"] for r in rows]
         assert etas == ["0.0", "0.1"]
 
+    @pytest.mark.parametrize("where", ["source", "config"])
+    def test_custom_source_under_eta_has_no_known_optimum(self, tmp_path, where):
+        # label flips on the bell states leave an optimum of 0.3, not eta = 0.1,
+        # so a custom source's rows carry no opt_value and no bound
+        for name in ("bell.src", "bell_rho0.mat", "bell_rho1.mat"):
+            shutil.copy(CONFIGS / name, tmp_path)
+        eta = "eta = 0.1\n"
+        if where == "source":
+            with open(tmp_path / "bell.src", "a", encoding="utf-8") as spec:
+                spec.write(eta)
+        config = tmp_path / "bell.cfg"
+        config.write_text(
+            "source = bell.src\nalgorithm = qld\nk = 2\nn = 2000\ndelta = 0.05\nseeds = 1\n"
+            "out = out\n" + (eta if where == "config" else ""),
+            encoding="utf-8",
+        )
+        csv_path, _ = run_config(config)
+        with open(csv_path, encoding="utf-8") as rows:
+            (row,) = csv.DictReader(rows)
+        assert row["eta"] == "0.1"
+        assert row["opt_value"] == row["bound_value"] == row["bound_measured"] == ""
+        assert float(row["optimal_exact_loss"]) == pytest.approx(0.3, abs=1e-12)
+
 
 class TestGoldenBytes:
     """``results.csv`` bytes of the bundled configs, as recorded in ``tests/golden``.
@@ -350,9 +374,15 @@ class TestCli:
             "algorithm = qld\nk = 1\nn = 2000\nepsilon = x\n",
             "algorithm = qld\nk = 1\nn = 2000\nepsilon = -0.1\n",
             "algorithm = qld\nk = 1\nn = 2000\nepsilon = nan\n",
+            "algorithm = junta\nk = 2\nn = 2000\nclassical_only = true\n",
+            "algorithm = qld\nstrings = 0033, 3300\nn = 2000\nclassical_only = true\n",
+            "algorithm = qld\nk = 1\nn = 2000\ncover_strategy = bogus\n",
+            "algorithm = qld\nk = 0\nn = 2000\n",  # one k range, 1..d, for both learners
+            "algorithm = junta\nk = 5\nn = 2000\n",
         ],
         ids=["n-below-cover", "junta-n-below-cover", "exhaustive-over-cap", "n_test-text",
-             "epsilon-text", "epsilon-negative", "epsilon-nan"],
+             "epsilon-text", "epsilon-negative", "epsilon-nan", "junta-classical-only",
+             "strings-classical-only", "bogus-strategy", "qld-k-zero", "junta-k-over-d"],
     )
     def test_config_mistake_exits_2_without_output(self, tmp_path, settings):
         config = write_d4_config(tmp_path, "seeds = 1\n" + settings)
@@ -444,6 +474,11 @@ class TestCli:
         empty.write_text("# nothing\n")
         assert main(["cover", str(empty), "--n", "10", "--delta", "0.1"]) == 2
 
+    def test_cover_command_bad_strategy(self, capsys):
+        args = ["cover", str(CONFIGS / "weight1_d2.degreeset"), "--n", "600", "--delta", "0.1"]
+        assert main(args + ["--strategy", "bogus"]) == 2
+        assert "unknown cover strategy 'bogus'" in capsys.readouterr().err
+
     def test_console_script_entry(self):
         # the installed console script when there is one, else the module's
         # __main__ guard run from the source tree
@@ -458,6 +493,12 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "score:" in proc.stdout
+
+
+def unsigned(g):
+    g = g.copy()
+    g[0, 0] += 0.5  # break the +-1 structure
+    return g
 
 
 class TestVerifySuites:
@@ -478,21 +519,20 @@ class TestVerifySuites:
         assert checks.run_suite("full", log=lines.append) == 0
         assert time.perf_counter() - start < 900
 
-    def test_fault_injection_names_failing_property(self, monkeypatch):
-        import qfl.operators as operators_module
-
-        true_sign = operators_module.sign_operator
-
-        def corrupted(h):
-            g = true_sign(h)
-            g = g.copy()
-            g[0, 0] += 0.5  # break the +-1 structure
-            return g
-
-        monkeypatch.setattr(operators_module, "sign_operator", corrupted)
+    @pytest.mark.parametrize(
+        "module, name, corrupt, failing",
+        [
+            (operators, "sign_operator", unsigned, "sign-involution"),
+            (compatibility, "commutation_matrix", np.logical_not, "commutation-oracle"),
+        ],
+        ids=["sign_operator", "commutation_matrix"],
+    )
+    def test_fault_injection_names_failing_property(self, monkeypatch, module, name, corrupt, failing):
+        true_fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda arg: corrupt(true_fn(arg)))
         lines = []
         assert checks.run_suite("fast", log=lines.append) != 0
-        assert any(ln.startswith("FAIL sign-involution") for ln in lines)
+        assert any(ln.startswith(f"FAIL {failing}") for ln in lines)
         assert any("first failing property" in ln for ln in lines)
 
     def test_unknown_suite(self):

@@ -1,6 +1,7 @@
 """Estimation, predictor construction, learners, losses, and bound formulas."""
 
 import collections
+import dataclasses
 import importlib
 import itertools
 import math
@@ -76,6 +77,14 @@ from oracles import (
 )
 
 P = PauliString.from_digits
+
+
+def report_fields(report) -> dict:
+    """A report's fields by name, with the estimates as their degree set and
+    the bytes of their values."""
+    out = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    out["estimates"] = (report.estimates.degree_set, report.estimates.values.tobytes())
+    return out
 
 
 class TestBounds:
@@ -390,6 +399,24 @@ class TestExactLoss:
         with pytest.raises(ValueError, match="mismatch"):
             exact_loss(np.eye(2), bell_source)
 
+    def test_bit_for_bit_the_trace_against_the_signed_mixture(self):
+        # the loss reads labeling_xop = 2^d D and divides by 2^d, an exact
+        # rescale: it equals 1/2 - 1/2 tr(G D) on the mixture D itself, bit
+        # for bit, on noisy signs, noisy parities and random custom sources
+        rng = np.random.default_rng(27)
+        sources = []
+        for d in range(2, 7):
+            sources.append(make_noisy_source(sign_operator(random_hermitian(rng, 1 << d)), 0.1))
+            sources.append(make_parity_source(d, (0, d - 1)).with_flip_rate(0.2))
+            rhos = (random_density(rng, 1 << d), random_density(rng, 1 << d))
+            sources.append(make_custom_source(float(rng.random()), *rhos))
+        for source in sources:
+            mixture = (1.0 - 2.0 * source.flip_rate) * (source.p1 * source.rho1 - source.p0 * source.rho0)
+            for _ in range(3):
+                g = sign_operator(random_hermitian(rng, 1 << source.d))
+                want = 0.5 - 0.5 * float(np.einsum("ij,ji->", g, mixture).real)
+                assert exact_loss(g, source) == min(max(want, 0.0), 1.0)
+
 
 class TestEmpiricalLoss:
     def test_bell_binomial_band(self, bell_source):
@@ -593,7 +620,7 @@ class TestBestCoords:
         monkeypatch.setattr(learner, "rho_norm", norm)
         monkeypatch.setattr(learner, "synthesize", synthesize_)
         _, report = junta_learn(make_parity_source(6, (1, 4)), 2, 20_000, 0.05, 1)
-        assert report.chosen_coords == report.extra["opt_coords"] == (1, 4)
+        assert report.chosen_coords == report.opt_coords == (1, 4)
         # selection and opt_k: one stack of the 15 pairs' 4x4 blocks each;
         # only the two predictors are dense
         assert shapes["rho_norm"] == [((15, 4, 4), (4, 4))] * 2
@@ -676,25 +703,22 @@ class TestQldLearn:
         assert qld_learn(fresh, degree_set, 2000, 0.05, 2)[1].optimal_exact_loss == 0.0
         assert len(built) == 5
 
-    def test_report_json_schema(self):
-        import json
-
+    def test_report_fields(self):
         source = make_parity_source(2, (0, 1))
         _, report = qld_learn(source, degree_set_classical_upto(2, 2), 1000, 0.1, 1,
                               opt_value=0.0, n_test=500)
-        blob = json.loads(json.dumps(report.to_json_dict()))
-        expected_keys = {
-            "estimates_ftab", "cover", "plan", "n", "delta", "epsilon", "score",
+        assert set(report_fields(report)) == {
+            "estimates", "cover", "plan", "n", "delta", "epsilon", "score",
             "beta_bound", "seed", "opt_value", "bound_value", "beta_measured",
             "bound_measured", "chosen_coords", "exact_loss", "empirical_loss",
-            "optimal_exact_loss", "degenerate",
+            "optimal_exact_loss", "degenerate", "opt_coords",
         }
-        assert set(blob) == expected_keys
-        assert blob["estimates_ftab"].startswith("d=2")
-        assert 0.0 <= blob["exact_loss"] <= 1.0
-        assert 0.0 <= blob["empirical_loss"] <= 1.0
-        assert blob["seed"] == 1
-        assert sum(blob["plan"]) == blob["n"]
+        assert report.estimates.to_text().startswith("d=2")
+        assert 0.0 <= report.exact_loss <= 1.0
+        assert 0.0 <= report.empirical_loss <= 1.0
+        assert report.seed == 1
+        assert report.plan.total == report.n
+        assert report.chosen_coords is None and report.opt_coords is None
 
 
 def planted_pair_sign(rng, d, coords):
@@ -759,7 +783,7 @@ class TestJuntaLearn:
         for eta, source in ((0.0, make_realizable_source(f)), (0.1, make_noisy_source(f, 0.1))):
             for n, seed in itertools.product((20_000, 200_000), (1, 2, 3)):
                 _, report = junta_learn(source, 2, n, 0.05, seed)
-                assert report.extra["opt_coords"] == coords
+                assert report.opt_coords == coords
                 assert report.opt_value == pytest.approx(eta, abs=1e-12)
                 assert report.exact_loss <= report.bound_measured
                 assert n < 200_000 or report.bound_measured < 1.0
@@ -817,8 +841,7 @@ class TestSeedInvariantMemo:
         for seed in (1, 2, 3):
             p_warm, r_warm = self.learn(name, warm, seed)
             p_fresh, r_fresh = self.learn(name, self.noisy_source(), seed)
-            assert r_warm.to_json_dict() == r_fresh.to_json_dict()
-            assert r_warm.extra == r_fresh.extra
+            assert report_fields(r_warm) == report_fields(r_fresh)
             assert np.array_equal(p_warm.g_op, p_fresh.g_op)
 
     @pytest.mark.parametrize("name", ["qld", "junta"])
@@ -830,8 +853,7 @@ class TestSeedInvariantMemo:
             p_warm, r_warm = self.learn(name, self.noisy_source(), seed)
             clear_class_caches()
             p_cold, r_cold = self.learn(name, self.noisy_source(), seed)
-            assert r_warm.to_json_dict() == r_cold.to_json_dict()
-            assert r_warm.extra == r_cold.extra
+            assert report_fields(r_warm) == report_fields(r_cold)
             assert np.array_equal(p_warm.g_op, p_cold.g_op)
 
     @staticmethod

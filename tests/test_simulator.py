@@ -185,6 +185,16 @@ class TestNoisySource:
         with pytest.raises(ValueError, match="eta"):
             make_noisy_source(pauli_matrix(P("3")), 0.5)
 
+    def test_flip_rate_override_keeps_realizability(self, bell_source):
+        # a realizable source under label flips has optimum eta; a custom one
+        # does not (bell at eta = 0.1 has optimum 0.3), and stays unrealizable
+        assert make_noisy_source(pauli_matrix(P("3")), 0.1).realizable
+        assert make_classical_source("0110").with_flip_rate(0.1).realizable
+        noisy_bell = bell_source.with_flip_rate(0.1)
+        assert not bell_source.realizable and not noisy_bell.realizable
+        optimum = learner.build_predictor(noisy_bell.exact_table(degree_set_upto(2, 2)))
+        assert learner.exact_loss(optimum, noisy_bell) == pytest.approx(0.3, abs=1e-12)
+
 
 class TestClassicalAndCustom:
     def test_classical_states_are_basis_mixtures(self):
@@ -831,11 +841,11 @@ class TestRealizableDiagonal:
             got, want = make_realizable_source(f_op), dense_realizable_source(f_op)
             assert got.rho0.tobytes() == want.rho0.tobytes()
             assert got.rho1.tobytes() == want.rho1.tobytes()
-            for name in ("kind", "d", "p0", "maximally_mixed", "degenerate"):
+            for name in ("realizable", "d", "p0", "maximally_mixed", "degenerate"):
                 assert getattr(got, name) == getattr(want, name), name
         classical = make_classical_source((signs[2] > 0).astype(int))
         want = dense_realizable_source(classical_embedding((signs[2] > 0).astype(int)))
-        assert classical.kind == "classical"
+        assert classical.realizable
         assert (classical.rho0.tobytes(), classical.rho1.tobytes()) == (want.rho0.tobytes(), want.rho1.tobytes())
 
     def test_classical_source_skips_the_dense_embedding(self):
@@ -848,7 +858,7 @@ class TestRealizableDiagonal:
             for table in tables:
                 got = make_classical_source(table)
                 want = make_realizable_source(classical_embedding(table))
-                assert got.kind == "classical"
+                assert got.realizable
                 assert got.rho0.tobytes() == want.rho0.tobytes()
                 assert got.rho1.tobytes() == want.rho1.tobytes()
                 for name in ("d", "p0", "maximally_mixed", "degenerate"):
@@ -1014,13 +1024,13 @@ class TestSourceFiles:
             "kind = custom\nd = 2\np0 = 0.5\nrho0 = r0.mat\nrho1 = r1.mat\n"
         )
         source = load_source(tmp_path / "bell.src")
-        assert source.kind == "custom"
+        assert not source.realizable
         assert abs(source.exact_coefficient(P("22")) - 0.5) <= 1e-12
 
     def test_classical_source_file(self, tmp_path):
         (tmp_path / "f.src").write_text("kind = classical\nd = 2\ntruth_table = 0110\n")
         source = load_source(tmp_path / "f.src")
-        assert source.kind == "classical"
+        assert source.realizable
         assert abs(source.exact_coefficient(P("33")) + 1.0) <= 1e-12
 
     def test_realizable_and_noisy_source_files(self, tmp_path):
