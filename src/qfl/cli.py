@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .compatibility import best_cover, cover_score
 from .harness import ConfigError, parse_seeds, run_config
+from .learner import beta_bound
 from .pauli import DegreeSet, PauliString
 
 
@@ -94,7 +95,7 @@ def _cmd_cover(args) -> int:
     sys.stdout.write(cover.to_text())
     print(f"subsets: {cover.m}")
     print(f"score: {score!r}")
-    print(f"beta_bound: {(8.0 * score) ** 0.5!r}")
+    print(f"beta_bound: {beta_bound(score)!r}")
     return 0
 
 

@@ -117,7 +117,7 @@ def _size_weights(sizes: Sequence[int], delta: float) -> np.ndarray:
 
 def _size_score(sizes: Sequence[int], n: int, delta: float) -> float:
     if n < 1:
-        raise ValueError("n must be positive")
+        raise ValueError(f"n must be positive, got {n}")
     return float(np.sqrt(_size_weights(sizes, delta) / n).sum() ** 2)
 
 
@@ -269,7 +269,9 @@ def allocate_batches(n: int, cover: Cover, delta: float) -> BatchPlan:
     """
     m = cover.m
     if n < m:
-        raise ValueError(f"need at least one sample per subset: n={n} < m={m}")
+        raise ValueError(
+            f"need at least one sample per subset, n >= number of cover subsets: n={n} < m={m}"
+        )
     w = batch_weights(cover, delta)
     if m == 1:
         return BatchPlan((n,))

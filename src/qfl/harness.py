@@ -12,9 +12,10 @@ point's summary entry read that record.  The degree set, cover and plan
 depend only on the measurement class (d, k or the strings, n, delta and the
 cover strategy), so they are searched once per class and shared by every
 point and source of that class (an eta sweep searches its cover once); each
-source pays once for the work on its states.  Bad input,
-including a cover strategy that cannot search the degree set or a budget
-``n`` below the number of cover subsets, raises :class:`ConfigError` then.
+source pays once for the work on its states.  Bad input, including an
+``n``, ``delta`` or ``eta`` out of range, a cover strategy that cannot search
+the degree set or a budget ``n`` below one sample per cover subset, raises
+:class:`ConfigError` then.
 The runs then go one after another, point by point and seed by seed; the
 output directory is created only after the last one has returned, so a
 failed run leaves no output.
@@ -133,7 +134,13 @@ _KNOWN_KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed and validated experiment description."""
+    """Parsed experiment description.
+
+    ``from_file`` checks the keys, their syntax and how they combine.  The
+    ranges of ``n``, ``delta`` and ``eta`` and the cover strategy are
+    checked when the points are resolved, by the functions that own them:
+    the cover search and allocation, and the source's flip-rate override.
+    """
 
     base_dir: Path
     sources: tuple[str, ...]
@@ -181,14 +188,8 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: classical_only needs the qld algorithm and 'k'")
         seeds = parse_seeds(fields["seeds"])
         n_values = tuple(_parse_list(fields["n"], int))
-        if any(n < 1 for n in n_values):
-            raise ConfigError("sample budgets must be positive")
         delta_values = tuple(_parse_list(fields["delta"], float))
-        if any(not 0.0 < dl < 1.0 for dl in delta_values):
-            raise ConfigError("delta values must lie in (0, 1)")
         eta_values = tuple(_parse_list(fields["eta"], float)) if "eta" in fields else None
-        if eta_values is not None and any(not 0.0 <= e < 0.5 for e in eta_values):
-            raise ConfigError("eta values must lie in [0, 0.5)")
         n_test = _parse_number("n_test", fields.get("n_test", "0"), int)
         if n_test < 0:
             raise ConfigError("n_test must be nonnegative")
@@ -209,7 +210,6 @@ class ExperimentConfig:
             n_values=n_values,
             delta_values=delta_values,
             eta_values=eta_values,
-            # checked against the degree set when the points are resolved
             cover_strategy=fields.get("cover_strategy", "greedy").strip(),
             seeds=seeds,
             n_test=n_test,

@@ -74,6 +74,13 @@ def chernoff_band(n: int, delta: float, count: int = 1) -> float:
     return math.sqrt(8.0 / n * math.log(2.0 * count / delta))
 
 
+def beta_bound(score: float) -> float:
+    """The bound ``sqrt(8 score)`` on the l2 error of the estimates that a
+    cover of score ``score`` (:func:`cover_score`) gives with probability
+    ``1 - delta``."""
+    return math.sqrt(8.0 * score)
+
+
 def qld_error_bound(opt: float, eps: float, beta: float) -> float:
     """Loss guarantee ``2 opt + 2 eps + 5 beta`` of the low-degree predictor."""
     if min(opt, eps, beta) < 0:
@@ -209,8 +216,6 @@ def opt_k(source: SampleSource, k: int) -> tuple[float, tuple[int, ...]]:
     """
     if not source.maximally_mixed:
         raise ValueError("optimal junta loss requires a maximally mixed feature marginal")
-    if not 0 <= k <= source.d:
-        raise ValueError(f"need 0 <= k <= d, got k={k}")
     norm, coords = source.memoized(
         ("opt_k", k), lambda: best_coords(source.exact_table(degree_set_upto(source.d, k)), k)
     )
@@ -244,8 +249,6 @@ def fourier_estimation(
         raise ValueError("plan does not align with the cover")
     if plan.total != len(bases):
         raise ValueError(f"sample count mismatch: plan needs {plan.total}, got {len(bases)}")
-    if len(bases) == 0:
-        raise ValueError("cannot estimate from zero samples")
     if any(size < 1 for size in plan.sizes):
         raise ValueError("every batch needs at least one sample")
     estimates = np.empty(len(cover.covered))
@@ -323,15 +326,14 @@ def _plan(degree_set: DegreeSet, n: int, delta: float, cover_strategy: str) -> t
     """The checked cover of the degree set and its allocation of ``n``
     samples, searched once per measurement class ``(degree set, n, delta,
     strategy)`` and shared by every source.  A cover that fails its checks,
-    or has more subsets than ``n``, raises on every call.
+    or has more subsets than ``n`` (:func:`allocate_batches`), raises on
+    every call.
 
     The search, check and allocation are looked up in this module's
     namespace on each miss, so a wrapper installed there sees every one.
     """
     cover = best_cover(degree_set, n, delta, strategy=cover_strategy)
     check_cover(cover, degree_set)
-    if n < cover.m:
-        raise ValueError(f"need n >= number of cover subsets: n={n} < m={cover.m}")
     return cover, allocate_batches(n, cover, delta)
 
 
@@ -351,8 +353,6 @@ def _estimate(
     """
     if degree_set.d != source.d:
         raise ValueError(f"degree set is on d={degree_set.d}, source on d={source.d}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
     cover, plan = _plan(degree_set, n, delta, cover_strategy)
     streams = RandomStreams(seed)
     bases, labels = draw_samples(source, n, streams.generator(STREAM_DRAW))
@@ -374,7 +374,7 @@ def _estimate(
         delta=delta,
         epsilon=0.0,
         score=score,
-        beta_bound=math.sqrt(8.0 * score),
+        beta_bound=beta_bound(score),
         seed=seed,
         beta_measured=math.sqrt(sq),
     )

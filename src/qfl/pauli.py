@@ -252,15 +252,11 @@ class DegreeSet:
 def degree_set_upto(d: int, k: int) -> DegreeSet:
     """All strings on d qubits with at most k non-identity symbols, built once
     per ``(d, k)`` and shared by every caller (a degree set is immutable)."""
-    if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
     return _strings_within(d, range(d), k, (1, 2, 3))
 
 
 def degree_set_classical_upto(d: int, k: int) -> DegreeSet:
     """All diagonal (identity/Z) strings on d qubits with weight at most k."""
-    if not 0 <= k <= d:
-        raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
     return _strings_within(d, range(d), k, (3,))
 
 
@@ -276,6 +272,8 @@ def _strings_within(d: int, coords: Sequence[int], k: int, alphabet: tuple[int, 
     """The strings on d qubits supported on at most k of ``coords``, with a
     symbol of ``alphabet`` at each point of the support: one walk over the
     supports, so each string is built once."""
+    if not 0 <= k <= d:
+        raise ValueError(f"need 0 <= k <= d, got k={k}, d={d}")
     strings = []
     for j in range(k + 1):
         for support in itertools.combinations(coords, j):
@@ -367,7 +365,10 @@ class FourierTable:
         coeffs = {}
         for ln in lines[1:]:
             name, _, value = ln.partition(" ")
-            coeffs[PauliString.from_digits(name.strip().strip('"'))] = float(value)
+            s = PauliString.from_digits(name.strip().strip('"'))
+            if s in coeffs:
+                raise ValueError(f"coefficient table lists string {str(s)!r} twice")
+            coeffs[s] = float(value)
         return cls.of(d, coeffs)
 
     def save(self, path) -> None:
@@ -410,10 +411,8 @@ def synthesize(table: FourierTable) -> np.ndarray:
     skipped: a zero adds +-0.0 to entries that start at +0.0 and are never
     -0.0, so it changes no bit.
     """
-    if table.d > MAX_QUBITS:
-        raise ValueError(f"dense synthesis capped at {MAX_QUBITS} qubits")
     keep = table.values != 0.0
-    return _accumulate(table.values[keep], *(a[keep] for a in table.degree_set.masks), 1 << table.d)
+    return _accumulate(table.values[keep], table.d, [a[keep] for a in table.degree_set.masks])
 
 
 def synthesize_stack(coeffs: np.ndarray, d: int) -> np.ndarray:
@@ -423,20 +422,25 @@ def synthesize_stack(coeffs: np.ndarray, d: int) -> np.ndarray:
     Each matrix is bit for bit ``synthesize`` of its row as a table (a string
     left out of a table adds the same bits as a zero coefficient).
     """
+    return _accumulate(np.asarray(coeffs, dtype=np.float64), d, None)
+
+
+def _accumulate(c: np.ndarray, d: int, masks) -> np.ndarray:
+    """``sum_t c[..., t] P_t`` as dense ``(..., 2^d, 2^d)`` operators, from
+    the strings' masks ``(x, z, k)``, or when ``masks`` is None from those
+    of all ``4^d`` strings in sorted order; d is checked against
+    ``MAX_QUBITS`` before any of them is built.  String t fills the entries
+    ``(j ^ x_t, j)``, so each string's phase row is added, in the given
+    order, to one row per distinct x mask, which starts from zero, and each
+    row is scattered once: every entry is the same sequential sum as adding
+    the strings one by one into the output.  The distinct x masks are taken
+    in groups of at most ``TRACE_BLOCK`` row entries, and each group's
+    strings' phases in blocks of as many, so besides the output only one
+    group's rows are held."""
     if d > MAX_QUBITS:
         raise ValueError(f"dense synthesis capped at {MAX_QUBITS} qubits")
-    return _accumulate(np.asarray(coeffs, dtype=np.float64), *full_degree_set(d).masks, 1 << d)
-
-
-def _accumulate(c: np.ndarray, x: np.ndarray, z: np.ndarray, k: np.ndarray, n: int) -> np.ndarray:
-    """``sum_t c[..., t] P_t`` as dense ``(..., n, n)`` operators, from the
-    strings' masks.  String t fills the entries ``(j ^ x_t, j)``, so each
-    string's phase row is added, in the given order, to one row per distinct
-    x mask, which starts from zero, and each row is scattered once: every
-    entry is the same sequential sum as adding the strings one by one into
-    the output.  The distinct x masks are taken in groups of at most
-    ``TRACE_BLOCK`` row entries, and each group's strings' phases in blocks
-    of as many, so besides the output only one group's rows are held."""
+    x, z, k = full_degree_set(d).masks if masks is None else masks
+    n = 1 << d
     out = np.zeros(c.shape[:-1] + (n, n), dtype=np.complex128)
     idx = np.arange(n)
     xs, slot = np.unique(x, return_inverse=True)

@@ -73,7 +73,6 @@ from .operators import (
     _check_hermitian,
     _is_diagonal,
     as_operator,
-    maximally_mixed,
     validate_density,
 )
 from .pauli import (
@@ -158,7 +157,6 @@ class SampleSource:
     rho1: np.ndarray
     flip_rate: float = 0.0
     maximally_mixed: bool = False
-    degenerate: bool = False
     # Seed-invariant values derived from this source, keyed by tuples whose
     # first entry names their kind; see memoized.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -169,6 +167,11 @@ class SampleSource:
     @property
     def p1(self) -> float:
         return 1.0 - self.p0
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether one label has probability zero."""
+        return self.p0 in (0.0, 1.0)
 
     @cached_property
     def labeling_xop(self) -> np.ndarray:
@@ -232,13 +235,26 @@ class SampleSource:
         """Same draw distribution with the label-flip rate replaced by ``eta``,
         as a new source with an empty memo."""
         if not 0.0 <= eta < 0.5:
-            raise ValueError(f"flip rate must lie in [0, 0.5), got {eta}")
+            raise ValueError(f"flip rate eta must lie in [0, 0.5), got {eta}")
         return replace(self, flip_rate=eta)
 
 
-def _mixture_is_maximally_mixed(p0: float, rho0: np.ndarray, rho1: np.ndarray, d: int) -> bool:
+def _qubit_count(n: int) -> int:
+    """The d of a dimension ``n = 2^d``, d >= 1."""
+    d = n.bit_length() - 1
+    if d < 1:
+        raise ValueError("d must be >= 1")
+    if 1 << d != n:
+        raise ValueError(f"dimension {n} is not a power of two")
+    return d
+
+
+def _is_maximally_mixed(p0: float, rho0: np.ndarray, rho1: np.ndarray, one: np.ndarray) -> bool:
+    """Whether the marginal ``p0 rho0 + p1 rho1`` is ``I / n`` to within
+    ``MARGINAL_TOL``, with the states and the identity ``one`` all given as
+    matrices or all as diagonals."""
     mix = p0 * rho0 + (1.0 - p0) * rho1
-    return bool(np.abs(mix - maximally_mixed(d)).max() <= MARGINAL_TOL)
+    return bool(np.abs(mix - one / len(one)).max() <= MARGINAL_TOL)
 
 
 def make_realizable_source(f_op) -> SampleSource:
@@ -274,11 +290,7 @@ def _sign_split(f: np.ndarray) -> SampleSource:
     else:
         f, one = _check_hermitian(f), np.eye(n, dtype=np.complex128)
         square, trace = f @ f, np.diagonal(f).real.sum()
-    d = n.bit_length() - 1
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if 1 << d != n:
-        raise ValueError(f"operator dimension {n} is not a power of two")
+    d = _qubit_count(n)
     defect = float(np.abs(square - one).max())
     if defect > SIGN_OPERATOR_TOL:
         raise ValueError(
@@ -296,17 +308,11 @@ def _sign_split(f: np.ndarray) -> SampleSource:
     # an empty side gets the maximally mixed state I / 2^d
     rho0 = (one - f) / (2 * n_minus) if n_minus else one / n
     rho1 = (one + f) / (2 * n_plus) if n_plus else one / n
-    maximally = bool(np.abs(p0 * rho0 + (1.0 - p0) * rho1 - one / n).max() <= MARGINAL_TOL)
+    maximally = _is_maximally_mixed(p0, rho0, rho1, one)
     if diagonal:
         rho0, rho1 = np.diag(rho0), np.diag(rho1)
     return SampleSource(
-        realizable=True,
-        d=d,
-        p0=p0,
-        rho0=rho0,
-        rho1=rho1,
-        maximally_mixed=maximally,
-        degenerate=n_plus == 0 or n_minus == 0,
+        realizable=True, d=d, p0=p0, rho0=rho0, rho1=rho1, maximally_mixed=maximally
     )
 
 
@@ -316,8 +322,6 @@ def make_noisy_source(f_op, eta: float) -> SampleSource:
     Every exact coefficient shrinks by ``1 - 2 eta`` and the optimal loss over
     all measurements becomes exactly ``eta``.
     """
-    if not 0.0 <= eta < 0.5:
-        raise ValueError(f"eta must lie in [0, 0.5), got {eta}")
     return make_realizable_source(f_op).with_flip_rate(eta)
 
 
@@ -342,10 +346,7 @@ def make_custom_source(p0: float, rho0, rho1) -> SampleSource:
     rho1 = as_operator(rho1)
     if rho0.shape != rho1.shape:
         raise ValueError(f"state dimensions differ: {rho0.shape} vs {rho1.shape}")
-    n = rho0.shape[0]
-    d = n.bit_length() - 1
-    if 1 << d != n:
-        raise ValueError(f"state dimension {n} is not a power of two")
+    d = _qubit_count(rho0.shape[0])
     for name, rho in (("rho0", rho0), ("rho1", rho1)):
         problems = validate_density(rho)
         if problems:
@@ -357,8 +358,7 @@ def make_custom_source(p0: float, rho0, rho1) -> SampleSource:
         p0=float(p0),
         rho0=rho0,
         rho1=rho1,
-        maximally_mixed=_mixture_is_maximally_mixed(p0, rho0, rho1, d),
-        degenerate=p0 in (0.0, 1.0),
+        maximally_mixed=_is_maximally_mixed(p0, rho0, rho1, np.eye(1 << d, dtype=np.complex128)),
     )
 
 

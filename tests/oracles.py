@@ -543,7 +543,6 @@ def dense_realizable_source(f_op) -> SampleSource:
         rho0=rho0,
         rho1=rho1,
         maximally_mixed=bool(np.abs(mix - maximally_mixed(d)).max() <= MARGINAL_TOL),
-        degenerate=n_plus in (0, n),
     )
 
 

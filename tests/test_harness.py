@@ -43,10 +43,12 @@ def write_parity_setup(tmp_path: Path, *, seeds="1, 2", n=2000) -> Path:
 
 
 def write_d4_config(tmp_path: Path, settings: str) -> Path:
-    """A config on the bundled four-qubit parity source with ``settings`` added."""
+    """A config on the bundled four-qubit parity source with ``settings``
+    added, and ``delta = 0.05`` unless ``settings`` gives a delta."""
     shutil.copy(CONFIGS / "parity_d4.src", tmp_path)
     config = tmp_path / "d4.cfg"
-    config.write_text("source = parity_d4.src\ndelta = 0.05\nout = out\n" + settings)
+    delta = "" if "delta =" in settings else "delta = 0.05\n"
+    config.write_text("source = parity_d4.src\n" + delta + "out = out\n" + settings)
     return config
 
 
@@ -379,10 +381,16 @@ class TestCli:
             "algorithm = qld\nk = 1\nn = 2000\ncover_strategy = bogus\n",
             "algorithm = qld\nk = 0\nn = 2000\n",  # one k range, 1..d, for both learners
             "algorithm = junta\nk = 5\nn = 2000\n",
+            # the ranges of n, delta and eta are checked by their owners,
+            # the cover search and the flip-rate override, as the points resolve
+            "algorithm = qld\nk = 1\nn = 0\n",
+            "algorithm = qld\nk = 1\nn = 2000\ndelta = 1.5\n",
+            "algorithm = qld\nk = 1\nn = 2000\neta = 0.5\n",
         ],
         ids=["n-below-cover", "junta-n-below-cover", "exhaustive-over-cap", "n_test-text",
              "epsilon-text", "epsilon-negative", "epsilon-nan", "junta-classical-only",
-             "strings-classical-only", "bogus-strategy", "qld-k-zero", "junta-k-over-d"],
+             "strings-classical-only", "bogus-strategy", "qld-k-zero", "junta-k-over-d",
+             "n-zero", "delta-over-one", "eta-half"],
     )
     def test_config_mistake_exits_2_without_output(self, tmp_path, settings):
         config = write_d4_config(tmp_path, "seeds = 1\n" + settings)
@@ -448,6 +456,37 @@ class TestCli:
         )
         out_dir = tmp_path / "results"
         assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
+
+    def test_repeated_table_string_exits_2_without_output(self, tmp_path, capsys):
+        # the last value would make a valid +-1 operator, Z Z; the table is
+        # refused instead of read as it
+        config = write_parity_setup(tmp_path)
+        (tmp_path / "parity.ftab").write_text('d=2\n"33" 0.5\n"33" 1.0\n', encoding="utf-8")
+        (tmp_path / "parity.src").write_text(
+            "kind = realizable\nd = 2\nftab = parity.ftab\n", encoding="utf-8"
+        )
+        out_dir = tmp_path / "results"
+        assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
+        assert "'33' twice" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_config_eta_on_custom_source_not_maximally_mixed_exits_2(self, tmp_path, capsys):
+        # both states |0><0|: the feature marginal is not I / 2
+        for name in ("rho0.mat", "rho1.mat"):
+            save_matrix(tmp_path / name, np.diag([1.0, 0.0]))
+        (tmp_path / "pure.src").write_text(
+            "kind = custom\nd = 1\np0 = 0.5\nrho0 = rho0.mat\nrho1 = rho1.mat\n", encoding="utf-8"
+        )
+        config = tmp_path / "pure.cfg"
+        config.write_text(
+            "source = pure.src\nalgorithm = qld\nk = 1\nn = 2000\ndelta = 0.05\nseeds = 1\n"
+            "eta = 0.1\nout = out\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "results"
+        assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
+        assert "non-maximally-mixed" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_wrong_length_string_exits_2_without_output(self, tmp_path):

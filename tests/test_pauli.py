@@ -1,5 +1,7 @@
 """Pauli strings, the operator expansion, degree sets, and classical embedding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,21 @@ class TestKernel:
         monkeypatch.setattr(pauli_module, "TRACE_BLOCK", 40)
         assert synthesize_stack(coeffs, d).tobytes() == want.tobytes()
 
+    def test_dense_synthesis_cap_raises_before_allocating(self):
+        # a 13-qubit operator is 1 GiB and its 4^13 strings far more; the
+        # cap is checked before either is built
+        table = FourierTable.of(13, {PauliString.identity(13): 1.0})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="capped"):
+                synthesize(table)
+            with pytest.raises(ValueError, match="capped"):
+                synthesize_stack(np.ones((1, 1)), 13)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("d", range(1, 8))
     def test_accumulate_matches_per_string_loop(self, d, monkeypatch):
         # bit for bit, signed zeros too: strings sharing a few x masks, the
@@ -214,7 +231,7 @@ class TestKernel:
             want = string_accumulate(c, x, z, k, 1 << d).tobytes()
             for block in (1 << 18, 40):
                 monkeypatch.setattr(pauli_module, "TRACE_BLOCK", block)
-                assert pauli_module._accumulate(c, x, z, k, 1 << d).tobytes() == want
+                assert pauli_module._accumulate(c, d, (x, z, k)).tobytes() == want
 
     @pytest.mark.parametrize("d", range(1, 9))
     def test_fourier_transform_matches_per_string_traces(self, d):
@@ -609,6 +626,11 @@ class TestTableSerialization:
         back = FourierTable.load(path)
         assert back.d == 2
         assert back.items() == table.items()
+
+    def test_repeated_string_raises(self):
+        # as a repeated config key does; the last value is not taken
+        with pytest.raises(ValueError, match="'3' twice"):
+            FourierTable.from_text('d=1\n"3" 0.5\n"3" 1.0\n')
 
     def test_header_required(self):
         with pytest.raises(ValueError, match="header"):

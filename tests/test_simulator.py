@@ -224,6 +224,13 @@ class TestClassicalAndCustom:
         with pytest.raises(ValueError, match="density"):
             make_custom_source(0.5, np.diag([1.5, -0.5]), maximally_mixed(1))
 
+    def test_dimension_rules(self):
+        # the same dimension rules, with the same words, as a realizable source
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            make_custom_source(0.5, [[1]], [[1]])
+        with pytest.raises(ValueError, match="power of two"):
+            make_custom_source(0.5, np.eye(3) / 3, np.eye(3) / 3)
+
 
 class TestDrawing:
     def test_reproducible(self):
