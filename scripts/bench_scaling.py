@@ -17,6 +17,10 @@ runs in a fresh process and records, in seconds:
 - ``cold_s``: the first learning call on the source (seed 1), which pays the
   class work and every per-source memo;
 - ``warm_s``: the median of the calls at seeds 2 and 3 on the same source;
+- ``rerun_s``: the median of ``harness.run_config`` calls 2 to
+  ``RERUN_CALLS`` at seed 1 on the same source written to a ``.src`` file (a
+  ``classical`` one for qld, a ``noisy`` one with its ``.ftab`` for junta),
+  so it times a repeat call of the harness on unchanged files;
 - ``peak_rss_mb``: the cell process's peak resident set.
 
 A cell that does not finish within ``BUDGET_S`` seconds is recorded as
@@ -37,6 +41,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -49,6 +54,7 @@ WORKLOAD_SEED = 1
 COLD_SEED = 1
 WARM_SEEDS = (2, 3)
 PREPARE_REPEATS = 3
+RERUN_CALLS = 3
 DIMS = range(4, 12)
 BUDGET_S = 120.0
 
@@ -73,6 +79,7 @@ def run_cell(learner_name: str, d: int) -> dict:
     from perfbench import workloads
 
     coords = workloads.planted_coords(WORKLOAD_SEED, d)
+    f_op = None
     start = time.perf_counter()
     if learner_name == "qld":
         source = simulator.make_classical_source(workloads.parity_truth_table(d, coords))
@@ -112,10 +119,43 @@ def run_cell(learner_name: str, d: int) -> dict:
         "prepare_s": statistics.median(prepare),
         "cold_s": cold_s,
         "warm_s": statistics.median(warm),
+        "rerun_s": _rerun_s(learner_name, d, coords, f_op),
         "m": report.cover.m,
         "exact_loss": report.exact_loss,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
+
+
+def _rerun_s(learner_name: str, d: int, coords: tuple[int, int], f_op) -> float:
+    """The median seconds of ``run_config`` calls 2 to ``RERUN_CALLS`` at
+    ``COLD_SEED`` on the cell's source written to a ``.src`` file: the planted
+    parity's truth table for qld (``f_op`` is None), and for junta a noisy
+    source whose ``.ftab`` holds the planted ``f_op``'s coefficients on its
+    coordinates."""
+    from qfl import harness
+    from qfl.pauli import degree_set_within, fourier_transform
+    from perfbench import workloads
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if f_op is None:
+            spec = f"kind = classical\nd = {d}\ntruth_table = {workloads.parity_truth_table(d, coords)}\n"
+        else:
+            fourier_transform(f_op, degree_set_within(d, coords)).save(tmp / "cell.ftab")
+            spec = f"kind = noisy\nd = {d}\nftab = cell.ftab\neta = {workloads.JUNTA_ETA!r}\n"
+        (tmp / "cell.src").write_text(spec, encoding="utf-8")
+        config = tmp / "cell.cfg"
+        config.write_text(
+            f"source = cell.src\nalgorithm = {learner_name}\nk = {K}\nn = {N}\ndelta = {DELTA}\n"
+            f"seeds = {COLD_SEED}\nout = out\n",
+            encoding="utf-8",
+        )
+        calls = []
+        for _ in range(RERUN_CALLS):
+            start = time.perf_counter()
+            harness.run_config(config)
+            calls.append(time.perf_counter() - start)
+    return statistics.median(calls[1:])
 
 
 def _environment() -> dict:
@@ -169,6 +209,7 @@ def main(argv=None) -> None:
         "grid": {"learners": list(LEARNERS), "k": K, "n": N, "delta": DELTA,
                  "workload_seed": WORKLOAD_SEED, "cold_seed": COLD_SEED,
                  "warm_seeds": list(WARM_SEEDS), "prepare_repeats": PREPARE_REPEATS,
+                 "rerun_calls": RERUN_CALLS,
                  "dims": list(DIMS), "budget_s": BUDGET_S},
         "runs": [],
     }

@@ -19,7 +19,7 @@ def test_one_cell_prints_its_measurements(learner):
     out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120, check=True)
     cell = json.loads(out.stdout.strip().splitlines()[-1])
     assert (cell["learner"], cell["d"]) == (learner, 4)
-    for key in ("source_s", "prepare_s", "cold_s", "warm_s", "peak_rss_mb"):
+    for key in ("source_s", "prepare_s", "cold_s", "warm_s", "rerun_s", "peak_rss_mb"):
         assert cell[key] > 0.0, key
     assert cell["m"] >= 1
     assert 0.0 <= cell["exact_loss"] <= 1.0
