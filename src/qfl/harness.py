@@ -12,18 +12,22 @@ point's summary entry read that record.  The degree set, cover and plan
 depend only on the measurement class (d, k or the strings, n, delta and the
 cover strategy), so they are searched once per class and shared by every
 point and source of that class (an eta sweep searches its cover once); each
-source pays once for the work on its states.  Bad input, including an
-``n``, ``delta`` or ``eta`` out of range, a cover strategy that cannot search
-the degree set or a budget ``n`` below one sample per cover subset, raises
-:class:`ConfigError` then.
-The runs then go one after another, point by point and seed by seed; the
-output directory is created only after the last one has returned, so a
-failed run leaves no output.
+source pays once for the work on its states.  Each source file is read once
+per call and loaded only when its bytes, or those of a file it names, differ
+from the last call's: the sources of the last call are kept, memos and all,
+so a repeat call on unchanged files pays only for its seeds.  Bad input,
+including an ``n``, ``delta``, ``eta`` or ``k`` out of range, a cover
+strategy that cannot search the degree set or a budget ``n`` below one sample
+per cover subset, raises :class:`ConfigError` then.  The runs then go one
+after another, point by point and seed by seed; the output directory is
+created only after the last one has returned, so a failed run leaves no
+output.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import itertools
 import json
@@ -34,9 +38,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .compatibility import Cover
-from .learner import _plan, junta_learn, qld_learn
-from .pauli import DegreeSet, PauliString, degree_set_classical_upto, degree_set_upto
-from .simulator import SampleSource, _checked_reduction, load_source, parse_key_values
+from .learner import _plan, junta_learn, low_degree_set, qld_learn
+from .pauli import DegreeSet, PauliString
+from .simulator import (
+    SampleSource,
+    SourceFiles,
+    _checked_reduction,
+    load_source,
+    override_flip_rate,
+    parse_key_values,
+    read_source_files,
+)
 
 CSV_SCHEMA_VERSION = 1
 
@@ -250,25 +262,70 @@ class _Point:
 
 def _degree_set_for(config: ExperimentConfig, source: SampleSource, k: int | None) -> DegreeSet:
     """The config's strings, or for both learners every string of support
-    at most k (diagonal ones only under ``classical_only``), 1 <= k <= d."""
+    at most k (diagonal ones only under ``classical_only``)."""
     if config.strings is not None:
         return DegreeSet.of(source.d, [PauliString.from_digits(tok) for tok in config.strings])
-    if not 1 <= k <= source.d:
-        raise ConfigError(f"k={k} out of range [1, d={source.d}]")
-    if config.classical_only:
-        return degree_set_classical_upto(source.d, k)
-    return degree_set_upto(source.d, k)
+    return low_degree_set(source.d, k, classical_only=config.classical_only)
 
 
-def _resolve(config: ExperimentConfig, loaded: dict[str, SampleSource], params: dict) -> _Point:
-    """The point of ``params``; each source file is loaded once, into ``loaded``."""
-    if params["source"] not in loaded:
-        loaded[params["source"]] = load_source(config.base_dir / params["source"])
-    source = loaded[params["source"]]
-    if params["eta"] is not None:
-        if not source.realizable and not source.maximally_mixed:
-            raise ConfigError("eta override on a non-maximally-mixed custom source")
-        source = source.with_flip_rate(params["eta"])
+# The sources the last run_config call resolved, keyed as _resolve_sources
+# keys them: by a sha256 digest of the bytes load_source parsed (the
+# specification and each file it names), never by a path or an mtime, so an
+# edited file is loaded again, and by the exact eta, sign included.  Their
+# memos hold the work that no seed changes (prepared batches, exact tables,
+# the optimal loss), so a repeat call on unchanged files pays only for its
+# seeds; a call on other files gets nothing from it.  Each call replaces the
+# whole set, and a call whose sources fail to load leaves it empty.  Between
+# calls it holds what the last call held while it ran; at MAX_QUBITS = 12
+# that is about 768 MB per source file (two dense 4096 x 4096 complex states
+# and the labeling operator), 256 MB more per eta variant (its own labeling
+# operator; it shares the states), and at most 0.25 MB of probabilities per
+# prepared batch.  A call drops the kept sources it does not use before it
+# loads any, so at no time does it hold more than the larger of the two
+# calls' sets, plus the bytes of the files it has still to load.
+_last_sources: dict[tuple, SampleSource] = {}
+
+
+def _content_key(files: SourceFiles) -> tuple:
+    return tuple((name, hashlib.sha256(data).digest()) for name, data in files.data.items())
+
+
+def _variant_key(key: tuple, eta: float | None) -> tuple:
+    """The key of a file's source under a config ``eta`` (None: the file's
+    own flip rate); ``float.hex`` keeps -0.0 apart from 0.0, as the CSV does."""
+    return key, None if eta is None else eta.hex()
+
+
+def _resolve_sources(config: ExperimentConfig, previous: dict) -> tuple[dict, list]:
+    """The sources of the config's points, in order, and the set to keep:
+    each file's own source and every eta variant of it, by key.  Each file is
+    read once.  A source whose key ``previous`` holds is taken from it, memo
+    and all; ``previous`` is then emptied, and any other source is loaded
+    from the bytes just read.  An eta variant goes through the one flip-rate
+    rule, :func:`override_flip_rate`."""
+    params = config.points()
+    keys: dict[str, tuple] = {}
+    to_load: dict[tuple, tuple[str, SourceFiles]] = {}
+    for rel in dict.fromkeys(p["source"] for p in params):
+        files = read_source_files(config.base_dir / rel)
+        key = keys[rel] = _content_key(files)
+        if (key, None) not in previous:
+            to_load.setdefault(key, (rel, files))
+    wanted = [_variant_key(keys[p["source"]], p["eta"]) for p in params]
+    used = {(key, None) for key in keys.values()} | set(wanted)
+    kept = {k: previous[k] for k in used & previous.keys()}
+    previous.clear()
+    for key in list(to_load):
+        rel, files = to_load.pop(key)
+        kept[key, None] = load_source(config.base_dir / rel, files)
+    for p, vkey in zip(params, wanted):
+        if vkey not in kept:
+            kept[vkey] = override_flip_rate(kept[vkey[0], None], p["eta"])
+    return kept, [kept[vkey] for vkey in wanted]
+
+
+def _resolve(config: ExperimentConfig, source: SampleSource, params: dict) -> _Point:
+    """The point of ``params`` on its resolved source."""
     degree_set = _degree_set_for(config, source, params["k"])
     # the search checks the cover strategy and the budget, so a mistake exits
     # before any run; the plan is cached for the class, so the runs reuse it
@@ -345,13 +402,18 @@ def run_config(
     Raises ConfigError on bad input before any run starts, and creates the
     output directory only after every run has returned, so a failure leaves
     no output.  Runs go point by point, then seed by seed, the order of the
-    CSV rows; every run derives all randomness from its own seed.
+    CSV rows; every run derives all randomness from its own seed.  Sources
+    whose files hold the same bytes as in the last call are that call's
+    sources, with their memos (see ``_last_sources``).
     """
+    global _last_sources
     config = ExperimentConfig.from_file(config_path)
     seeds = _checked_seeds(seed_override) if seed_override else config.seeds
-    loaded: dict[str, SampleSource] = {}
+    previous, _last_sources = _last_sources, {}
     try:
-        points = [_resolve(config, loaded, params) for params in config.points()]
+        _last_sources, sources = _resolve_sources(config, previous)
+        points = [_resolve(config, source, params)
+                  for source, params in zip(sources, config.points())]
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
     for pi, point in enumerate(points):

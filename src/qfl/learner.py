@@ -37,6 +37,7 @@ from .pauli import (
     DegreeSet,
     FourierTable,
     PauliString,
+    degree_set_classical_upto,
     degree_set_upto,
     synthesize,
     synthesize_stack,
@@ -315,6 +316,15 @@ class LearnReport:
     opt_coords: tuple[int, ...] | None = None
 
 
+def low_degree_set(d: int, k: int, *, classical_only: bool = False) -> DegreeSet:
+    """Every string on d qubits of support at most k, diagonal ones only
+    under ``classical_only``: the degree set a support bound k gives both
+    learners, after the one check of ``1 <= k <= d``."""
+    if not 1 <= k <= d:
+        raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
+    return degree_set_classical_upto(d, k) if classical_only else degree_set_upto(d, k)
+
+
 # Most measurement classes whose plan is kept.  An entry is a cover and a
 # plan: at most one subset and one int per string of the degree set, whose
 # strings it shares.
@@ -453,9 +463,7 @@ def junta_learn(
     marginal is maximally mixed the report carries the optimal k-junta loss
     and the guarantee ``opt_k + 5 sqrt(score)``.
     """
-    if not 1 <= k <= source.d:
-        raise ValueError(f"need 1 <= k <= d, got k={k}, d={source.d}")
-    degree_set = degree_set_upto(source.d, k)
+    degree_set = low_degree_set(source.d, k)
     report, truth = _estimate(source, degree_set, n, delta, seed, cover_strategy)
     _, report.chosen_coords = best_coords(report.estimates, k)
     predictor = build_predictor(report.estimates.restricted_to_coords(report.chosen_coords))

@@ -51,7 +51,12 @@ bounded process-wide caches keyed by all of its inputs: the degree set
 Work that depends on the states is paid once per source and memoized on it:
 exact tables, the optimal loss, each batch's generator probabilities and
 ``opt_k``.  So the seeds of one experiment point pay for the state work once,
-and a reloaded source of a known class pays only for its states.
+and a source loaded again from its file, a new object with an empty memo,
+pays for its states again (only the class work is shared).
+:func:`load_source` parses exactly the bytes :func:`read_source_files` read:
+the specification and each file it names.  ``harness.run_config`` keys its
+sources on those bytes, so a call on unchanged files loads nothing and reuses
+every memo.
 
 Randomness: one master seed, with independent Philox substreams derived
 through `numpy.random.SeedSequence` spawn keys.  Identical seeds give
@@ -669,10 +674,6 @@ def save_matrix(path, m: np.ndarray) -> None:
     Path(path).write_text(matrix_to_text(m), encoding="utf-8")
 
 
-def load_matrix(path) -> np.ndarray:
-    return matrix_from_text(Path(path).read_text(encoding="utf-8"))
-
-
 def parse_key_values(text: str) -> dict[str, str]:
     """Parse the line-oriented ``key = value`` format with ``#`` comments."""
     out: dict[str, str] = {}
@@ -690,29 +691,76 @@ def parse_key_values(text: str) -> dict[str, str]:
     return out
 
 
-def load_source(path) -> SampleSource:
+# The fields of a source specification that name another file, by kind, in
+# the order _source_from_files takes their texts.
+_FILE_FIELDS = {"realizable": ("ftab",), "noisy": ("ftab",), "custom": ("rho0", "rho1")}
+
+
+@dataclass(frozen=True)
+class SourceFiles:
+    """A source specification as read, all that :func:`load_source` parses:
+    its fields, and the bytes of the file (under ``"src"``) and of each file
+    it names (under the field that names it)."""
+
+    fields: dict[str, str]
+    data: dict[str, bytes]
+
+    def named_texts(self) -> list[str]:
+        """The text of each file the kind names, in ``_FILE_FIELDS`` order;
+        a KeyError names a missing field."""
+        names = _FILE_FIELDS.get(self.fields["kind"], ())
+        return [self.data[name].decode("utf-8") for name in names]
+
+
+def read_source_files(path) -> SourceFiles:
+    """The specification at ``path`` and the files it names, read once
+    (resolved relative to the specification file).  A named file whose field
+    is missing is skipped; the loader reports the field."""
+    path = Path(path)
+    data = {"src": path.read_bytes()}
+    fields = parse_key_values(data["src"].decode("utf-8"))
+    for name in _FILE_FIELDS.get(fields.get("kind"), ()):
+        if name in fields:
+            data[name] = (path.parent / fields[name]).read_bytes()
+    return SourceFiles(fields, data)
+
+
+def load_source(path, files: SourceFiles | None = None) -> SampleSource:
     """Load a source specification file.
 
     The file is ``key = value`` text with a ``kind`` of ``realizable``,
     ``noisy``, ``classical``, or ``custom``.  Referenced coefficient-table and
-    matrix files are resolved relative to the specification file.
+    matrix files are resolved relative to the specification file.  ``files``
+    is what :func:`read_source_files` read for ``path``, so a caller that keys
+    on its bytes loads exactly those; by default it is read now.
     """
     path = Path(path)
-    fields = parse_key_values(path.read_text(encoding="utf-8"))
+    if files is None:
+        files = read_source_files(path)
     try:
-        return _source_from_fields(path, fields)
+        return _source_from_files(path, files)
     except KeyError as exc:
         raise ValueError(f"{path}: missing required field {exc}") from exc
 
 
-def _source_from_fields(path: Path, fields: dict[str, str]) -> SampleSource:
+def override_flip_rate(source: SampleSource, eta: float) -> SampleSource:
+    """``source`` under the flip rate ``eta`` given in a source file or a
+    config: the one rule for both.  Only a realizable source, or a custom one
+    whose feature marginal is maximally mixed, takes it."""
+    if not source.realizable and not source.maximally_mixed:
+        raise ValueError(f"flip rate eta = {eta} on a non-maximally-mixed custom source")
+    return source.with_flip_rate(eta)
+
+
+def _source_from_files(path: Path, files: SourceFiles) -> SampleSource:
+    fields = files.fields
     kind = fields["kind"]
     d = int(fields["d"])
     if not 1 <= d <= MAX_QUBITS:
         raise ValueError(f"{path}: d={d} is outside [1, {MAX_QUBITS}]")
-    base = path.parent
     if kind in ("realizable", "noisy"):
-        table = FourierTable.load(base / fields["ftab"])
+        (ftab,) = files.named_texts()
+        table = FourierTable.from_text(ftab)
         if table.d != d:
             raise ValueError(f"{path}: table dimension {table.d} != d={d}")
         f_op = synthesize(table)
@@ -725,14 +773,13 @@ def _source_from_fields(path: Path, fields: dict[str, str]) -> SampleSource:
             raise ValueError(f"{path}: truth table length {len(bits)} != 2^{d}")
         return make_classical_source(bits)
     if kind == "custom":
+        rho0, rho1 = files.named_texts()
         source = make_custom_source(
-            float(fields["p0"]),
-            load_matrix(base / fields["rho0"]),
-            load_matrix(base / fields["rho1"]),
+            float(fields["p0"]), matrix_from_text(rho0), matrix_from_text(rho1)
         )
         if source.d != d:
             raise ValueError(f"{path}: matrix dimension implies d={source.d}, file says {d}")
         if "eta" in fields:
-            source = source.with_flip_rate(float(fields["eta"]))
+            source = override_flip_rate(source, float(fields["eta"]))
         return source
     raise ValueError(f"{path}: unknown source kind {kind!r}")

@@ -13,7 +13,7 @@ from qfl.checks import (  # noqa: F401
     random_hermitian,
     random_string,
 )
-from qfl import learner, pauli, simulator
+from qfl import harness, learner, pauli, simulator
 from qfl.simulator import SampleSource
 
 # Process-wide caches of work that depends only on the measurement class.
@@ -33,11 +33,14 @@ def clear_class_caches() -> None:
 
 @pytest.fixture(autouse=True)
 def cold_class_caches():
-    """Every test starts with empty class caches, so build counts do not
-    depend on which tests ran before it."""
+    """Every test starts with empty class caches and no source kept by
+    ``run_config``, so build counts do not depend on which tests ran before
+    it."""
     clear_class_caches()
+    harness._last_sources = {}
     yield
     clear_class_caches()
+    harness._last_sources = {}
 
 
 def measure_groups(groups, batch, uniforms) -> tuple[np.ndarray, np.ndarray]:

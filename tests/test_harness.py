@@ -2,12 +2,14 @@
 
 import collections
 import csv
+import gc
 import json
 import os
 import shutil
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +52,58 @@ def write_d4_config(tmp_path: Path, settings: str) -> Path:
     delta = "" if "delta =" in settings else "delta = 0.05\n"
     config.write_text("source = parity_d4.src\n" + delta + "out = out\n" + settings)
     return config
+
+
+def write_pure_custom_setup(tmp_path: Path, *, src_eta: str = "", cfg_eta: str = "") -> Path:
+    """A custom d=1 source whose states are both |0><0|, so its feature
+    marginal is not I / 2, and a qld config on it."""
+    for name in ("rho0.mat", "rho1.mat"):
+        save_matrix(tmp_path / name, np.diag([1.0, 0.0]))
+    (tmp_path / "pure.src").write_text(
+        "kind = custom\nd = 1\np0 = 0.5\nrho0 = rho0.mat\nrho1 = rho1.mat\n" + src_eta,
+        encoding="utf-8",
+    )
+    config = tmp_path / "pure.cfg"
+    config.write_text(
+        "source = pure.src\nalgorithm = qld\nk = 1\nn = 2000\ndelta = 0.05\nseeds = 1\n"
+        "out = out\n" + cfg_eta,
+        encoding="utf-8",
+    )
+    return config
+
+
+def fresh_process_bytes(config: Path, out_dir: Path) -> bytes:
+    """``results.csv`` of ``qfl run`` on the config in a new interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    subprocess.run([sys.executable, "-m", "qfl.cli", "run", str(config), "--out-dir", str(out_dir)],
+                   env=env, capture_output=True, check=True, timeout=120)
+    return (out_dir / "out" / "results.csv").read_bytes()
+
+
+def write_source_setup(tmp_path: Path, spec: str) -> Path:
+    """``source.src`` holding ``spec``, a two-qubit table and the bell
+    matrices beside it, and a qld config on the source."""
+    FourierTable.of(2, {PauliString.from_digits("33"): 1.0}).save(tmp_path / "zz.ftab")
+    for name, rho in zip(("rho0.mat", "rho1.mat"), checks.bell_states()):
+        save_matrix(tmp_path / name, rho)
+    (tmp_path / "source.src").write_text(spec, encoding="utf-8")
+    config = tmp_path / "source.cfg"
+    config.write_text(
+        "source = source.src\nalgorithm = qld\nk = 2\nn = 2000\ndelta = 0.05\n"
+        "seeds = 1, 2\nn_test = 500\nout = out\n",
+        encoding="utf-8",
+    )
+    return config
+
+
+def count_calls(monkeypatch, module, name: str, calls: collections.Counter) -> None:
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
 
 
 class TestConfigParsing:
@@ -171,19 +225,9 @@ class TestRunConfig:
             tmp_path, "algorithm = qld\nk = 2\nn = 3000\neta = 0.05, 0.1, 0.2\nseeds = 1, 2\n"
         )
         calls = collections.Counter()
-
-        def count(module, name):
-            real = getattr(module, name)
-
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        count(learner, "best_cover")
-        count(simulator, "_reduce_batch")
-        count(simulator, "spectral_traces")
+        count_calls(monkeypatch, learner, "best_cover", calls)
+        count_calls(monkeypatch, simulator, "_reduce_batch", calls)
+        count_calls(monkeypatch, simulator, "spectral_traces", calls)
         serial, summary = run_config(config, out_dir=tmp_path / "serial")
         points = json.loads(summary.read_text())["points"]
         assert [p["params"]["eta"] for p in points] == [0.05, 0.1, 0.2]
@@ -191,12 +235,12 @@ class TestRunConfig:
         assert calls == {"best_cover": 1, "_reduce_batch": m, "spectral_traces": 3 * 2}
         cover = learner._plan(degree_set_upto(4, 2), 3000, 0.05, "greedy")[0]
         assert all(p["r"] == [len(_reduce_batch(b)[0]) for b in cover.subsets] for p in points)
-        # a rerun under a stale QFL_THREADS gives the same bytes and
-        # searches no cover again
+        # a rerun under a stale QFL_THREADS gives the same bytes, searches no
+        # cover again and reuses the kept eta variants and their spectra
         monkeypatch.setenv("QFL_THREADS", "3")
         rerun, _ = run_config(config, out_dir=tmp_path / "rerun")
         assert serial.read_bytes() == rerun.read_bytes()
-        assert calls["best_cover"] == 1
+        assert calls == {"best_cover": 1, "_reduce_batch": m, "spectral_traces": 3 * 2}
 
     def test_summary_reports_cover_structure(self, tmp_path):
         config = write_d4_config(tmp_path, "algorithm = junta\nk = 2\nn = 3000\nseeds = 1, 2\n")
@@ -270,6 +314,118 @@ class TestRunConfig:
         assert float(row["optimal_exact_loss"]) == pytest.approx(0.3, abs=1e-12)
 
 
+class TestSourceCache:
+    """``run_config`` keeps the sources of its last call, keyed on the bytes
+    of each source file and of the files it names."""
+
+    @pytest.mark.parametrize(
+        "spec, rewrite",
+        [
+            ("kind = classical\nd = 2\ntruth_table = 0110\n",
+             ("source.src", "kind = classical\nd = 2\ntruth_table = 0011\n")),
+            ("kind = realizable\nd = 2\nftab = zz.ftab\n", ("zz.ftab", 'd=2\n"30" 1.0\n')),
+            ("kind = custom\nd = 2\np0 = 0.5\nrho0 = rho0.mat\nrho1 = rho1.mat\n",
+             ("rho1.mat", simulator.matrix_to_text(np.eye(4) / 4))),
+        ],
+        ids=["src", "ftab", "mat"],
+    )
+    def test_rewritten_file_gives_fresh_process_bytes(self, tmp_path, spec, rewrite):
+        config = write_source_setup(tmp_path, spec)
+        before, _ = run_config(config, out_dir=tmp_path / "before")
+        before = before.read_bytes()
+        name, text = rewrite
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        after, _ = run_config(config, out_dir=tmp_path / "after")
+        fresh = fresh_process_bytes(config, tmp_path / "fresh")
+        assert after.read_bytes() == fresh != before
+
+    def test_signed_zero_eta_gives_fresh_process_bytes(self, tmp_path):
+        # 0.0 == -0.0, but each eta is its own variant and prints as written,
+        # after a call on 0.0 and within one call on both
+        config = write_parity_setup(tmp_path, seeds="1")
+        settings = config.read_text(encoding="utf-8")
+        config.write_text(settings + "eta = 0.0\n", encoding="utf-8")
+        run_config(config, out_dir=tmp_path / "zero")
+        for etas in ("-0.0", "0.0, -0.0"):
+            config.write_text(settings + f"eta = {etas}\n", encoding="utf-8")
+            warm, _ = run_config(config, out_dir=tmp_path / "warm")
+            fresh = fresh_process_bytes(config, tmp_path / "fresh")
+            assert warm.read_bytes() == fresh
+            rows = csv.DictReader(fresh.decode("utf-8").splitlines())
+            assert [row["eta"] for row in rows] == etas.split(", ")
+
+    def test_repeat_call_loads_and_prepares_nothing(self, tmp_path, monkeypatch):
+        config = write_d4_config(tmp_path, "algorithm = junta\nk = 2\nn = 3000\nseeds = 1, 2\n")
+        calls = collections.Counter()
+        count_calls(monkeypatch, harness, "load_source", calls)
+        count_calls(monkeypatch, simulator, "prepare_batches", calls)
+        count_calls(monkeypatch, learner, "sign_operator", calls)
+        first, _ = run_config(config, out_dir=tmp_path / "first")
+        assert calls["load_source"] == calls["prepare_batches"] == 1
+        signs = calls["sign_operator"]
+        second, _ = run_config(config, out_dir=tmp_path / "second")
+        assert first.read_bytes() == second.read_bytes()
+        # only the seeds' predictors take a sign again; the optimum's is kept
+        assert calls == {"load_source": 1, "prepare_batches": 1, "sign_operator": signs + 2}
+
+    def test_failing_load_stores_nothing(self, tmp_path, monkeypatch):
+        config = write_parity_setup(tmp_path)
+        run_config(config, out_dir=tmp_path)
+        assert harness._last_sources
+        (tmp_path / "parity.src").write_text("kind = classical\nd = 2\ntruth_table = 01\n")
+        calls = collections.Counter()
+        count_calls(monkeypatch, harness, "load_source", calls)
+        for attempt in (1, 2):
+            with pytest.raises(ConfigError, match="truth table length"):
+                run_config(config, out_dir=tmp_path)
+            assert harness._last_sources == {}
+            assert calls["load_source"] == attempt
+
+    def test_other_config_drops_the_first_source(self, tmp_path, monkeypatch):
+        parity = write_parity_setup(tmp_path)
+        other = write_d4_config(tmp_path, "algorithm = qld\nk = 1\nn = 2000\nseeds = 1\n")
+        run_config(parity, out_dir=tmp_path)
+        (first,) = harness._last_sources.values()
+        first = weakref.ref(first)
+        real = harness.load_source
+        alive_at_load = []
+
+        def load(*args, **kwargs):
+            gc.collect()
+            alive_at_load.append(first() is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "load_source", load)
+        run_config(other, out_dir=tmp_path)
+        # the first source was gone before the other one was loaded
+        assert alive_at_load == [False]
+        (second,) = harness._last_sources.values()
+        assert second.d == 4
+        monkeypatch.setattr(harness, "load_source", real)
+        calls = collections.Counter()
+        count_calls(monkeypatch, harness, "load_source", calls)
+        run_config(parity, out_dir=tmp_path)
+        assert calls["load_source"] == 1
+
+    def test_same_bytes_under_two_names_load_once(self, tmp_path, monkeypatch):
+        write_parity_setup(tmp_path)
+        shutil.copy(tmp_path / "parity.src", tmp_path / "copy.src")
+        config = tmp_path / "both.cfg"
+        config.write_text(
+            "source = parity.src, copy.src\nalgorithm = qld\nk = 2\nn = 2000\ndelta = 0.05\n"
+            "eta = 0.0, 0.1\nseeds = 1\nout = out\n"
+        )
+        calls = collections.Counter()
+        count_calls(monkeypatch, harness, "load_source", calls)
+        csv_path, _ = run_config(config, out_dir=tmp_path)
+        with csv_path.open(encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["source"] for r in rows] == ["parity.src"] * 2 + ["copy.src"] * 2
+        assert calls["load_source"] == 1
+        # one base source and its two eta variants
+        assert len(harness._last_sources) == 3
+
+
 class TestGoldenBytes:
     """``results.csv`` bytes of the bundled configs, as recorded in ``tests/golden``.
 
@@ -283,9 +439,11 @@ class TestGoldenBytes:
         [("bell.cfg", None), ("parity_qld.cfg", (1, 2)), ("junta_d5.cfg", (1,))],
     )
     def test_results_match_golden(self, tmp_path, config, seeds):
-        csv_path, _ = run_config(CONFIGS / config, out_dir=tmp_path, seed_override=seeds)
         golden = REPO / "tests" / "golden" / f"{Path(config).stem}.csv"
-        assert csv_path.read_bytes() == golden.read_bytes()
+        # the second call runs on the source, memos and all, the first kept
+        for call in ("cold", "warm"):
+            csv_path, _ = run_config(CONFIGS / config, out_dir=tmp_path / call, seed_override=seeds)
+            assert csv_path.read_bytes() == golden.read_bytes(), call
 
 
 class TestBundledPayloads:
@@ -472,18 +630,15 @@ class TestCli:
         assert not out_dir.exists()
 
     def test_config_eta_on_custom_source_not_maximally_mixed_exits_2(self, tmp_path, capsys):
-        # both states |0><0|: the feature marginal is not I / 2
-        for name in ("rho0.mat", "rho1.mat"):
-            save_matrix(tmp_path / name, np.diag([1.0, 0.0]))
-        (tmp_path / "pure.src").write_text(
-            "kind = custom\nd = 1\np0 = 0.5\nrho0 = rho0.mat\nrho1 = rho1.mat\n", encoding="utf-8"
-        )
-        config = tmp_path / "pure.cfg"
-        config.write_text(
-            "source = pure.src\nalgorithm = qld\nk = 1\nn = 2000\ndelta = 0.05\nseeds = 1\n"
-            "eta = 0.1\nout = out\n",
-            encoding="utf-8",
-        )
+        config = write_pure_custom_setup(tmp_path, cfg_eta="eta = 0.1\n")
+        out_dir = tmp_path / "results"
+        assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
+        assert "non-maximally-mixed" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_source_eta_on_custom_source_not_maximally_mixed_exits_2(self, tmp_path, capsys):
+        # the flip rate written in the .src obeys the config's rule
+        config = write_pure_custom_setup(tmp_path, src_eta="eta = 0.1\n")
         out_dir = tmp_path / "results"
         assert main(["run", str(config), "--out-dir", str(out_dir)]) == 2
         assert "non-maximally-mixed" in capsys.readouterr().err
